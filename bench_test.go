@@ -394,18 +394,24 @@ func BenchmarkProfilerInit(b *testing.B) {
 	}
 }
 
+// BenchmarkADKSample runs two-sample tests at growing pooled sizes N. The
+// per-call cost should grow like N log N (sorting); a term quadratic in N
+// would show as a ~1600x jump from N=1k to N=40k.
 func BenchmarkADKSample(b *testing.B) {
-	x := make([]float64, 500)
-	y := make([]float64, 500)
-	for i := range x {
-		x[i] = float64(i % 37)
-		y[i] = float64((i*7 + 3) % 41)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.ADKSample(x, y); err != nil {
-			b.Fatal(err)
+	for _, pooled := range []int{1000, 10000, 40000} {
+		x := make([]float64, pooled/2)
+		y := make([]float64, pooled/2)
+		for i := range x {
+			x[i] = float64(i % 37)
+			y[i] = float64((i*7 + 3) % 41)
 		}
+		b.Run(fmt.Sprintf("N=%d", pooled), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := stats.ADKSample(x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -167,41 +167,22 @@ func ADKSample(samples ...[]float64) (ADResult, error) {
 }
 
 // harmonicTerms returns the h and g terms of the Scholz & Stephens variance
-// formula for a pooled size of N. g is quadratic in N to compute and both
-// depend on nothing but N, while the analysis pipeline calls ADKSample with
-// the same handful of sample sizes thousands of times per table run — so the
-// terms are memoized. The cached values are produced by exactly the
-// summation loops (and summation order) of the direct computation, so
-// memoization cannot perturb a single bit of any result.
+// formula for a pooled size of N. g is the double sum
+// Σ_{i=1}^{N-2} Σ_{j=i+1}^{N-1} 1/((N-i)·j); grouping it by m = N-i gives
+// Σ_{m=2}^{N-1} (Σ_{j=N-m+1}^{N-1} 1/j) / m, whose inner sum grows by one
+// term per m, so one running sum computes it in O(N) — SciPy's cumulative-sum
+// form. Both terms are pure functions of N.
 func harmonicTerms(N int) (h, g float64) {
-	harmonicMu.Lock()
-	defer harmonicMu.Unlock()
-	if t, ok := harmonicCache[N]; ok {
-		return t[0], t[1]
-	}
 	for i := 1; i < N; i++ {
 		h += 1 / float64(i)
 	}
-	for i := 1; i <= N-2; i++ {
-		for j := i + 1; j <= N-1; j++ {
-			g += 1 / (float64(N-i) * float64(j))
-		}
+	var tail float64 // Σ_{j=N-m+1}^{N-1} 1/j
+	for m := 2; m < N; m++ {
+		tail += 1 / float64(N-m+1)
+		g += tail / float64(m)
 	}
-	if len(harmonicCache) >= harmonicCacheCap {
-		// Unbounded growth guard; distinct Ns per process are few, so
-		// resetting (rather than evicting) keeps the code trivial.
-		harmonicCache = make(map[int][2]float64, harmonicCacheCap)
-	}
-	harmonicCache[N] = [2]float64{h, g}
 	return h, g
 }
-
-const harmonicCacheCap = 1 << 14
-
-var (
-	harmonicMu    sync.Mutex
-	harmonicCache = map[int][2]float64{}
-)
 
 // Interpolation tables from Scholz & Stephens (1987), Table 2, as used by
 // SciPy: critical values at the listed significance levels are approximated

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -197,5 +198,73 @@ func TestADPValueMonotone(t *testing.T) {
 			t.Fatalf("p-value not monotone at stat=%v: %v > %v", stat, p, prev)
 		}
 		prev = p
+	}
+}
+
+// quadraticHarmonicTerms is the direct O(N²) evaluation of the Scholz &
+// Stephens h and g terms, kept as the reference oracle for harmonicTerms.
+func quadraticHarmonicTerms(N int) (h, g float64) {
+	for i := 1; i < N; i++ {
+		h += 1 / float64(i)
+	}
+	for i := 1; i <= N-2; i++ {
+		for j := i + 1; j <= N-1; j++ {
+			g += 1 / (float64(N-i) * float64(j))
+		}
+	}
+	return h, g
+}
+
+func relErr(got, want float64) float64 {
+	return math.Abs(got-want) / math.Abs(want)
+}
+
+// TestHarmonicTerms checks h and g against exact rational arithmetic and
+// against the direct double sum. An off-by-one in either loop bound moves g
+// by about 1/N, far outside both tolerances.
+func TestHarmonicTerms(t *testing.T) {
+	// Exact reference: with L = lcm(1..N-1), A[k] = L·Σ_{i=1}^{k} 1/i is an
+	// integer for k < N, so h = A[N-1]/L and
+	// g = Σ_{j=2}^{N-1} (A[N-1] - A[N-j])·(L/j) / L², which sums the double
+	// sum column by column rather than row by row.
+	L := big.NewInt(2) // lcm(1, 2)
+	for N := 4; N <= 400; N++ {
+		next := big.NewInt(int64(N - 1))
+		gcd := new(big.Int).GCD(nil, nil, L, next)
+		L.Mul(L, next.Quo(next, gcd))
+		A := make([]*big.Int, N)
+		A[0] = new(big.Int)
+		for k := 1; k < N; k++ {
+			A[k] = new(big.Int).Add(A[k-1], new(big.Int).Quo(L, big.NewInt(int64(k))))
+		}
+		num, term := new(big.Int), new(big.Int)
+		for j := 2; j < N; j++ {
+			term.Sub(A[N-1], A[N-j])
+			num.Add(num, term.Mul(term, new(big.Int).Quo(L, big.NewInt(int64(j)))))
+		}
+		wantH, _ := new(big.Rat).SetFrac(A[N-1], L).Float64()
+		wantG, _ := new(big.Rat).SetFrac(num, new(big.Int).Mul(L, L)).Float64()
+		h, g := harmonicTerms(N)
+		if e := relErr(h, wantH); e > 1e-14 {
+			t.Errorf("N=%d: h = %v, exact %v (rel err %.3g)", N, h, wantH, e)
+		}
+		if e := relErr(g, wantG); e > 1e-14 {
+			t.Errorf("N=%d: g = %v, exact %v (rel err %.3g)", N, g, wantG, e)
+		}
+	}
+
+	var sizes []int
+	for N := 4; N <= 64; N++ {
+		sizes = append(sizes, N)
+	}
+	for _, N := range append(sizes, 1000, 5000) {
+		wantH, wantG := quadraticHarmonicTerms(N)
+		h, g := harmonicTerms(N)
+		if e := relErr(h, wantH); e > 1e-12 {
+			t.Errorf("N=%d: h = %v, double loop %v (rel err %.3g)", N, h, wantH, e)
+		}
+		if e := relErr(g, wantG); e > 1e-12 {
+			t.Errorf("N=%d: g = %v, double loop %v (rel err %.3g)", N, g, wantG, e)
+		}
 	}
 }

@@ -178,7 +178,7 @@ func TestRunLengthRoundTrip(t *testing.T) {
 // TestADKSampleConcurrentPooledScratch hammers the pooled-scratch path from
 // many goroutines with differently-sized inputs and checks results match the
 // single-goroutine answers bit-for-bit (run under -race this also proves the
-// pool and memoization are safe).
+// scratch pool is safe).
 func TestADKSampleConcurrentPooledScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	type c struct{ a, b []float64 }
