@@ -18,7 +18,6 @@ import (
 	"vprof/internal/harness"
 	"vprof/internal/sampler"
 	"vprof/internal/stats"
-	"vprof/internal/vm"
 )
 
 // --- Tables ---
@@ -317,53 +316,6 @@ func BenchmarkBaselines(b *testing.B) {
 }
 
 // --- Micro-benchmarks of the hot paths ---
-
-func BenchmarkVMExecution(b *testing.B) {
-	built, err := bugs.ByID("b1").Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := built.W.NormalConfig(0)
-	b.ResetTimer()
-	var ticks int64
-	for i := 0; i < b.N; i++ {
-		m := vm.New(built.Prog, cfg)
-		_ = m.Run()
-		ticks += m.Ticks()
-		m.Recycle()
-	}
-	b.ReportMetric(float64(ticks)/float64(b.N), "ticks/run")
-}
-
-// BenchmarkEngineExec runs every workload's buggy configuration on both
-// execution engines — the before/after for the register engine across the
-// full harness suite (geomean of the per-workload ratios is the headline
-// speedup in BENCH_vm.json).
-func BenchmarkEngineExec(b *testing.B) {
-	all := append(bugs.All(), bugs.UnresolvedIssues()...)
-	for _, engine := range []string{vm.EngineTree, vm.EngineRegister} {
-		for _, w := range all {
-			engine, w := engine, w
-			b.Run(w.ID+"/"+engine, func(b *testing.B) {
-				built, err := w.Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := built.W.BuggyConfig(0)
-				cfg.Engine = engine
-				b.ResetTimer()
-				var ticks int64
-				for i := 0; i < b.N; i++ {
-					m := vm.New(built.Prog, cfg)
-					_ = m.Run()
-					ticks += m.Ticks()
-					m.Recycle()
-				}
-				b.ReportMetric(float64(ticks)/float64(b.N), "ticks/run")
-			})
-		}
-	}
-}
 
 func BenchmarkProfiledExecution(b *testing.B) {
 	built, err := bugs.ByID("b1").Build()

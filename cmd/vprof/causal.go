@@ -30,11 +30,7 @@ func cmdCausal(args []string) error {
 	server := fs.String("server", "", "run the sweep on a vprof service at this base URL")
 	inputs := fs.String("inputs", "", "comma-separated workload inputs (local .vp targets)")
 	seed := fs.Uint64("seed", 1, "PRNG seed (local .vp targets)")
-	engine := engineFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := engine(); err != nil {
 		return err
 	}
 	target, err := fileArg(target, fs, "causal")

@@ -93,11 +93,7 @@ func cmdServe(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on SIGTERM")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log encoding: text or json")
-	engine := engineFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := engine(); err != nil {
 		return err
 	}
 	level, err := obs.ParseLevel(*logLevel)
@@ -217,11 +213,7 @@ func cmdPush(args []string) error {
 	maxTicks := fs.Int64("max-ticks", 0, "tick budget per run (0 = default)")
 	interval := fs.Int64("interval", sampler.DefaultInterval, "sampling interval in ticks")
 	funcs := fs.String("funcs", "", "comma-separated component functions to monitor")
-	engine := engineFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := engine(); err != nil {
 		return err
 	}
 	lb, err := store.ParseLabel(*label)

@@ -23,7 +23,6 @@ import (
 	vprof "vprof"
 	"vprof/internal/profilefmt"
 	"vprof/internal/sampler"
-	"vprof/internal/vm"
 )
 
 func main() {
@@ -161,15 +160,15 @@ func usage() {
                          [-min-score x] [-max-entries n] [-static-priors]
   vprof lint <prog.vp>
   vprof check <prog.vp> [prog2.vp ...] [-costs]
-  vprof run <prog.vp> [-inputs a,b,...] [-seed n] [-max-ticks n] [-engine e]
-  vprof profile <prog.vp> [-inputs ...] [-out dir] [-interval n] [-engine e]
+  vprof run <prog.vp> [-inputs a,b,...] [-seed n] [-max-ticks n]
+  vprof profile <prog.vp> [-inputs ...] [-out dir] [-interval n]
   vprof disasm <prog.vp>
   vprof analyze <prog.vp> -normal dir[,dir...] -buggy dir[,dir...] [-top n] [-workers n]
   vprof diagnose <prog.vp> -normal a,b -buggy a,b [-runs n] [-top n] [-funcs f1,f2]
-                 [-workers n] [-engine tree|register]
+                 [-workers n]
   vprof causal <prog.vp|bug-id> [-speedups 10,50,95] [-granularity func|block]
                [-funcs f1,f2] [-workers n] [-top n] [-curve f] [-server url]
-               [-inputs a,b] [-seed n] [-engine e]
+               [-inputs a,b] [-seed n]
   vprof serve [-addr host:port] [-store dir] [-bugs] [-workers n]
               [-analysis-workers n] [-request-timeout d] [-max-queue n]
               [-drain-timeout d] [-log-level l] [-log-format text|json]
@@ -183,23 +182,6 @@ func usage() {
   vprof query workloads|diagnose|report|stats -server url [args]
   vprof fsck [-store dir] [-repair] [-cluster]
 `)
-}
-
-// engineFlag registers -engine on subcommands that execute programs and
-// returns an apply func: called after parsing, it installs the choice as
-// the process-default execution engine (both engines are tick-for-tick
-// equivalent; register is the fast one).
-func engineFlag(fs *flag.FlagSet) func() error {
-	name := fs.String("engine", "", "execution engine: tree or register (default $VPROF_ENGINE or tree)")
-	return func() error {
-		if *name == "" {
-			return nil
-		}
-		if _, err := vm.SetDefaultEngine(*name); err != nil {
-			return usageError{err}
-		}
-		return nil
-	}
 }
 
 // splitFileArg allows the program file to precede the flags (vprof profile
@@ -386,11 +368,7 @@ func cmdRun(args []string) error {
 	inputs := fs.String("inputs", "", "comma-separated workload inputs")
 	seed := fs.Uint64("seed", 1, "PRNG seed")
 	maxTicks := fs.Int64("max-ticks", 0, "tick budget (0 = default)")
-	engine := engineFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := engine(); err != nil {
 		return err
 	}
 	file, err := fileArg(file, fs, "run")
@@ -422,11 +400,7 @@ func cmdProfile(args []string) error {
 	interval := fs.Int64("interval", sampler.DefaultInterval, "sampling interval in ticks")
 	outDir := fs.String("out", "", "directory for gmon/gmon_var/layout artifacts")
 	funcs := fs.String("funcs", "", "comma-separated component functions to monitor")
-	engine := engineFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := engine(); err != nil {
 		return err
 	}
 	file, err := fileArg(file, fs, "profile")
@@ -550,11 +524,7 @@ func cmdDiagnose(args []string) error {
 	funcs := fs.String("funcs", "", "comma-separated component functions to monitor")
 	root := fs.String("root", "", "known root cause (prints its rank)")
 	workers := fs.Int("workers", 0, "profiling/analysis worker pool (0 = VPROF_WORKERS or GOMAXPROCS, 1 = sequential)")
-	engine := engineFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := engine(); err != nil {
 		return err
 	}
 	file, err := fileArg(file, fs, "diagnose")

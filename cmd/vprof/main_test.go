@@ -12,7 +12,6 @@ import (
 
 	"vprof/internal/service"
 	"vprof/internal/store"
-	"vprof/internal/vm"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it wrote.
@@ -268,17 +267,18 @@ func TestExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{nil, 2},                                     // no subcommand
-		{[]string{"frobnicate"}, 2},                  // unknown subcommand
-		{[]string{"run", "-no-such-flag"}, 2},        // unknown flag
-		{[]string{"run"}, 2},                         // missing program file
-		{[]string{"run", "a.vp", "b.vp"}, 2},         // too many program files
-		{[]string{"query"}, 2},                       // missing query subcommand
-		{[]string{"query", "wat"}, 2},                // unknown query subcommand
-		{[]string{"push", "-label", "x"}, 2},         // bad label
-		{[]string{"run", "no-such-file.vp"}, 1},      // execution failure
-		{[]string{"serve", "-log-level", "loud"}, 2}, // bad log level
-		{[]string{"serve", "-log-format", "xml"}, 2}, // bad log encoding
+		{nil, 2},                                            // no subcommand
+		{[]string{"frobnicate"}, 2},                         // unknown subcommand
+		{[]string{"run", "-no-such-flag"}, 2},               // unknown flag
+		{[]string{"run"}, 2},                                // missing program file
+		{[]string{"run", "a.vp", "b.vp"}, 2},                // too many program files
+		{[]string{"run", "a.vp", "-engine", "register"}, 2}, // removed engine selector
+		{[]string{"query"}, 2},                              // missing query subcommand
+		{[]string{"query", "wat"}, 2},                       // unknown query subcommand
+		{[]string{"push", "-label", "x"}, 2},                // bad label
+		{[]string{"run", "no-such-file.vp"}, 1},             // execution failure
+		{[]string{"serve", "-log-level", "loud"}, 2},        // bad log level
+		{[]string{"serve", "-log-format", "xml"}, 2},        // bad log encoding
 		{[]string{"help"}, 0},
 		{[]string{"--help"}, 0},
 		{[]string{"run", "-h"}, 0}, // flag-level help is not an error
@@ -392,35 +392,5 @@ func TestPushQueryEndToEnd(t *testing.T) {
 	})
 	if !strings.Contains(rep, "workload recovery") {
 		t.Fatalf("report output:\n%s", rep)
-	}
-}
-
-// TestEngineFlag pins the -engine plumbing: both engines produce the
-// identical run output (they are tick-for-tick equivalent), the flag
-// resets the process default, and a bad engine name is a usage error.
-func TestEngineFlag(t *testing.T) {
-	prog := "../../testdata/recovery.vp"
-	prev := vm.DefaultEngine()
-	defer vm.SetDefaultEngine(prev)
-
-	treeOut := captureStdout(t, func() error {
-		return cmdRun([]string{prog, "-inputs", "40", "-engine", "tree"})
-	})
-	regOut := captureStdout(t, func() error {
-		return cmdRun([]string{prog, "-inputs", "40", "-engine", "register"})
-	})
-	if treeOut != regOut {
-		t.Errorf("run output differs between engines:\n--- tree ---\n%s\n--- register ---\n%s", treeOut, regOut)
-	}
-	if got := vm.DefaultEngine(); got != vm.EngineRegister {
-		t.Errorf("default engine after -engine register = %q", got)
-	}
-
-	err := cmdRun([]string{prog, "-engine", "quantum"})
-	if err == nil {
-		t.Fatal("bad engine name accepted")
-	}
-	if exitCode(err) != 2 {
-		t.Errorf("bad engine name: exit code %d, want 2 (usage)", exitCode(err))
 	}
 }

@@ -1,91 +1,30 @@
 package baselines_test
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
-	"sort"
 	"testing"
 
 	"vprof/internal/baselines"
 	"vprof/internal/bugs"
-	"vprof/internal/compiler"
-	"vprof/internal/vm"
 )
 
-// legacyCoz is a verbatim replica of the hand-rolled block-scaling loop that
-// Coz used before it was rewired onto internal/causal's shared
-// virtual-speedup engine. It gates the rewire: Table 2 baseline output must
-// stay byte-for-byte identical.
-func legacyCoz(t *baselines.Target) *baselines.Result {
-	if t.CrashesCOZ {
-		return &baselines.Result{Tool: "COZ", Failure: baselines.FailCrash}
-	}
-	cfg := t.BuggyCfg
-	cfg.AlarmPhase = 3
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	baseline := legacyRootRuntime(t.Prog, cfg, nil)
-
-	var treeTicks int64
-	for _, p := range vm.RunProcesses(t.Prog, func(int) vm.Config { return cfg }) {
-		treeTicks += p.VM.Ticks()
-	}
-	childBlind := treeTicks > 0 && baseline*10 < treeTicks
-
-	scores := map[string]float64{}
-	for _, fn := range t.Prog.Debug.Funcs {
-		if fn.Library || len(fn.Name) >= 2 && fn.Name[0] == '_' && fn.Name[1] == '_' {
-			continue
-		}
-		for _, blk := range fn.Blocks {
-			start, end := blk.Start, blk.End
-			scale := func(pc int, cost int64) int64 {
-				if pc >= start && pc < end {
-					return int64(float64(cost) * baselines.CozSpeedup)
-				}
-				return cost
-			}
-			runtime := legacyRootRuntime(t.Prog, cfg, scale)
-			gain := float64(baseline - runtime)
-			if gain < float64(baseline)*0.01 {
-				continue
-			}
-			if gain > scores[fn.Name] {
-				scores[fn.Name] = gain
-			}
-		}
-	}
-	ranked := make([]baselines.RankedFunc, 0, len(scores))
-	for fn, s := range scores {
-		if s <= 0 {
-			continue
-		}
-		ranked = append(ranked, baselines.RankedFunc{Name: fn, Score: s})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
-		}
-		return ranked[i].Name < ranked[j].Name
-	})
-	res := &baselines.Result{Tool: "COZ", Funcs: ranked}
-	if childBlind {
-		res.Failure = baselines.FailChild
-	}
-	return res
-}
-
-func legacyRootRuntime(prog *compiler.Program, cfg vm.Config, scale func(int, int64) int64) int64 {
-	cfg.CostScale = scale
-	m := vm.New(prog, cfg)
-	_ = m.Run()
-	return m.Ticks()
-}
-
-// TestCozRewireGolden runs both implementations over a spread of reproduced
-// issues (including a CrashesCOZ workload and a child-heavy workload) and
-// requires identical results.
+// TestCozRewireGolden pins Coz's results on a spread of reproduced issues
+// (including a CrashesCOZ workload and a child-heavy workload) to
+// testdata/coz_golden.json, recorded from the hand-rolled block-scaling
+// loop Coz used before it was rewired onto internal/causal's shared
+// virtual-speedup engine: Table 2's baseline output must stay byte-for-byte
+// identical.
 func TestCozRewireGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/coz_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]*baselines.Result
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"b1", "b2", "b3", "b5", "b7", "b11", "b13", "u1"} {
 		w := bugs.ByID(id)
 		if w == nil {
@@ -95,11 +34,12 @@ func TestCozRewireGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		tgt := b.Target()
-		got := baselines.Coz(tgt)
-		want := legacyCoz(tgt)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: rewired Coz diverged from legacy\n got: %+v\nwant: %+v", id, got, want)
+		want, ok := golden[id]
+		if !ok {
+			t.Fatalf("%s: no golden result", id)
+		}
+		if got := baselines.Coz(b.Target()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Coz diverged from the golden\n got: %+v\nwant: %+v", id, got, want)
 		}
 	}
 }

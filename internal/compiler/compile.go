@@ -83,6 +83,11 @@ func Compile(f *lang.File) (*Program, error) {
 
 	c.prog.PointerVars = InferPointers(f)
 	buildDebugInfo(c)
+	rp, err := compileRegister(c.prog)
+	if err != nil {
+		return nil, err
+	}
+	c.prog.Reg = rp
 	return c.prog, nil
 }
 

@@ -204,6 +204,9 @@ type Program struct {
 	// StaticCosts holds per-block static cost annotations in (function,
 	// block) order; populated by internal/absint.Annotate, nil until then.
 	StaticCosts []StaticCost
+	// Reg is the register-IR lowering of Instrs (reg.go), the code the vm
+	// package executes.
+	Reg *RegProgram
 
 	funcIndex   map[string]int
 	globalIndex map[string]int

@@ -1,9 +1,10 @@
 package compiler
 
 // Register-based IR: a second, faster encoding of a compiled Program,
-// produced by CompileRegister and executed by the vm package's register
-// engine. The stack-machine IR (Instrs) stays the source of truth for
-// debug info, static analysis, and the tree-walking engine; this file
+// produced by Compile (Program.Reg) and executed by the vm package's
+// register engine. The stack-machine IR (Instrs) stays the source of truth
+// for debug info, static analysis, and the tree-walking reference
+// interpreter the vm tests hold the register engine to; this file
 // lowers it to register operations with superinstruction fusion while
 // preserving the tick-for-tick observable semantics the tree walker
 // defines.
@@ -55,7 +56,6 @@ package compiler
 
 import (
 	"fmt"
-	"sort"
 
 	"vprof/internal/lang"
 )
@@ -149,12 +149,30 @@ type RegProgram struct {
 	Consts []int64
 }
 
-// CompileRegister lowers a compiled program to register IR. It fails only
-// on internal inconsistencies (e.g. unbalanced stack depths), which would
-// indicate a compiler bug; callers should treat an error as fatal rather
-// than falling back silently.
-func CompileRegister(p *Program) (*RegProgram, error) {
-	rc := &regCompiler{p: p, constIx: map[int64]int32{}}
+// compileRegister lowers a compiled program to register IR (Program.Reg).
+// It fails only on internal inconsistencies (e.g. unbalanced stack
+// depths), which would indicate a compiler bug; Compile reports such a
+// failure as its own error.
+func compileRegister(p *Program) (*RegProgram, error) {
+	n := len(p.Instrs)
+	rc := &regCompiler{
+		p:       p,
+		constIx: map[int64]int32{},
+		leaders: make([]bool, n),
+		reach:   make([]bool, n),
+		depthAt: make([]int, n),
+		blockIx: make([]int, n),
+	}
+	calls := 0
+	for i := range p.Instrs {
+		rc.depthAt[i], rc.blockIx[i] = -1, -1
+		if p.Instrs[i].Op == OpCall {
+			calls++
+		}
+	}
+	// Every reachable stack pc is charged exactly once, plus one
+	// continuation tick per call: one buffer holds every tick schedule.
+	rc.pcBuf = make([]int32, 0, n+calls)
 	rp := &RegProgram{Prog: p, Funcs: make([]RegFunc, len(p.Funcs))}
 	for i, f := range p.Funcs {
 		rf, err := rc.compileFunc(f)
@@ -167,11 +185,20 @@ func CompileRegister(p *Program) (*RegProgram, error) {
 	return rp, nil
 }
 
-// regCompiler holds program-level lowering state (the immediate pool).
+// regCompiler holds program-level lowering state: the immediate pool, the
+// per-pc tables, indexed by absolute stack pc (functions occupy disjoint
+// pc ranges, so one set serves them all), and the backing store of the
+// ops' tick schedules.
 type regCompiler struct {
 	p       *Program
 	consts  []int64
 	constIx map[int64]int32
+
+	leaders []bool // pc starts a basic block
+	reach   []bool // block starting at pc is reachable
+	depthAt []int  // operand-stack depth on entry to pc; -1 = unknown
+	blockIx []int  // code index of the lowered block starting at pc; -1 = none
+	pcBuf   []int32
 }
 
 func (rc *regCompiler) constRef(v int64) int32 {
@@ -203,14 +230,10 @@ type absEntry struct {
 // regFn compiles one function.
 type regFn struct {
 	*regCompiler
-	fn      *FuncInfo
-	leaders map[int]bool
-	depthAt map[int]int
-	reach   map[int]bool
+	fn *FuncInfo
 
-	code    []RegOp
-	blockIx map[int]int
-	fixups  []int
+	code   []RegOp
+	fixups []int
 
 	stack   []absEntry
 	pending []int32
@@ -218,32 +241,28 @@ type regFn struct {
 }
 
 func (rc *regCompiler) compileFunc(f *FuncInfo) (RegFunc, error) {
-	fc := &regFn{
-		regCompiler: rc,
-		fn:          f,
-		leaders:     map[int]bool{},
-		depthAt:     map[int]int{},
-		blockIx:     map[int]int{},
-	}
+	// Fusion and copy propagation leave the register code well under half
+	// as long as the stack code it lowers, so this capacity rarely grows.
+	fc := &regFn{regCompiler: rc, fn: f, code: make([]RegOp, 0, (f.End-f.Entry)/2+1)}
 	fc.scanLeaders()
 	if err := fc.scanDepths(); err != nil {
 		return RegFunc{}, err
 	}
-	var starts []int
-	for pc := range fc.reach {
-		starts = append(starts, pc)
-	}
-	sort.Ints(starts)
-	for _, start := range starts {
-		fc.blockIx[start] = len(fc.code)
+	for start := f.Entry; start < f.End; start++ {
+		if !rc.reach[start] {
+			continue
+		}
+		rc.blockIx[start] = len(fc.code)
 		if err := fc.emitBlock(start); err != nil {
 			return RegFunc{}, err
 		}
 	}
 	for _, ix := range fc.fixups {
+		// scanDepths has checked that every reachable jump stays in the
+		// function.
 		target := int(fc.code[ix].A)
-		bi, ok := fc.blockIx[target]
-		if !ok {
+		bi := rc.blockIx[target]
+		if bi < 0 {
 			return RegFunc{}, fmt.Errorf("jump to unreachable pc %d", target)
 		}
 		fc.code[ix].A = int32(bi)
@@ -255,13 +274,19 @@ func (rc *regCompiler) compileFunc(f *FuncInfo) (RegFunc, error) {
 	}, nil
 }
 
+// inFunc reports whether pc lies in the function being lowered.
+func (fc *regFn) inFunc(pc int) bool { return pc >= fc.fn.Entry && pc < fc.fn.End }
+
 func (fc *regFn) scanLeaders() {
 	f := fc.fn
 	fc.leaders[f.Entry] = true
 	for pc := f.Entry; pc < f.End; pc++ {
 		switch ins := fc.p.Instrs[pc]; ins.Op {
 		case OpJump, OpJZ, OpJNZ:
-			fc.leaders[int(ins.A)] = true
+			// A target outside the function is reported by scanDepths.
+			if fc.inFunc(int(ins.A)) {
+				fc.leaders[int(ins.A)] = true
+			}
 			if pc+1 < f.End {
 				fc.leaders[pc+1] = true
 			}
@@ -279,10 +304,12 @@ func (fc *regFn) scanLeaders() {
 func (fc *regFn) scanDepths() error {
 	f := fc.fn
 	fc.depthAt[f.Entry] = 0
-	fc.reach = map[int]bool{}
 	work := []int{f.Entry}
 	flow := func(target, d int) error {
-		if od, ok := fc.depthAt[target]; ok {
+		if !fc.inFunc(target) {
+			return fmt.Errorf("jump from %s to pc %d outside it", f.Name, target)
+		}
+		if od := fc.depthAt[target]; od >= 0 {
 			if od != d {
 				return fmt.Errorf("inconsistent stack depth at pc %d: %d vs %d", target, od, d)
 			}
@@ -367,9 +394,10 @@ func (fc *regFn) pend(pc int) { fc.pending = append(fc.pending, int32(pc)) }
 // by pcs.
 func (fc *regFn) out(op RegOp, pcs ...int32) {
 	if n := len(fc.pending) + len(pcs); n > 0 {
-		all := make([]int32, 0, n)
-		all = append(all, fc.pending...)
-		all = append(all, pcs...)
+		start := len(fc.pcBuf)
+		fc.pcBuf = append(fc.pcBuf, fc.pending...)
+		fc.pcBuf = append(fc.pcBuf, pcs...)
+		all := fc.pcBuf[start:len(fc.pcBuf):len(fc.pcBuf)]
 		op.PCs = all
 		op.Cost = int32(n)
 		for _, e := range all {
@@ -801,7 +829,7 @@ func (o RegOp) String() string {
 	return fmt.Sprintf("%-28s ; cost=%d n=%d pcs=%v", body, o.Cost, o.N, o.PCs)
 }
 
-// DisasmRegister renders the register code of every function, for
+// Disasm renders the register code of every function, for
 // debugging and the CLI disassembler.
 func (rp *RegProgram) Disasm() string {
 	var sb []byte

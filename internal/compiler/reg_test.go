@@ -1,6 +1,6 @@
 package compiler_test
 
-// Structural tests for the register lowering (CompileRegister): static
+// Structural tests for the register lowering (Program.Reg): static
 // invariants of the emitted code — tick-schedule conservation against
 // the stack IR, branch-target sanity, frame sizing — plus presence of
 // the superinstruction fusions the lowering promises. Behavioral
@@ -18,11 +18,7 @@ import (
 func compileRegSrc(t *testing.T, src string) (*compiler.Program, *compiler.RegProgram) {
 	t.Helper()
 	p := compileSrc(t, src)
-	rp, err := compiler.CompileRegister(p)
-	if err != nil {
-		t.Fatalf("CompileRegister: %v", err)
-	}
-	return p, rp
+	return p, p.Reg
 }
 
 // checkRegInvariants asserts, for every function:

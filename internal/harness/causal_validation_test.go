@@ -1,10 +1,9 @@
 package harness_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-
-	"vprof/internal/harness"
 )
 
 // expectedCausalRanks pins the root cause's causal-impact rank per workload.
@@ -17,10 +16,8 @@ var expectedCausalRanks = map[string]int{
 }
 
 func TestCausalValidation(t *testing.T) {
-	table, rows, err := harness.CausalValidationWorkers(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := causalAt(t, 8)
+	table, rows := res.text, res.rows
 	t.Logf("\n%s", table)
 	if len(rows) != 18 {
 		t.Fatalf("rows = %d, want 18", len(rows))
@@ -51,25 +48,13 @@ func TestCausalValidation(t *testing.T) {
 
 func TestCausalValidationDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full validation sweeps")
+		t.Skip("two full validation sweeps")
 	}
-	// Two worker counts plus a repeat: byte-for-byte identical tables.
-	t1, _, err := harness.CausalValidationWorkers(1)
-	if err != nil {
-		t.Fatal(err)
+	seq, par := causalAt(t, 1), causalAt(t, 8)
+	if seq.text != par.text {
+		t.Errorf("causal validation table differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq.text, par.text)
 	}
-	t8, _, err := harness.CausalValidationWorkers(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t8 {
-		t.Fatal("workers=1 vs workers=8 tables differ")
-	}
-	t8b, _, err := harness.CausalValidationWorkers(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t8 != t8b {
-		t.Fatal("repeated runs produced different tables")
+	if !reflect.DeepEqual(seq.rows, par.rows) {
+		t.Error("causal validation rows differ between workers=1 and workers=8")
 	}
 }

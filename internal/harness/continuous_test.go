@@ -6,17 +6,30 @@ import (
 	"vprof/internal/bugs"
 )
 
+// replayRows holds the one continuous replay of all 18 workloads that both
+// tests below check.
+var replayRows []ReplayRow
+
+func replayAll(t *testing.T) []ReplayRow {
+	t.Helper()
+	if replayRows == nil {
+		workloads := append(bugs.All(), bugs.UnresolvedIssues()...)
+		rows, err := ReplayContinuous(t.TempDir(), workloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayRows = rows
+	}
+	return replayRows
+}
+
 // TestContinuousReplayAllWorkloads is the tentpole's acceptance test: all 18
 // bug workloads (15 resolved + 3 unresolved) replayed through the HTTP
 // service with concurrent pushes must produce byte-for-byte the same
 // diagnosis as the offline Table 3 path, and a second diagnosis of each
 // unchanged workload must be served from the memo cache.
 func TestContinuousReplayAllWorkloads(t *testing.T) {
-	workloads := append(bugs.All(), bugs.UnresolvedIssues()...)
-	rows, err := ReplayContinuous(t.TempDir(), workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := replayAll(t)
 	if len(rows) != 18 {
 		t.Fatalf("replayed %d workloads, want 18", len(rows))
 	}
@@ -35,4 +48,15 @@ func TestContinuousReplayAllWorkloads(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", RenderReplay(rows))
+}
+
+// TestReplayContinuousEngineEquivalence is the replay's golden equivalence
+// gate: the register engine's rendering of the continuous replay must equal
+// byte for byte the one the tree-walking reference interpreter produced
+// (testdata/golden/replay.txt), match and cache columns included.
+func TestReplayContinuousEngineEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("continuous replay is slow")
+	}
+	CheckGolden(t, "replay.txt", RenderReplay(replayAll(t)))
 }

@@ -1,197 +1,146 @@
 package harness_test
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
-	"vprof/internal/bugs"
 	"vprof/internal/harness"
-	"vprof/internal/vm"
 )
 
-// Golden equivalence gate for the register execution engine: every
-// paper artifact — Tables 3/4/5, Figure 8, the 18-issue causal
-// validation table, and the continuous-mode replay — re-run with the
-// register engine as the process default must be byte-for-byte
-// identical to the tree-walker outputs (wall-clock timings masked),
-// both sequentially and on an 8-way worker pool. The harness tests in
-// this package never call t.Parallel, so flipping the process-wide
-// default engine here cannot race another test's executions.
+// Golden equivalence gate for the register execution engine: every paper
+// artifact — Tables 3/4/5, Figure 8 and the 18-issue causal validation
+// table — rendered by the register engine, sequentially (workers=1) and on
+// an 8-way worker pool, must equal byte for byte the checked-in golden under
+// testdata/golden that the tree-walking reference interpreter produced
+// (wall-clock timings masked). The continuous-mode replay has the same gate
+// in TestReplayContinuousEngineEquivalence.
+//
+// Each artifact is computed once per worker count and the result is shared
+// with the determinism and causal validation tests, so a full suite runs
+// every artifact twice.
 
-// underEngine runs fn with the process default engine set to name and
-// restores the previous default before returning.
-func underEngine(t *testing.T, name string, fn func()) {
+var goldenWorkers = []int{1, 8}
+
+// atWorkers runs check once per worker count, each as its own subtest.
+func atWorkers(t *testing.T, check func(t *testing.T, workers int)) {
+	for _, workers := range goldenWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { check(t, workers) })
+	}
+}
+
+// artifacts memoizes artifactAt results by name and worker count. The
+// harness tests that read it never call t.Parallel, so it needs no lock.
+var artifacts = map[string]any{}
+
+// artifactAt returns run(workers), computing it once per test binary.
+func artifactAt[T any](t *testing.T, name string, workers int, run func(workers int) (T, error)) T {
 	t.Helper()
-	prev, err := vm.SetDefaultEngine(name)
+	key := fmt.Sprintf("%s/workers=%d", name, workers)
+	if v, ok := artifacts[key]; ok {
+		return v.(T)
+	}
+	v, err := run(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer vm.SetDefaultEngine(prev)
-	fn()
+	artifacts[key] = v
+	return v
+}
+
+type table3Result struct {
+	text string
+	rows []harness.Table3Row
+}
+
+func table3At(t *testing.T, workers int) table3Result {
+	return artifactAt(t, "table3", workers, func(w int) (table3Result, error) {
+		text, rows, err := harness.Table3Workers(w)
+		return table3Result{text, rows}, err
+	})
+}
+
+func table4At(t *testing.T, workers int) string {
+	return artifactAt(t, "table4", workers, func(w int) (string, error) {
+		cases, err := harness.Table4Workers(w)
+		return harness.RenderTable4(cases), err
+	})
+}
+
+// table5At renders Table 5 with InitMs and WallMs zeroed: they are
+// wall-clock measurements and legitimately vary between runs.
+func table5At(t *testing.T, workers int) string {
+	return artifactAt(t, "table5", workers, func(w int) (string, error) {
+		rows, err := harness.Table5Workers(w)
+		for i := range rows {
+			rows[i].InitMs, rows[i].WallMs = 0, 0
+		}
+		return harness.RenderTable5(rows), err
+	})
+}
+
+func figure8At(t *testing.T, workers int) string {
+	return artifactAt(t, "figure8", workers, func(w int) (string, error) {
+		res, err := harness.Figure8Workers(w)
+		if err != nil {
+			return "", err
+		}
+		return harness.RenderFigure8(res), nil
+	})
+}
+
+type causalResult struct {
+	text string
+	rows []harness.CausalRow
+}
+
+func causalAt(t *testing.T, workers int) causalResult {
+	return artifactAt(t, "causal", workers, func(w int) (causalResult, error) {
+		text, rows, err := harness.CausalValidationWorkers(w)
+		return causalResult{text, rows}, err
+	})
 }
 
 func TestTable3EngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 3 is slow")
 	}
-	treeText, treeRows, err := harness.Table3Workers(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		var regText string
-		var regRows []harness.Table3Row
-		underEngine(t, vm.EngineRegister, func() {
-			regText, regRows, err = harness.Table3Workers(workers)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if regText != treeText {
-			t.Errorf("Table 3 differs: tree vs register(workers=%d):\n--- tree ---\n%s\n--- register ---\n%s",
-				workers, treeText, regText)
-		}
-		if !reflect.DeepEqual(regRows, treeRows) {
-			t.Errorf("Table 3 rows differ: tree vs register(workers=%d):\ntree: %+v\nregister: %+v",
-				workers, treeRows, regRows)
-		}
-	}
+	atWorkers(t, func(t *testing.T, workers int) {
+		harness.CheckGolden(t, "table3.txt", table3At(t, workers).text)
+	})
 }
 
 func TestTable4EngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 4 is slow")
 	}
-	tree, err := harness.Table4Workers(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := harness.RenderTable4(tree)
-	for _, workers := range []int{1, 8} {
-		var reg []harness.Table4Case
-		underEngine(t, vm.EngineRegister, func() {
-			reg, err = harness.Table4Workers(workers)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := harness.RenderTable4(reg); got != want {
-			t.Errorf("Table 4 differs: tree vs register(workers=%d):\n--- tree ---\n%s\n--- register ---\n%s",
-				workers, want, got)
-		}
-	}
+	atWorkers(t, func(t *testing.T, workers int) {
+		harness.CheckGolden(t, "table4.txt", table4At(t, workers))
+	})
 }
 
 func TestTable5EngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 5 is slow")
 	}
-	// InitMs and WallMs are wall-clock measurements and legitimately vary
-	// between runs (and between engines — the register engine being faster
-	// is the point); zero them before comparing the rendering.
-	mask := func(rows []harness.Table5Row) []harness.Table5Row {
-		out := make([]harness.Table5Row, len(rows))
-		copy(out, rows)
-		for i := range out {
-			out[i].InitMs = 0
-			out[i].WallMs = 0
-		}
-		return out
-	}
-	tree, err := harness.Table5Workers(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := harness.RenderTable5(mask(tree))
-	for _, workers := range []int{1, 8} {
-		var reg []harness.Table5Row
-		underEngine(t, vm.EngineRegister, func() {
-			reg, err = harness.Table5Workers(workers)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := harness.RenderTable5(mask(reg)); got != want {
-			t.Errorf("Table 5 (timings masked) differs: tree vs register(workers=%d):\n--- tree ---\n%s\n--- register ---\n%s",
-				workers, want, got)
-		}
-	}
+	atWorkers(t, func(t *testing.T, workers int) {
+		harness.CheckGolden(t, "table5.txt", table5At(t, workers))
+	})
 }
 
 func TestFigure8EngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Figure 8 sweep is slow")
 	}
-	tree, err := harness.Figure8Workers(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := harness.RenderFigure8(tree)
-	for _, workers := range []int{1, 8} {
-		var reg *harness.Figure8Result
-		underEngine(t, vm.EngineRegister, func() {
-			reg, err = harness.Figure8Workers(workers)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := harness.RenderFigure8(reg); got != want {
-			t.Errorf("Figure 8 differs: tree vs register(workers=%d):\n--- tree ---\n%s\n--- register ---\n%s",
-				workers, want, got)
-		}
-	}
+	atWorkers(t, func(t *testing.T, workers int) {
+		harness.CheckGolden(t, "figure8.txt", figure8At(t, workers))
+	})
 }
 
 func TestCausalValidationEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("causal validation is slow")
 	}
-	treeText, treeRows, err := harness.CausalValidationWorkers(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		var regText string
-		var regRows []harness.CausalRow
-		underEngine(t, vm.EngineRegister, func() {
-			regText, regRows, err = harness.CausalValidationWorkers(workers)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if regText != treeText {
-			t.Errorf("causal validation table differs: tree vs register(workers=%d):\n--- tree ---\n%s\n--- register ---\n%s",
-				workers, treeText, regText)
-		}
-		if !reflect.DeepEqual(regRows, treeRows) {
-			t.Errorf("causal validation rows differ: tree vs register(workers=%d)", workers)
-		}
-	}
-}
-
-func TestReplayContinuousEngineEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("continuous replay is slow")
-	}
-	workloads := append(bugs.All(), bugs.UnresolvedIssues()...)
-	tree, err := harness.ReplayContinuous(t.TempDir(), workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reg []harness.ReplayRow
-	underEngine(t, vm.EngineRegister, func() {
-		reg, err = harness.ReplayContinuous(t.TempDir(), workloads)
+	atWorkers(t, func(t *testing.T, workers int) {
+		harness.CheckGolden(t, "causal.txt", causalAt(t, workers).text)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reg, tree) {
-		t.Errorf("continuous replay differs: tree vs register:\n--- tree ---\n%s\n--- register ---\n%s",
-			harness.RenderReplay(tree), harness.RenderReplay(reg))
-	}
-	for _, r := range reg {
-		if !r.RenderMatch {
-			t.Errorf("%s: register-engine service report differs from offline report", r.ID)
-		}
-	}
 }

@@ -62,8 +62,8 @@ func (f *File) Funcs() []*FuncDecl {
 
 // Func returns the function with the given name, or nil.
 func (f *File) Func(name string) *FuncDecl {
-	for _, fn := range f.Funcs() {
-		if fn.Name == name {
+	for _, d := range f.Decls {
+		if fn, ok := d.(*FuncDecl); ok && fn.Name == name {
 			return fn
 		}
 	}

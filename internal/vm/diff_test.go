@@ -190,11 +190,10 @@ func diffCases() []diffCase {
 
 // runTraced executes the program's whole process tree on one engine and
 // captures a full observable trace per process.
-func runTraced(p *compiler.Program, c diffCase, inputs []int64, seed uint64, engine string) []procTrace {
+func runTraced(p *compiler.Program, c diffCase, inputs []int64, seed uint64, engine vm.Engine) []procTrace {
 	var traces []*procTrace
-	procs := vm.RunProcesses(p, func(pid int) vm.Config {
+	procs := engine.RunProcesses(p, func(pid int) vm.Config {
 		cfg := c.mk(p)
-		cfg.Engine = engine
 		cfg.Inputs = inputs
 		cfg.Seed = seed + uint64(pid)
 		tr := &procTrace{}
@@ -263,8 +262,8 @@ func runTraced(p *compiler.Program, c diffCase, inputs []int64, seed uint64, eng
 func diffProgram(t *testing.T, name string, p *compiler.Program, inputs []int64, seed uint64) {
 	t.Helper()
 	for _, c := range diffCases() {
-		tree := runTraced(p, c, inputs, seed, vm.EngineTree)
-		reg := runTraced(p, c, inputs, seed, vm.EngineRegister)
+		tree := runTraced(p, c, inputs, seed, vm.TreeEngine)
+		reg := runTraced(p, c, inputs, seed, vm.RegisterEngine)
 		if !reflect.DeepEqual(tree, reg) {
 			t.Errorf("%s/%s: engine divergence", name, c.name)
 			reportDiff(t, tree, reg)
@@ -384,8 +383,8 @@ func TestDiffExecBugConfigs(t *testing.T) {
 						}
 						return out
 					}
-					tree := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.EngineTree)
-					reg := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.EngineRegister)
+					tree := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.TreeEngine)
+					reg := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.RegisterEngine)
 					if !reflect.DeepEqual(tree, reg) {
 						t.Errorf("%s/%s: engine divergence", w.ID, c.name)
 						reportDiff(t, tree, reg)

@@ -65,8 +65,8 @@ func FuzzDiffExec(f *testing.F) {
 			t.Skip()
 		}
 		for _, c := range cases {
-			tree := runTraced(p, c, []int64{3, 5, 8}, 99, vm.EngineTree)
-			reg := runTraced(p, c, []int64{3, 5, 8}, 99, vm.EngineRegister)
+			tree := runTraced(p, c, []int64{3, 5, 8}, 99, vm.TreeEngine)
+			reg := runTraced(p, c, []int64{3, 5, 8}, 99, vm.RegisterEngine)
 			if !reflect.DeepEqual(tree, reg) {
 				reportDiff(t, tree, reg)
 				t.Fatalf("engine divergence under %s:\n%s", c.name, src)

@@ -29,15 +29,15 @@ func main() {
 // engines, across differing seeds.
 func TestRecycleDeterminism(t *testing.T) {
 	p := compile(t, recycleSrc)
-	for _, engine := range []string{vm.EngineTree, vm.EngineRegister} {
-		t.Run(engine, func(t *testing.T) {
+	for _, engine := range vm.Engines {
+		t.Run(engine.Name, func(t *testing.T) {
 			type run struct {
 				outputs string
 				ticks   int64
 			}
 			exec := func(seed uint64, recycle bool) run {
-				m := vm.New(p, vm.Config{Seed: seed, Engine: engine})
-				if err := m.Run(); err != nil {
+				m := vm.New(p, vm.Config{Seed: seed})
+				if err := engine.Run(m); err != nil {
 					t.Fatal(err)
 				}
 				r := run{outputs: fmt.Sprint(m.Outputs), ticks: m.Ticks()}

@@ -1,10 +1,12 @@
 package vm
 
 // The register engine: executes compiler.RegProgram code over flat arena
-// frames. It must be observationally indistinguishable from the tree
-// walker in vm.go — every exported accessor, callback, counter, error and
-// alarm-time snapshot matches tick for tick (see the determinism contract
-// in compiler/reg.go and DESIGN.md §11). The differential suite in
+// frames. It is the only production engine, and it must stay
+// observationally indistinguishable from the tree walker — the original
+// stack-IR interpreter, kept in tree_test.go as the semantic reference:
+// every exported accessor, callback, counter, error and alarm-time
+// snapshot matches tick for tick (see the determinism contract in
+// compiler/reg.go and DESIGN.md §11). The differential suite in
 // diff_test.go and FuzzDiffExec enforce this.
 //
 // Tick accounting per RegOp: when no scaling hook is active and the whole
@@ -60,7 +62,7 @@ func (vm *VM) stepTicks(pcs []int32) error {
 }
 
 // regTrap raises a runtime error at stack pc (the trapping instruction's
-// XPC), mirroring vm.trap.
+// XPC), mirroring the tree walker's trap.
 func (vm *VM) regTrap(pc int32, msg string) error {
 	vm.pc = int(pc)
 	line := 0
@@ -132,10 +134,7 @@ func (vm *VM) growRegs(rp *compiler.RegProgram, need int) {
 // on the register engine. Globals must already be initialized by the
 // caller (Run / RunFunc).
 func (vm *VM) runRegister(rootFunc int, args []Value) error {
-	rp, err := regProgramFor(vm.prog)
-	if err != nil {
-		return err
-	}
+	rp := vm.prog.Reg
 	cfg := &vm.cfg
 	cpuAlarms := cfg.AlarmInterval > 0 && cfg.OnAlarm != nil
 	wallAlarms := cfg.WallAlarmInterval > 0 && cfg.OnWallAlarm != nil
@@ -160,7 +159,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 	if vm.marked(rootFunc) {
 		vm.markedDepth = 1
 	}
-	vm.halted = false
 
 	funcs := rp.Funcs
 	rootRF := &funcs[rootFunc]
@@ -304,7 +302,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 			f.funcIndex = callee
 			f.retPC = int(op.XPC)
 			f.slots = vm.regs[nb : nb+crf.NumSlots]
-			f.stack = nil
 			f.base = nb
 			f.rret = rpc + 1
 			f.rres = op.D
@@ -442,7 +439,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 			vm.frames = vm.frames[:nf]
 			if nf == 0 {
 				vm.result = v
-				vm.halted = true
 				vm.pc = int(op.XPC)
 				vm.ticks, vm.InstrCount = ticks, instr
 				return nil
@@ -454,7 +450,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 			regs[base+rres] = v
 			rpc = rret
 		case compiler.RHalt:
-			vm.halted = true
 			vm.pc = int(op.XPC)
 			vm.ticks, vm.InstrCount = ticks, instr
 			return nil

@@ -25,6 +25,14 @@ type Process struct {
 // preserves everything a CPU-time profiler observes (per-process PC/value
 // samples) while keeping the simulation deterministic.
 func RunProcesses(prog *compiler.Program, mkConfig func(pid int) Config) []Process {
+	return runProcesses(prog, mkConfig, (*VM).Run, (*VM).RunFunc)
+}
+
+// runProcesses is RunProcesses with the root and child entry points as
+// parameters, so the tests can run process trees on the tree-walking
+// reference interpreter too.
+func runProcesses(prog *compiler.Program, mkConfig func(pid int) Config,
+	run func(*VM) error, runFunc func(*VM, int, []Value, []Value) error) []Process {
 	type pending struct {
 		parent int
 		req    ChildRequest
@@ -34,7 +42,7 @@ func RunProcesses(prog *compiler.Program, mkConfig func(pid int) Config) []Proce
 
 	pid := 1
 	rootVM := New(prog, mkConfig(pid))
-	rootErr := rootVM.Run()
+	rootErr := run(rootVM)
 	procs = append(procs, Process{Pid: pid, Entry: prog.MainIndex, VM: rootVM, Err: rootErr})
 	for _, req := range rootVM.Children {
 		queue = append(queue, pending{parent: pid, req: req})
@@ -45,7 +53,7 @@ func RunProcesses(prog *compiler.Program, mkConfig func(pid int) Config) []Proce
 		queue = queue[1:]
 		pid++
 		child := New(prog, mkConfig(pid))
-		err := child.RunFunc(p.req.FuncIndex, p.req.Args, p.req.Globals)
+		err := runFunc(child, p.req.FuncIndex, p.req.Args, p.req.Globals)
 		procs = append(procs, Process{
 			Pid:       pid,
 			ParentPid: p.parent,

@@ -27,8 +27,6 @@ func mustCompile(t *testing.T, src string) *compiler.Program {
 	return p
 }
 
-var engines = []string{EngineTree, EngineRegister}
-
 // TestRescaleCarry pins the fractional-carry contract: repeated small
 // charges accrue to factor*n exactly instead of truncating to zero, the
 // carry stays in [0,1) for positive factors, and negative outputs clamp
@@ -90,14 +88,13 @@ func TestRescaleCarry(t *testing.T) {
 // run stops at the next instruction boundary.
 func TestInterruptDuringBlockedCharge(t *testing.T) {
 	src := `func main() { work(5); block(100); out(1); }`
-	for _, eng := range engines {
+	for _, eng := range Engines {
 		eng := eng
-		t.Run(eng, func(t *testing.T) {
+		t.Run(eng.Name, func(t *testing.T) {
 			p := mustCompile(t, src)
 			var fires []int64
 			var m *VM
 			m = New(p, Config{
-				Engine:            eng,
 				WallAlarmInterval: 30,
 				OnWallAlarm: func(v *VM, blocked bool) {
 					fires = append(fires, v.WallTicks())
@@ -109,7 +106,7 @@ func TestInterruptDuringBlockedCharge(t *testing.T) {
 					}
 				},
 			})
-			err := m.Run()
+			err := eng.Run(m)
 			if !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("err = %v, want ErrInterrupted", err)
 			}
@@ -138,13 +135,12 @@ func TestFrameViewSlotBounds(t *testing.T) {
 	src := `
 func leaf(a, b) { var c = a * 10 + b; work(50); return c; }
 func main() { out(leaf(3, 4)); }`
-	for _, eng := range engines {
+	for _, eng := range Engines {
 		eng := eng
-		t.Run(eng, func(t *testing.T) {
+		t.Run(eng.Name, func(t *testing.T) {
 			p := mustCompile(t, src)
 			checked := false
 			m := New(p, Config{
-				Engine:        eng,
 				AlarmInterval: 30,
 				OnAlarm: func(v *VM) {
 					fr, ok := v.Frame(0)
@@ -173,7 +169,7 @@ func main() { out(leaf(3, 4)); }`
 					}
 				},
 			})
-			if err := m.Run(); err != nil {
+			if err := eng.Run(m); err != nil {
 				t.Fatal(err)
 			}
 			if !checked {

@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"vprof/internal/compiler"
-	"vprof/internal/lang"
 )
 
 // Value is a runtime value: a 64-bit integer, optionally tagged as a pointer
@@ -112,11 +111,6 @@ type Config struct {
 	MaxWallTicks int64
 	// CountCalls enables per-edge call counting (gprof's mcount).
 	CountCalls bool
-	// Engine selects the execution engine for this run: EngineTree,
-	// EngineRegister, or "" for the process default (SetDefaultEngine /
-	// VPROF_ENGINE). Both engines are observationally identical — same
-	// ticks, alarms, samples, traps — differing only in speed.
-	Engine string
 }
 
 // StackScale configures the inclusive virtual-speedup hook (Config.ScaleStack).
@@ -150,9 +144,7 @@ type frame struct {
 	funcIndex int
 	retPC     int // PC of the OpCall instruction in the caller
 	slots     []Value
-	stack     []Value
-	// Register-engine bookkeeping (unused by the tree walker): the
-	// frame's base offset in the register arena, the caller's resume
+	// The frame's base offset in the register arena, the caller's resume
 	// register-code index, and the caller register receiving the result.
 	base int32
 	rret int32
@@ -187,7 +179,6 @@ type VM struct {
 	nextW   int64 // next wall alarm tick (valid when wall interval > 0)
 	rng     uint64
 	nextPtr int64
-	halted  bool
 	result  Value
 	stopErr error // set by Interrupt; checked once per instruction
 	// markedDepth counts frames of ScaleStack-marked functions currently
@@ -229,10 +220,10 @@ func New(prog *compiler.Program, cfg Config) *VM {
 		cfg.MaxTicks = DefaultMaxTicks
 	}
 	// Reuse a pooled arena when one is available. No clearing is needed
-	// for execution to match a fresh allocation bit for bit: both engines
-	// assign every frame field on push; named slots are zeroed on every
-	// frame entry (runRegister's root loop, RCall's callee loop) and are
-	// all FrameView.Slot exposes; scratch registers are operand-stack
+	// for execution to match a fresh allocation bit for bit: every frame
+	// field is assigned on push; named slots are zeroed on every frame
+	// entry (runRegister's root loop, RCall's callee loop) and are all
+	// FrameView.Slot exposes; scratch registers are operand-stack
 	// canonical registers, written before read by stack discipline. The
 	// differential fuzzer recycles between engine runs to keep this
 	// stale-arena equivalence continuously checked.
@@ -301,11 +292,11 @@ func (vm *VM) Recycle() {
 		return
 	}
 	vm.arena = nil
-	// Drop the frames' slice views (tree-walker slots/stacks are separate
-	// heap slices) so the pooled arena pins no dead memory.
+	// Drop the frames' slot views, which may alias register arrays that
+	// growRegs has since replaced, so the pooled arena pins no dead memory.
 	frames := vm.frames[:cap(vm.frames)]
 	for i := range frames {
-		frames[i].slots, frames[i].stack = nil, nil
+		frames[i].slots = nil
 	}
 	a.regs, a.frames = vm.regs, frames[:0]
 	vm.regs, vm.frames = nil, nil
@@ -360,23 +351,7 @@ func (vm *VM) Frame(depth int) (FrameView, bool) {
 // initializers and calls main). It returns nil on normal halt,
 // ErrTicksExceeded if the budget ran out, or a *RuntimeError on a trap.
 func (vm *VM) Run() error {
-	eng, err := vm.resolveEngine()
-	if err != nil {
-		return err
-	}
-	initIdx := len(vm.prog.Funcs) - 1 // __init is emitted last
-	if eng == EngineRegister {
-		return vm.runRegister(initIdx, nil)
-	}
-	vm.frames = append(vm.frames[:0], frame{funcIndex: initIdx, retPC: -1})
-	vm.markedDepth = 0
-	vm.carryStack, vm.carrySpan = 0, 0
-	if vm.marked(initIdx) {
-		vm.markedDepth = 1
-	}
-	vm.pc = vm.prog.EntryPC
-	vm.halted = false
-	return vm.loop()
+	return vm.runRegister(len(vm.prog.Funcs)-1, nil) // __init is emitted last
 }
 
 // RunFunc executes a single function as a fresh process (used for spawn
@@ -387,25 +362,8 @@ func (vm *VM) RunFunc(funcIndex int, args []Value, globals []Value) error {
 	if len(args) != fn.NumParams {
 		return fmt.Errorf("vm: RunFunc %s: %d args, want %d", fn.Name, len(args), fn.NumParams)
 	}
-	eng, err := vm.resolveEngine()
-	if err != nil {
-		return err
-	}
 	copy(vm.globals, globals)
-	if eng == EngineRegister {
-		return vm.runRegister(funcIndex, args)
-	}
-	fr := frame{funcIndex: funcIndex, retPC: -1, slots: make([]Value, fn.NumSlots)}
-	copy(fr.slots, args)
-	vm.frames = append(vm.frames[:0], fr)
-	vm.markedDepth = 0
-	vm.carryStack, vm.carrySpan = 0, 0
-	if vm.marked(funcIndex) {
-		vm.markedDepth = 1
-	}
-	vm.pc = fn.Entry
-	vm.halted = false
-	return vm.loop()
+	return vm.runRegister(funcIndex, args)
 }
 
 // rescale scales a non-negative charge by factor with fractional-carry
@@ -501,284 +459,11 @@ func (vm *VM) chargeBlocked(n int64) {
 	}
 }
 
-func (vm *VM) top() *frame { return &vm.frames[len(vm.frames)-1] }
-
-func (vm *VM) push(v Value) {
-	f := vm.top()
-	f.stack = append(f.stack, v)
-}
-
-func (vm *VM) pop() Value {
-	f := vm.top()
-	v := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	return v
-}
-
-func (vm *VM) trap(msg string) error {
-	line := 0
-	if vm.pc >= 0 && vm.pc < len(vm.prog.Instrs) {
-		line = int(vm.prog.Instrs[vm.pc].Line)
-	}
-	return &RuntimeError{PC: vm.pc, Line: line, Msg: msg}
-}
-
 func boolVal(b bool) Value {
 	if b {
 		return Value{I: 1}
 	}
 	return Value{I: 0}
-}
-
-func (vm *VM) loop() error {
-	prog := vm.prog
-	for !vm.halted {
-		if vm.stopErr != nil {
-			return vm.stopErr
-		}
-		if vm.ticks >= vm.cfg.MaxTicks {
-			return ErrTicksExceeded
-		}
-		if vm.cfg.MaxWallTicks > 0 && vm.WallTicks() >= vm.cfg.MaxWallTicks {
-			return ErrTicksExceeded
-		}
-		ins := prog.Instrs[vm.pc]
-		vm.InstrCount++
-		vm.charge(1)
-		switch ins.Op {
-		case compiler.OpConst:
-			vm.push(Value{I: prog.Consts[ins.A]})
-			vm.pc++
-		case compiler.OpLoadG:
-			vm.push(vm.globals[ins.A])
-			vm.pc++
-		case compiler.OpStoreG:
-			vm.globals[ins.A] = vm.pop()
-			vm.pc++
-		case compiler.OpLoadL:
-			vm.push(vm.top().slots[ins.A])
-			vm.pc++
-		case compiler.OpStoreL:
-			vm.top().slots[ins.A] = vm.pop()
-			vm.pc++
-		case compiler.OpBin:
-			y := vm.pop()
-			x := vm.pop()
-			v, err := vm.binop(ins.A, x, y)
-			if err != nil {
-				return err
-			}
-			vm.push(v)
-			vm.pc++
-		case compiler.OpUn:
-			x := vm.pop()
-			if ins.A == 0 { // UnaryNot
-				vm.push(boolVal(x.I == 0 && !x.Ptr))
-			} else { // UnaryNeg
-				vm.push(Value{I: -x.I})
-			}
-			vm.pc++
-		case compiler.OpJump:
-			vm.pc = int(ins.A)
-		case compiler.OpJZ:
-			v := vm.pop()
-			taken := v.I == 0 && !v.Ptr
-			if vm.cfg.OnBranch != nil {
-				vm.cfg.OnBranch(vm.pc, taken)
-			}
-			if taken {
-				vm.BranchTaken[vm.top().funcIndex]++
-				vm.pc = int(ins.A)
-			} else {
-				vm.pc++
-			}
-		case compiler.OpJNZ:
-			v := vm.pop()
-			taken := v.I != 0 || v.Ptr
-			if vm.cfg.OnBranch != nil {
-				vm.cfg.OnBranch(vm.pc, taken)
-			}
-			if taken {
-				vm.BranchTaken[vm.top().funcIndex]++
-				vm.pc = int(ins.A)
-			} else {
-				vm.pc++
-			}
-		case compiler.OpCall:
-			// A call is a taken control transfer (Intel-PT-style branch
-			// accounting attributes it to the caller).
-			vm.BranchTaken[vm.top().funcIndex]++
-			if vm.cfg.CountCalls {
-				if vm.CallEdges == nil {
-					vm.CallEdges = map[[2]int32]int64{}
-				}
-				vm.CallEdges[[2]int32{int32(vm.top().funcIndex), ins.A}]++
-			}
-			// Call overhead is charged before the callee frame exists,
-			// so an alarm here still observes the caller's registers at
-			// the call PC.
-			vm.charge(1)
-			fn := prog.Funcs[ins.A]
-			fr := frame{
-				funcIndex: int(ins.A),
-				retPC:     vm.pc,
-				slots:     make([]Value, fn.NumSlots),
-			}
-			argc := int(ins.B)
-			for i := argc - 1; i >= 0; i-- {
-				fr.slots[i] = vm.pop()
-			}
-			vm.frames = append(vm.frames, fr)
-			if vm.marked(int(ins.A)) {
-				vm.markedDepth++
-			}
-			vm.pc = fn.Entry
-		case compiler.OpCallB:
-			if err := vm.builtin(compiler.Builtin(ins.A), int(ins.B)); err != nil {
-				return err
-			}
-			vm.pc++
-		case compiler.OpRet:
-			v := vm.pop()
-			ret := vm.top().retPC
-			// The return transfer is attributed to the returning
-			// function.
-			vm.BranchTaken[vm.top().funcIndex]++
-			if vm.cfg.OnReturn != nil {
-				vm.cfg.OnReturn(vm.top().funcIndex, v)
-			}
-			if vm.marked(vm.top().funcIndex) {
-				vm.markedDepth--
-			}
-			vm.frames = vm.frames[:len(vm.frames)-1]
-			if len(vm.frames) == 0 {
-				vm.result = v
-				vm.halted = true
-				break
-			}
-			vm.push(v)
-			vm.pc = ret + 1
-		case compiler.OpPop:
-			vm.pop()
-			vm.pc++
-		case compiler.OpHalt:
-			vm.halted = true
-		default:
-			return vm.trap(fmt.Sprintf("illegal opcode %v", ins.Op))
-		}
-	}
-	return nil
-}
-
-func (vm *VM) binop(op int32, x, y Value) (Value, error) {
-	switch lang.BinaryOp(op) {
-	case lang.BinAdd:
-		return Value{I: x.I + y.I}, nil
-	case lang.BinSub:
-		return Value{I: x.I - y.I}, nil
-	case lang.BinMul:
-		return Value{I: x.I * y.I}, nil
-	case lang.BinDiv:
-		if y.I == 0 {
-			return Value{}, vm.trap("division by zero")
-		}
-		return Value{I: x.I / y.I}, nil
-	case lang.BinMod:
-		if y.I == 0 {
-			return Value{}, vm.trap("modulo by zero")
-		}
-		return Value{I: x.I % y.I}, nil
-	case lang.BinEq:
-		return boolVal(x.I == y.I && x.Ptr == y.Ptr), nil
-	case lang.BinNeq:
-		return boolVal(x.I != y.I || x.Ptr != y.Ptr), nil
-	case lang.BinLt:
-		return boolVal(x.I < y.I), nil
-	case lang.BinLe:
-		return boolVal(x.I <= y.I), nil
-	case lang.BinGt:
-		return boolVal(x.I > y.I), nil
-	case lang.BinGe:
-		return boolVal(x.I >= y.I), nil
-	}
-	return Value{}, vm.trap(fmt.Sprintf("illegal binary op %d", op))
-}
-
-func (vm *VM) builtin(b compiler.Builtin, argc int) error {
-	switch b {
-	case compiler.BWork:
-		n := vm.pop().I
-		if n < 0 {
-			n = 0
-		}
-		vm.charge(n)
-		vm.push(Value{I: n})
-	case compiler.BAlloc:
-		vm.nextPtr += 16
-		vm.push(Value{I: 1<<40 + vm.nextPtr, Ptr: true})
-	case compiler.BInput:
-		k := vm.pop().I
-		var v int64
-		if k >= 0 && k < int64(len(vm.cfg.Inputs)) {
-			v = vm.cfg.Inputs[k]
-		}
-		vm.push(Value{I: v})
-	case compiler.BRand:
-		n := vm.pop().I
-		if n <= 0 {
-			vm.push(Value{I: 0})
-			break
-		}
-		vm.push(Value{I: int64(vm.xorshift() % uint64(n))})
-	case compiler.BNow:
-		vm.push(Value{I: vm.WallTicks()})
-	case compiler.BSpawn:
-		args := make([]Value, argc)
-		for i := argc - 1; i >= 0; i-- {
-			args[i] = vm.pop()
-		}
-		req := ChildRequest{
-			FuncIndex: int(args[0].I),
-			Args:      args[1:],
-			Globals:   vm.Globals(),
-		}
-		vm.Children = append(vm.Children, req)
-		vm.push(Value{I: int64(len(vm.Children))}) // child pid-like handle
-	case compiler.BOut:
-		v := vm.pop()
-		vm.Outputs = append(vm.Outputs, v.I)
-		vm.push(v)
-	case compiler.BAbs:
-		v := vm.pop().I
-		if v < 0 {
-			v = -v
-		}
-		vm.push(Value{I: v})
-	case compiler.BMin:
-		y := vm.pop().I
-		x := vm.pop().I
-		if y < x {
-			x = y
-		}
-		vm.push(Value{I: x})
-	case compiler.BMax:
-		y := vm.pop().I
-		x := vm.pop().I
-		if y > x {
-			x = y
-		}
-		vm.push(Value{I: x})
-	case compiler.BBlock:
-		n := vm.pop().I
-		if n < 0 {
-			n = 0
-		}
-		vm.chargeBlocked(n)
-		vm.push(Value{I: n})
-	default:
-		return vm.trap(fmt.Sprintf("illegal builtin %d", int(b)))
-	}
-	return nil
 }
 
 // xorshift advances the deterministic PRNG (xorshift64*).
