@@ -461,7 +461,6 @@ func cmdAnalyze(args []string) error {
 	top := fs.Int("top", 10, "rows to print")
 	funcs := fs.String("funcs", "", "comma-separated component functions (must match the profiling schema)")
 	workers := fs.Int("workers", 0, "analysis worker pool (0 = VPROF_WORKERS or GOMAXPROCS, 1 = sequential)")
-	sketches := fs.Bool("sketches", false, "analyze via mergeable per-variable sketches (no block localization)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -505,7 +504,7 @@ func cmdAnalyze(args []string) error {
 		Schema:  sch,
 		Normal:  normals,
 		Buggy:   buggies,
-	}, vprof.WithWorkers(*workers), vprof.WithSketches(*sketches))
+	}, vprof.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

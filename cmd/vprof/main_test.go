@@ -273,6 +273,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"run"}, 2},                                // missing program file
 		{[]string{"run", "a.vp", "b.vp"}, 2},                // too many program files
 		{[]string{"run", "a.vp", "-engine", "register"}, 2}, // removed engine selector
+		{[]string{"analyze", "x.vp", "-sketches"}, 2},       // removed offline sketch knob
+		{[]string{"diagnose", "x.vp", "-sketches"}, 2},      // no sketch knob offline
 		{[]string{"query"}, 2},                              // missing query subcommand
 		{[]string{"query", "wat"}, 2},                       // unknown query subcommand
 		{[]string{"push", "-label", "x"}, 2},                // bad label

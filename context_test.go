@@ -10,7 +10,7 @@ import (
 
 // TestAnalyzeRequestEquivalence pins the API contract: AnalyzeRequest with
 // every parameter/worker-count option produces byte-for-byte identical
-// reports, and the sketch mode produces the identical calibrated ranking.
+// reports.
 func TestAnalyzeRequestEquivalence(t *testing.T) {
 	prog := compileFacade(t)
 	sch := prog.GenerateSchema(vprof.SchemaOptions{})
@@ -29,7 +29,6 @@ func TestAnalyzeRequestEquivalence(t *testing.T) {
 		"WithWorkers(1)":      {vprof.WithWorkers(1)},
 		"WithWorkers(4)":      {vprof.WithWorkers(4)},
 		"params then workers": {vprof.WithParams(vprof.DefaultParams()), vprof.WithWorkers(3)},
-		"WithSketches(false)": {vprof.WithSketches(false)},
 	}
 	for name, opts := range cases {
 		report, err := vprof.AnalyzeContext(context.Background(), req, opts...)
@@ -38,23 +37,6 @@ func TestAnalyzeRequestEquivalence(t *testing.T) {
 		}
 		if got := report.Render(10); got != want {
 			t.Errorf("%s: report differs from the plain AnalyzeRequest form.\ngot:\n%s\nwant:\n%s", name, got, want)
-		}
-	}
-
-	// Sketch mode: same functions, same order, same calibrated costs — only
-	// the block localization (absent from sketches) may differ.
-	sk, err := vprof.AnalyzeContext(context.Background(), req, vprof.WithSketches(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sk.Funcs) != len(base.Funcs) {
-		t.Fatalf("sketch mode ranked %d funcs, full %d", len(sk.Funcs), len(base.Funcs))
-	}
-	for i := range base.Funcs {
-		f, g := base.Funcs[i], sk.Funcs[i]
-		if f.Name != g.Name || f.Rank != g.Rank || f.Calibrated != g.Calibrated || f.Discount != g.Discount {
-			t.Fatalf("sketch rank %d differs: full %s (cal %v, disc %v) vs sketch %s (cal %v, disc %v)",
-				i, f.Name, f.Calibrated, f.Discount, g.Name, g.Calibrated, g.Discount)
 		}
 	}
 }

@@ -6,13 +6,18 @@
 // Inputs are profiles of at least one normal and one buggy execution
 // (paper's Table 2 configuration: 5 of each feed the hist-discounter, the
 // first of each feeds the variable-discounter), plus the program's debug
-// info and the monitoring schema (for variable tags).
+// info and the monitoring schema (for variable tags). Every input is folded
+// into mergeable per-variable sketches (internal/sketch) — the
+// representation the service stores at ingest — and one set of kernels
+// analyzes them; the raw buggy run 0 rides along to localize abnormal
+// samples to basic blocks.
 package analysis
 
 import (
 	"vprof/internal/debuginfo"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
+	"vprof/internal/sketch"
 )
 
 // Params are the tunables of the analysis, with the paper's defaults.
@@ -228,4 +233,25 @@ type Input struct {
 	// each; run 0 feeds the variable-discounter.
 	Normal []*sampler.Profile
 	Buggy  []*sampler.Profile
+}
+
+// SketchInput bundles the inputs of the sketch analysis.
+type SketchInput struct {
+	Debug  *debuginfo.Info
+	Schema *schema.Schema
+	// Normal is run 0 of the normal side (the variable-discounter's
+	// baseline); Corpus summarizes every normal run's cost ranking for
+	// the hist-discounter. A nil Corpus is rebuilt from Normal alone.
+	Normal *sketch.Profile
+	Corpus *Corpus
+	// Buggy are the candidate runs' sketches: Buggy[0] feeds the
+	// variable-discounter, all feed the hist cross-comparison (only
+	// their PC histograms are read; see sketch.FromHist).
+	Buggy []*sketch.Profile
+	// Trail is the raw profile Buggy[0] was folded from. When set, each
+	// anomalous variable's samples are replayed in time order to mark
+	// the ones outside the normal range (VariableReport.AbnormalPCs) and
+	// localize them to basic blocks (FuncReport.Blocks); when nil both
+	// stay empty. Nothing else in the report depends on it.
+	Trail *sampler.Profile
 }

@@ -7,7 +7,9 @@ import (
 
 	"vprof/internal/debuginfo"
 	"vprof/internal/parallel"
+	"vprof/internal/sampler"
 	"vprof/internal/schema"
+	"vprof/internal/sketch"
 )
 
 // ErrNoProfiles is returned when Analyze lacks a normal or buggy profile.
@@ -24,12 +26,60 @@ func Analyze(in Input, p Params) (*Report, error) {
 // classification) checks ctx and drains its workers once it is canceled,
 // returning ctx.Err(). With a never-canceled context the computation — and
 // its output, byte for byte — is identical to Analyze.
+//
+// The profiles are folded into sketches and analyzed by the sketch kernels:
+// run 0 of each side in full (it feeds the variable-discounter), the other
+// runs only as PC histograms (they feed the hist-discounter), and the raw
+// buggy run 0 as the trail that localizes abnormal samples to blocks.
 func AnalyzeContext(ctx context.Context, in Input, p Params) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(in.Normal) == 0 || len(in.Buggy) == 0 {
 		return nil, ErrNoProfiles
+	}
+	// Folds are independent, so they fan out over the worker pool.
+	runs := append(append([]*sampler.Profile(nil), in.Normal...), in.Buggy...)
+	nNormal := len(in.Normal)
+	folded, err := parallel.MapCtx(ctx, parallel.Workers(p.Workers), len(runs), func(i int) *sketch.Profile {
+		if i == 0 || i == nNormal {
+			return sketch.FromProfile(runs[i])
+		}
+		return sketch.FromHist(runs[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeSketchesContext(ctx, SketchInput{
+		Debug:  in.Debug,
+		Schema: in.Schema,
+		Normal: folded[0],
+		Corpus: CorpusOfSketches(folded[:nNormal], in.Debug),
+		Buggy:  folded[nNormal:],
+		Trail:  in.Buggy[0],
+	}, p)
+}
+
+// AnalyzeSketches is AnalyzeSketchesContext with a background context.
+func AnalyzeSketches(in SketchInput, p Params) (*Report, error) {
+	return AnalyzeSketchesContext(context.Background(), in, p)
+}
+
+// AnalyzeSketchesContext runs the calibrated diagnosis over sketches:
+// variable-discounter, variable-based cost, hist-discounter, ranking,
+// classification and — when in.Trail is set — block localization.
+// Cancellation mirrors AnalyzeContext; the report is identical for any
+// worker count.
+func AnalyzeSketchesContext(ctx context.Context, in SketchInput, p Params) (*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if in.Normal == nil || len(in.Buggy) == 0 {
+		return nil, ErrNoProfiles
+	}
+	corpus := in.Corpus
+	if corpus == nil {
+		corpus = CorpusOfSketches([]*sketch.Profile{in.Normal}, in.Debug)
 	}
 	buggy := in.Buggy[0]
 
@@ -40,65 +90,43 @@ func AnalyzeContext(ctx context.Context, in Input, p Params) (*Report, error) {
 	}
 	attributed := attributeVariables(vars, buggy, in.Debug)
 
-	// Raw costs from the buggy profile: max of PC-sample cost and
+	// Raw costs from the buggy run: max of PC-sample cost and
 	// variable-based cost (paper §5.1).
 	pcCost := pcCostApp(buggy, in.Debug)
 	varCost := map[string]float64{}
 	if !p.DisableVarCost {
-		for fn, units := range buggy.FuncValueSampleUnits(in.Debug) {
+		units := map[string]int64{}
+		for pc, n := range buggy.UnitsByPC {
+			if fn := in.Debug.FuncAt(int(pc)); fn != nil {
+				units[fn.Name] += n
+			}
+		}
+		for fn, u := range units {
 			f := in.Debug.FuncNamed(fn)
 			if f == nil || f.Library || isSynthetic(fn) {
 				continue
 			}
-			varCost[fn] = float64(units * buggy.Interval)
+			varCost[fn] = float64(u * buggy.Interval)
 		}
 	}
 
 	// Hist-discounter for functions with no variable verdict.
 	var hist map[string]float64
 	if !p.DisableHistDiscounter {
-		hist, err = histDiscounter(ctx, p, in.Normal, in.Buggy, in.Debug)
+		hist, err = histDiscounter(ctx, p, corpus, in.Buggy, in.Debug)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	return assemble(ctx, p, in.Debug, costInputs{
-		vars:       vars,
-		attributed: attributed,
-		pcCost:     pcCost,
-		varCost:    varCost,
-		hist:       hist,
-	})
-}
-
-// costInputs bundles the per-side evidence both analysis front ends — full
-// profiles (AnalyzeContext) and sketches (AnalyzeSketchesContext) — hand to
-// the shared ranking back end.
-type costInputs struct {
-	vars       map[string]*VariableReport
-	attributed map[string][]*VariableReport
-	pcCost     map[string]float64
-	varCost    map[string]float64
-	// hist is nil when the hist-discounter is disabled.
-	hist map[string]float64
-}
-
-// assemble is the shared back half of the analysis: build the function
-// universe, attribute costs and discounts per function, sort into the
-// calibrated ranking, and classify bug patterns. Identical for any worker
-// count.
-func assemble(ctx context.Context, p Params, info *debuginfo.Info, in costInputs) (*Report, error) {
-	pcCost, varCost, hist := in.pcCost, in.varCost, in.hist
-	attributed := in.attributed
+	// The function universe: every application function with a PC or
+	// variable-based cost.
 	universe := make([]string, 0, len(pcCost)+len(varCost))
-	seen := map[string]bool{}
 	for fn := range pcCost {
-		seen[fn] = true
 		universe = append(universe, fn)
 	}
 	for fn := range varCost {
-		if !seen[fn] {
+		if _, ok := pcCost[fn]; !ok {
 			universe = append(universe, fn)
 		}
 	}
@@ -110,7 +138,7 @@ func assemble(ctx context.Context, p Params, info *debuginfo.Info, in costInputs
 	// and after the deterministic sort, the whole ranking — are identical
 	// for any worker count.
 	workers := parallel.Workers(p.Workers)
-	report := &Report{Params: p, Variables: in.vars}
+	report := &Report{Params: p, Variables: vars}
 	funcs, err := parallel.MapCtx(ctx, workers, len(universe), func(i int) FuncReport {
 		fn := universe[i]
 		fr := FuncReport{
@@ -184,7 +212,7 @@ func assemble(ctx context.Context, p Params, info *debuginfo.Info, in costInputs
 		if match != nil {
 			fr.TopVariable = match
 		}
-		fr.Blocks = localizeBlocks(info, fr)
+		fr.Blocks = localizeBlocks(in.Debug, fr)
 	}); err != nil {
 		return nil, err
 	}

@@ -8,29 +8,11 @@ import (
 	"vprof/internal/parallel"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
+	"vprof/internal/sketch"
 	"vprof/internal/stats"
 )
 
-// tickSeries collapses a variable's samples to one observation per alarm
-// tick (virtual unwinding can record the same variable several times within
-// one alarm at different stack depths; the variable has a single value at
-// that moment).
-func tickSeries(samples []sampler.Sample) []float64 {
-	var out []float64
-	var lastTick int64 = -1
-	for _, s := range samples {
-		if s.Tick == lastTick {
-			continue
-		}
-		lastTick = s.Tick
-		out = append(out, float64(s.Value))
-	}
-	return out
-}
-
-// dimSeries is one candidate dimension's pair of observation series, fed to
-// the shared selection loop by both analysis front ends (raw profiles in
-// discountVariable, sketches in discountVariableSketch).
+// dimSeries is one candidate dimension's pair of observation series.
 type dimSeries struct {
 	d    Dimension
 	n, b []float64
@@ -72,17 +54,6 @@ func selectDiscount(p Params, dims []dimSeries) (float64, Dimension, bool) {
 		return 1, DimNone, false
 	}
 	return best, bestDim, true
-}
-
-// discountVariable computes the discount ratio for one variable across the
-// paper's three dimensions, returning the minimum and the dimension that
-// produced it.
-func discountVariable(p Params, isPointer bool, normal, buggy []float64) (float64, Dimension, bool) {
-	return selectDiscount(p, trimDims(p, isPointer, []dimSeries{
-		{DimValue, normal, buggy},
-		{DimDelta, stats.ChangeDeltas(normal), stats.ChangeDeltas(buggy)},
-		{DimCost, stats.RunLengths(normal), stats.RunLengths(buggy)},
-	}))
 }
 
 // discountOneDim computes the discount ratio for a single dimension,
@@ -128,128 +99,77 @@ func discountOneDim(p Params, normal, buggy []float64) (ratio, raw float64, ok b
 	return ratio, raw, true
 }
 
-// abnormalPCs identifies buggy samples that are anomalous along the given
-// dimension and returns their PCs (with multiplicity), used by the
-// classifier to localize basic blocks.
-func abnormalPCs(dim Dimension, normal []float64, buggy []sampler.Sample) []int {
-	series := tickSeries(buggy)
-	marks := abnormalPositions(dim, normal, series)
-	if len(marks) == 0 {
-		return nil
-	}
-	// Map marked tick positions back to sample PCs: walk buggy samples,
-	// tracking the per-tick index.
-	var out []int
-	pos := -1
-	var lastTick int64 = -1
-	for _, s := range buggy {
-		if s.Tick != lastTick {
-			lastTick = s.Tick
-			pos++
-		}
-		if marks[pos] {
-			out = append(out, int(s.PC))
-		}
-	}
-	return out
-}
-
-// abnormalPositions marks the indices of buggy per-tick observations that
-// fall outside what the normal execution exhibited.
-func abnormalPositions(dim Dimension, normal, buggy []float64) map[int]bool {
-	marks := map[int]bool{}
-	switch dim {
-	case DimValue, DimNone:
-		lo, hi, ok := stats.MinMax(normal)
-		for i, v := range buggy {
-			if !ok || v < lo || v > hi {
-				marks[i] = true
-			}
-		}
-	case DimDelta:
-		lo, hi, ok := stats.MinMax(stats.ChangeDeltas(normal))
-		last := 0 // index of the last distinct value
-		for i := 1; i < len(buggy); i++ {
-			if buggy[i] == buggy[last] {
-				continue
-			}
-			d := buggy[i] - buggy[last]
-			last = i
-			if !ok || d < lo || d > hi {
-				marks[i] = true
-			}
-		}
-	case DimCost:
-		_, maxRun, ok := stats.MinMax(stats.RunLengths(normal))
-		run := 1
-		for i := 1; i < len(buggy); i++ {
-			if buggy[i] == buggy[i-1] {
-				run++
-			} else {
-				run = 1
-			}
-			if !ok || float64(run) > maxRun {
-				marks[i] = true
-			}
-		}
-		if len(buggy) == 1 && !ok {
-			marks[0] = true
-		}
-	}
-	return marks
-}
-
 // analyzeVariables runs the variable-discounter over every monitored
-// variable appearing in either profile, returning reports keyed by
-// "func\x00name". Variables are independent, so the per-variable statistics
-// fan out over the worker pool; each index writes only its own report, and
-// the merge below walks the sorted key list, so the result is identical to
-// the sequential computation regardless of the worker count. Cancellation
-// drains the pool and surfaces ctx.Err().
-func analyzeVariables(ctx context.Context, p Params, in Input) (map[string]*VariableReport, error) {
-	normal, buggy := in.Normal[0], in.Buggy[0]
-	keys := map[string]sampler.LayoutEntry{}
-	for _, l := range normal.Layout {
-		keys[l.Func+"\x00"+l.Name] = l
+// variable in either side's run-0 sketch, returning reports keyed by
+// "func\x00name": per variable, the three dimension histograms expand to
+// sorted observation series and feed the one-dimension test. Variables are
+// independent, so the statistics fan out over the worker pool; each index
+// writes only its own report, and the merge walks the sorted key list, so
+// the result is identical for any worker count. Cancellation drains the
+// pool and surfaces ctx.Err().
+func analyzeVariables(ctx context.Context, p Params, in SketchInput) (map[string]*VariableReport, error) {
+	normal, buggy := in.Normal, in.Buggy[0]
+	type varPair struct{ n, b *sketch.VarSummary }
+	pairs := map[string]varPair{}
+	for i := range normal.Vars {
+		v := &normal.Vars[i]
+		pairs[v.Key()] = varPair{n: v}
 	}
-	for _, l := range buggy.Layout {
-		keys[l.Func+"\x00"+l.Name] = l
+	for i := range buggy.Vars {
+		v := &buggy.Vars[i]
+		pr := pairs[v.Key()]
+		pr.b = v
+		pairs[v.Key()] = pr
 	}
-	names := make([]string, 0, len(keys))
-	for key := range keys {
+	names := make([]string, 0, len(pairs))
+	for key := range pairs {
 		names = append(names, key)
 	}
 	sort.Strings(names)
 
-	// Group each profile's samples by variable once, instead of scanning
-	// the whole sample array per variable (VarSamples is O(samples) per
-	// call, which made the discounter quadratic in practice).
-	nByVar := samplesByVar(normal)
-	bByVar := samplesByVar(buggy)
+	var trail map[string][]sampler.Sample
+	if in.Trail != nil {
+		trail = samplesByVar(in.Trail)
+	}
 
+	empty := &sketch.VarSummary{}
 	reports, err := parallel.MapCtx(ctx, parallel.Workers(p.Workers), len(names), func(i int) *VariableReport {
 		key := names[i]
-		l := keys[key]
-		nSeries := tickSeries(nByVar[key])
-		bSamples := bByVar[key]
-		bSeries := tickSeries(bSamples)
+		pr := pairs[key]
+		// The buggy side's layout entry wins when both sides carry the
+		// variable.
+		l := pr.b
+		if l == nil {
+			l = pr.n
+		}
+		nv, bv := pr.n, pr.b
+		if nv == nil {
+			nv = empty
+		}
+		if bv == nil {
+			bv = empty
+		}
 		vr := &VariableReport{
 			Func:        l.Func,
 			Name:        l.Name,
 			IsPointer:   l.IsPointer,
-			NormalCount: len(nSeries),
-			BuggyCount:  len(bSeries),
+			NormalCount: int(nv.Count),
+			BuggyCount:  int(bv.Count),
 		}
 		if e := in.Schema.Lookup(l.Func, l.Name); e != nil {
 			vr.Tags = e.Tags
 		}
-		vr.Discount, vr.Dimension, vr.Tested = discountVariable(p, l.IsPointer, nSeries, bSeries)
-		_, vr.MaxRunNormal, _ = stats.MinMax(stats.RunLengths(nSeries))
-		buggyRuns := stats.RunLengths(bSeries)
-		_, vr.MaxRunBuggy, _ = stats.MinMax(buggyRuns)
-		vr.RunsBuggy = len(buggyRuns)
-		if vr.Tested && vr.Discount < p.DefaultDiscount {
-			vr.AbnormalPCs = abnormalPCs(vr.Dimension, nSeries, bSamples)
+		vr.Discount, vr.Dimension, vr.Tested = selectDiscount(p, trimDims(p, l.IsPointer, []dimSeries{
+			{DimValue, nv.Values.Expand(), bv.Values.Expand()},
+			{DimDelta, nv.Deltas.Expand(), bv.Deltas.Expand()},
+			{DimCost, nv.Runs.Expand(), bv.Runs.Expand()},
+		}))
+		vr.MaxRunNormal = nv.MaxRun
+		vr.MaxRunBuggy = bv.MaxRun
+		vr.RunsBuggy = int(bv.NumRuns)
+		if trail != nil && vr.Tested && vr.Discount < p.DefaultDiscount {
+			lo, hi, ok := normalRange(vr.Dimension, nv)
+			vr.AbnormalPCs = abnormalPCs(vr.Dimension, lo, hi, ok, trail[key])
 		}
 		return vr
 	})
@@ -263,9 +183,102 @@ func analyzeVariables(ctx context.Context, p Params, in Input) (map[string]*Vari
 	return out, nil
 }
 
+// normalRange reads from the normal sketch the range abnormalPositions
+// checks along dim: the value extremes, the extreme change deltas, or (for
+// DimCost, where only hi matters) the longest equal-value run. ok is false
+// when the normal execution has no observation along dim.
+func normalRange(dim Dimension, nv *sketch.VarSummary) (lo, hi float64, ok bool) {
+	switch dim {
+	case DimDelta:
+		return stats.MinMax(nv.Deltas.Keys())
+	case DimCost:
+		return 0, nv.MaxRun, nv.NumRuns > 0
+	}
+	return nv.Min, nv.Max, nv.Count > 0
+}
+
+// abnormalPCs identifies the trail's samples that are anomalous along the
+// given dimension against the normal range [lo, hi] and returns their PCs
+// (with multiplicity), used to localize basic blocks.
+func abnormalPCs(dim Dimension, lo, hi float64, ok bool, trail []sampler.Sample) []int {
+	marks := abnormalPositions(dim, lo, hi, ok, tickSeries(trail))
+	// Map marked tick positions back to sample PCs: walk the trail,
+	// tracking the per-tick index.
+	var out []int
+	pos := -1
+	var lastTick int64 = -1
+	for _, s := range trail {
+		if s.Tick != lastTick {
+			lastTick = s.Tick
+			pos++
+		}
+		if marks[pos] {
+			out = append(out, int(s.PC))
+		}
+	}
+	return out
+}
+
+// tickSeries collapses a variable's samples to one observation per alarm
+// tick, first sample winning, exactly as sketch.FromProfile folds them.
+func tickSeries(samples []sampler.Sample) []float64 {
+	var out []float64
+	var lastTick int64 = -1
+	for _, s := range samples {
+		if s.Tick == lastTick {
+			continue
+		}
+		lastTick = s.Tick
+		out = append(out, float64(s.Value))
+	}
+	return out
+}
+
+// abnormalPositions marks the indices of buggy per-tick observations that
+// fall outside what the normal execution exhibited (see normalRange).
+func abnormalPositions(dim Dimension, lo, hi float64, ok bool, buggy []float64) []bool {
+	marks := make([]bool, len(buggy))
+	switch dim {
+	case DimValue, DimNone:
+		for i, v := range buggy {
+			if !ok || v < lo || v > hi {
+				marks[i] = true
+			}
+		}
+	case DimDelta:
+		last := 0 // index of the last distinct value
+		for i := 1; i < len(buggy); i++ {
+			if buggy[i] == buggy[last] {
+				continue
+			}
+			d := buggy[i] - buggy[last]
+			last = i
+			if !ok || d < lo || d > hi {
+				marks[i] = true
+			}
+		}
+	case DimCost:
+		run := 1
+		for i := 1; i < len(buggy); i++ {
+			if buggy[i] == buggy[i-1] {
+				run++
+			} else {
+				run = 1
+			}
+			if !ok || float64(run) > hi {
+				marks[i] = true
+			}
+		}
+		if len(buggy) == 1 && !ok {
+			marks[0] = true
+		}
+	}
+	return marks
+}
+
 // samplesByVar groups a profile's samples by "func\x00name", preserving
-// recording order. Matching VarSamples, duplicate layout entries for the
-// same variable resolve to the first layout index.
+// recording order. Matching sketch.FromProfile, duplicate layout entries for
+// the same variable resolve to the first layout index.
 func samplesByVar(pr *sampler.Profile) map[string][]sampler.Sample {
 	first := make(map[string]int32, len(pr.Layout))
 	for i, l := range pr.Layout {
@@ -299,39 +312,29 @@ func samplesByVar(pr *sampler.Profile) map[string][]sampler.Sample {
 }
 
 // attributeVariables maps variable reports to functions: locals to their
-// declaring function; globals to every function containing a PC at which the
-// global was sampled in the buggy profile (paper §5.1).
-func attributeVariables(vars map[string]*VariableReport, buggy *sampler.Profile, info *debuginfo.Info) map[string][]*VariableReport {
+// declaring function; globals to every function containing a PC at which
+// the global was sampled in the buggy run (the sketch's per-variable PC
+// set; paper §5.1).
+func attributeVariables(vars map[string]*VariableReport, buggy *sketch.Profile, info *debuginfo.Info) map[string][]*VariableReport {
 	out := map[string][]*VariableReport{}
-	// Globals: find the functions where each global's samples occurred.
-	globalFuncs := map[string]map[string]bool{}
-	layoutKey := make([]string, len(buggy.Layout))
-	for i, l := range buggy.Layout {
-		layoutKey[i] = l.Func + "\x00" + l.Name
-	}
-	for _, s := range buggy.Samples {
-		l := buggy.Layout[s.Layout]
-		if l.Func != debuginfo.GlobalScope {
-			continue
-		}
-		fn := info.FuncAt(int(s.PC))
-		if fn == nil {
-			continue
-		}
-		key := layoutKey[s.Layout]
-		if globalFuncs[key] == nil {
-			globalFuncs[key] = map[string]bool{}
-		}
-		globalFuncs[key][fn.Name] = true
-	}
 	for key, vr := range vars {
-		if vr.Func == debuginfo.GlobalScope {
-			for fn := range globalFuncs[key] {
-				out[fn] = append(out[fn], vr)
-			}
+		if vr.Func != debuginfo.GlobalScope {
+			out[vr.Func] = append(out[vr.Func], vr)
 			continue
 		}
-		out[vr.Func] = append(out[vr.Func], vr)
+		bv := buggy.Var(key)
+		if bv == nil {
+			continue
+		}
+		fns := map[string]bool{}
+		for _, pc := range bv.PCs {
+			if fn := info.FuncAt(int(pc)); fn != nil {
+				fns[fn.Name] = true
+			}
+		}
+		for fn := range fns {
+			out[fn] = append(out[fn], vr)
+		}
 	}
 	for _, list := range out {
 		sortAttributed(list)
@@ -340,9 +343,8 @@ func attributeVariables(vars map[string]*VariableReport, buggy *sampler.Profile,
 }
 
 // sortAttributed is the deterministic per-function ordering of attributed
-// variables shared by both analysis front ends: most anomalous first; on
-// ties, tagged variables (more diagnostic signal) and locals before
-// globals, then by name.
+// variables: most anomalous first; on ties, tagged variables (more
+// diagnostic signal) and locals before globals, then by name.
 func sortAttributed(list []*VariableReport) {
 	sort.Slice(list, func(i, j int) bool {
 		a, b := list[i], list[j]

@@ -6,24 +6,24 @@ import (
 
 	"vprof/internal/debuginfo"
 	"vprof/internal/parallel"
-	"vprof/internal/sampler"
+	"vprof/internal/sketch"
 	"vprof/internal/stats"
 )
 
 // pcCostApp returns the gprof-view PC cost per *application* function:
 // library-function PCs are excluded (gprof records no samples outside the
 // profiled executable, and vProf inherits this) as are synthetic functions.
-func pcCostApp(p *sampler.Profile, info *debuginfo.Info) map[string]float64 {
+func pcCostApp(s *sketch.Profile, info *debuginfo.Info) map[string]float64 {
 	out := map[string]float64{}
-	for pc, n := range p.Hist {
+	for pc, n := range s.Hist {
 		if n == 0 {
 			continue
 		}
-		fn := info.FuncAt(pc)
+		fn := info.FuncAt(int(pc))
 		if fn == nil || fn.Library || isSynthetic(fn.Name) {
 			continue
 		}
-		out[fn.Name] += float64(n * p.Interval)
+		out[fn.Name] += float64(n * s.Interval)
 	}
 	return out
 }
@@ -33,21 +33,17 @@ func isSynthetic(name string) bool {
 }
 
 // histDiscounter computes discount ratios by cross-comparing a function's
-// cost rank between every (buggy, normal) profile pair (paper §5.1): with n
-// buggy and m normal profiles, r = h/c where h counts comparisons in which
-// the function ranks higher (more costly) in the normal profile, and c is
-// the number of comparisons in which the function appeared at all.
-// Per-profile rankings and the n×m per-function comparisons are independent,
-// so both fan out over the worker pool; the ratios are exact integer counts,
-// making the result identical for any worker count.
-func histDiscounter(ctx context.Context, p Params, normal, buggy []*sampler.Profile, info *debuginfo.Info) (map[string]float64, error) {
+// cost rank between every (buggy, normal) run pair (paper §5.1): with n
+// buggy and m normal runs, r = h/c where h counts comparisons in which the
+// function ranks higher (more costly) in the normal run, and c is the number
+// of comparisons in which the function appeared at all. The normal side is
+// the corpus rank multisets, so the pairs are counted, not enumerated: for
+// a function ranked bRank in a buggy run, the normal runs that outrank it
+// are the corpus entries < bRank (one binary search). Buggy rankings and
+// per-function verdicts fan out over the worker pool; the ratios are exact
+// integer counts, making the result identical for any worker count.
+func histDiscounter(ctx context.Context, p Params, corpus *Corpus, buggy []*sketch.Profile, info *debuginfo.Info) (map[string]float64, error) {
 	workers := parallel.Workers(p.Workers)
-	normalRanks, err := parallel.MapCtx(ctx, workers, len(normal), func(j int) map[string]int {
-		return stats.Ranks(pcCostApp(normal[j], info))
-	})
-	if err != nil {
-		return nil, err
-	}
 	buggyRanks, err := parallel.MapCtx(ctx, workers, len(buggy), func(i int) map[string]int {
 		return stats.Ranks(pcCostApp(buggy[i], info))
 	})
@@ -56,10 +52,8 @@ func histDiscounter(ctx context.Context, p Params, normal, buggy []*sampler.Prof
 	}
 
 	funcs := map[string]bool{}
-	for _, r := range normalRanks {
-		for f := range r {
-			funcs[f] = true
-		}
+	for f := range corpus.Ranks {
+		funcs[f] = true
 	}
 	for _, r := range buggyRanks {
 		for f := range r {
@@ -78,25 +72,20 @@ func histDiscounter(ctx context.Context, p Params, normal, buggy []*sampler.Prof
 	}
 	verdicts, err := parallel.MapCtx(ctx, workers, len(names), func(i int) verdict {
 		f := names[i]
+		nList := corpus.Ranks[f]
 		h, c := 0, 0
 		for _, br := range buggyRanks {
-			bRank, bOK := br[f]
-			for _, nr := range normalRanks {
-				nRank, nOK := nr[f]
-				if !bOK && !nOK {
-					continue
-				}
-				c++
-				switch {
-				case !bOK:
-					// Only seen in normal: costlier there.
-					h++
-				case !nOK:
-					// Only seen in buggy: elevated by the bug.
-				case nRank < bRank:
-					// Smaller rank number = more costly.
-					h++
-				}
+			if bRank, bOK := br[f]; bOK {
+				// Every normal run pairs up; the ones where f ranked
+				// more costly (smaller rank) add to h, absences add
+				// nothing.
+				c += corpus.Runs
+				h += sort.SearchInts(nList, bRank)
+			} else {
+				// Only normal runs where f appeared pair up, each as
+				// "costlier in normal".
+				c += len(nList)
+				h += len(nList)
 			}
 		}
 		if c == 0 {

@@ -19,12 +19,11 @@ func sketchesOf(profiles []*sampler.Profile) []*sketch.Profile {
 	return out
 }
 
-// TestSketchAnalysisMatchesFull is the determinism golden for the sketch
-// path: on the reproduced-issue workloads every sampled value is a small
-// integer, so the sketch buckets are exact and AnalyzeSketchesContext must
-// reproduce AnalyzeContext bit for bit — same ranking, same calibrated
-// costs, same per-variable verdicts — with only the PC-trail-derived fields
-// (AbnormalPCs, Blocks) absent.
+// TestSketchAnalysisMatchesFull pins the incremental path to the offline
+// one: AnalyzeSketchesContext over every run's full sketch, without a
+// trail, must reproduce AnalyzeContext bit for bit — same ranking, same
+// calibrated costs, same per-variable verdicts — with only the
+// trail-derived fields (AbnormalPCs, Blocks) absent.
 func TestSketchAnalysisMatchesFull(t *testing.T) {
 	tb := buildBench(t, recoverySrc)
 	normal := tb.profileRuns(t, 3, 40)

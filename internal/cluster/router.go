@@ -806,16 +806,6 @@ func (r *Router) HealthDetail() (string, map[string]string) {
 	return "ok", checks
 }
 
-// Health reports an error only when the cluster cannot take quorum writes —
-// replica loss degrades, it does not fail.
-func (r *Router) Health() error {
-	status, checks := r.HealthDetail()
-	if status == "unavailable" {
-		return fmt.Errorf("cluster: %s: %w", checks["replicas"], store.ErrUnavailable)
-	}
-	return nil
-}
-
 // Flush asks every reachable member to fsync; unreachable members are
 // skipped (they have nothing buffered for us to lose).
 func (r *Router) Flush() error {

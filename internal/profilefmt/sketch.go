@@ -22,9 +22,9 @@ import (
 // MagicSketch identifies a sketch section.
 const MagicSketch = "VPRS"
 
-// maxHistBucketTotal caps the observation total of one decoded bucket
-// histogram, bounding what Expand() can be made to allocate.
-const maxHistBucketTotal = MaxSamples
+// maxHistTotal caps the observation total of one decoded histogram,
+// bounding what Expand() can be made to allocate.
+const maxHistTotal = MaxSamples
 
 // EncodeSketch writes a sketch in canonical form.
 func EncodeSketch(w io.Writer, s *sketch.Profile) error {
@@ -150,7 +150,7 @@ func encodeVarSummary(w io.Writer, v *sketch.VarSummary) error {
 		return err
 	}
 	for _, h := range []sketch.Hist{v.Values, v.Deltas, v.Runs} {
-		if err := writeBucketHist(w, h); err != nil {
+		if err := writeHist(w, h); err != nil {
 			return err
 		}
 	}
@@ -193,7 +193,7 @@ func decodeVarSummary(r io.Reader, histLen int64) (sketch.VarSummary, error) {
 	}
 	v.MaxRun, v.Min, v.Max, v.Sum = moments[0], moments[1], moments[2], moments[3]
 	for _, dst := range []*sketch.Hist{&v.Values, &v.Deltas, &v.Runs} {
-		h, err := readBucketHist(r)
+		h, err := readHist(r)
 		if err != nil {
 			return v, err
 		}
@@ -272,9 +272,8 @@ func readPCCounts(r io.Reader, histLen int64) (map[int32]int64, error) {
 	return out, nil
 }
 
-// writeBucketHist writes a bucket histogram as ascending (bucket, count)
-// pairs.
-func writeBucketHist(w io.Writer, h sketch.Hist) error {
+// writeHist writes a histogram as ascending (value, count) pairs.
+func writeHist(w io.Writer, h sketch.Hist) error {
 	if err := binary.Write(w, binary.LittleEndian, int64(len(h))); err != nil {
 		return err
 	}
@@ -289,13 +288,13 @@ func writeBucketHist(w io.Writer, h sketch.Hist) error {
 	return nil
 }
 
-func readBucketHist(r io.Reader) (sketch.Hist, error) {
+func readHist(r io.Reader) (sketch.Hist, error) {
 	var n int64
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, err
 	}
 	if n < 0 || n > MaxSamples {
-		return nil, fmt.Errorf("profilefmt: sketch bucket entries %d out of range", n)
+		return nil, fmt.Errorf("profilefmt: sketch histogram entries %d out of range", n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -313,20 +312,17 @@ func readBucketHist(r io.Reader) (sketch.Hist, error) {
 			return nil, err
 		}
 		if math.IsNaN(k) {
-			return nil, fmt.Errorf("profilefmt: NaN sketch bucket")
-		}
-		if sketch.Bucket(k) != k {
-			return nil, fmt.Errorf("profilefmt: non-canonical sketch bucket %g", k)
+			return nil, fmt.Errorf("profilefmt: NaN sketch histogram value")
 		}
 		if k <= prev {
-			return nil, fmt.Errorf("profilefmt: sketch buckets out of order at %g", k)
+			return nil, fmt.Errorf("profilefmt: sketch histogram values out of order at %g", k)
 		}
 		if c <= 0 {
-			return nil, fmt.Errorf("profilefmt: sketch bucket count %d not positive", c)
+			return nil, fmt.Errorf("profilefmt: sketch histogram count %d not positive", c)
 		}
 		total += c
-		if total > maxHistBucketTotal {
-			return nil, fmt.Errorf("profilefmt: sketch bucket total exceeds %d", int64(maxHistBucketTotal))
+		if total > maxHistTotal {
+			return nil, fmt.Errorf("profilefmt: sketch histogram total exceeds %d", int64(maxHistTotal))
 		}
 		prev = k
 		h[k] = c

@@ -21,7 +21,12 @@ type Backend interface {
 	Workloads() []store.WorkloadInfo
 	CacheStats() store.CacheStats
 	SketchStats() store.SketchStats
-	Health() error
+	// HealthDetail classifies the backend as "ok", "degraded" or
+	// "unavailable" and names its checks: a single store reports whether
+	// it is writable and whether it came up from a dirty shutdown; the
+	// cluster router reports replica loss and dirty-recovered nodes as
+	// degraded and a shard below write quorum as unavailable.
+	HealthDetail() (status string, checks map[string]string)
 	Flush() error
 }
 
@@ -31,20 +36,4 @@ type Backend interface {
 // server falls back to fetching raw sketches one by one.
 type CorpusBackend interface {
 	Corpus(workload string, ids []string) (*analysis.Corpus, error)
-}
-
-// healthDetailer is an optional Backend refinement: a backend that can
-// classify its own health as ok/degraded/unavailable with named checks
-// (the cluster router reports replica loss and dirty-recovered nodes as
-// degraded). Declared structurally so implementing packages need no service
-// import.
-type healthDetailer interface {
-	HealthDetail() (status string, checks map[string]string)
-}
-
-// recoveryReporter matches *store.Store's Recovery accessor; a single-node
-// backend that came up from a dirty shutdown degrades /healthz until a
-// clean restart.
-type recoveryReporter interface {
-	Recovery() *store.FsckReport
 }

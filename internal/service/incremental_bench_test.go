@@ -12,11 +12,11 @@ import (
 
 // BenchmarkIncrementalDiagnose measures the service-side latency of
 // diagnosing one newly pushed candidate run against a warm 16-run baseline
-// corpus, full path vs sketch path. The full path decodes stored profile
-// blobs and recomputes corpus statistics per diagnosis (the decode cache is
-// deliberately smaller than the corpus, as it would be in production); the
-// sketch path reads persisted per-variable sketches and reuses the cached
-// corpus sketch, touching only the new run. Each iteration pushes a fresh
+// corpus, localized (full) vs sketch-only. Both read persisted per-variable
+// sketches and reuse the cached corpus, touching only the new run; the full
+// diagnosis also decodes the new run's blob (the decode cache is
+// deliberately smaller than the corpus, as it would be in production) to
+// localize abnormal samples to blocks. Each iteration pushes a fresh
 // candidate (timer stopped) so every diagnosis misses the memo and does
 // real work. Run with -benchtime Nx, N < 64: the pool of distinct candidate
 // profiles is 64, and recycled blob IDs would start hitting the memo.
@@ -59,8 +59,8 @@ func BenchmarkIncrementalDiagnose(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Warm the baseline: resolve debug info, and (sketch mode) fold
-			// and cache the corpus sketch.
+			// Warm the baseline: resolve debug info, and fold and cache the
+			// corpus.
 			warm, _ := built.ProfileBuggy(0)
 			if _, _, err := st.Put("b1", store.LabelCandidate, "warm", warm); err != nil {
 				b.Fatal(err)

@@ -40,7 +40,6 @@ import (
 
 	"vprof/internal/analysis"
 	"vprof/internal/obs"
-	"vprof/internal/sampler"
 	"vprof/internal/store"
 )
 
@@ -83,8 +82,8 @@ type Config struct {
 	// building an unbounded backlog (default 64).
 	MaxQueue int
 	// Sketches serves every diagnosis from the store's persisted
-	// per-variable sketches by default (the incremental path: no raw blob
-	// is re-decoded). Individual requests can also opt in per call.
+	// sketches alone: no blob is decoded, and reports carry no block
+	// localization. Individual requests can also opt in per call.
 	Sketches bool
 }
 
@@ -204,7 +203,7 @@ type Server struct {
 	draining bool
 	inFlight sync.WaitGroup // admitted requests not yet finished
 
-	sketches bool // default every diagnosis to the sketch path
+	sketches bool // default every diagnosis to sketches alone
 
 	// mu guards reports, the endpoints' memo/inflight maps, and corpora.
 	mu      sync.Mutex
@@ -596,10 +595,10 @@ type DiagnoseRequest struct {
 	Candidates []string `json:"candidates,omitempty"`
 	// Top bounds the rendered report (default: server's Top).
 	Top int `json:"top,omitempty"`
-	// Sketches opts this diagnosis into the incremental sketch path: the
-	// analysis reads the store's persisted per-variable sketches instead of
-	// re-decoding raw profile blobs. Implied when the server was configured
-	// with Config.Sketches.
+	// Sketches answers this diagnosis from persisted sketches alone,
+	// skipping the decode of the candidate blob that block localization
+	// needs, so the report's block column stays empty. Implied when the
+	// server was configured with Config.Sketches.
 	Sketches bool `json:"sketches,omitempty"`
 }
 
@@ -624,8 +623,8 @@ type DiagnoseResponse struct {
 	Render     string      `json:"render"`
 	// Cached is true when this reply was served from the memo cache.
 	Cached bool `json:"cached"`
-	// Sketches is true when this diagnosis ran on the incremental sketch
-	// path instead of decoded profiles.
+	// Sketches is true when this diagnosis was answered from sketches
+	// alone, without block localization.
 	Sketches bool `json:"sketches,omitempty"`
 	// MemoHits snapshots the server-wide diagnosis cache-hit counter.
 	MemoHits int64 `json:"memo_hits"`
@@ -690,10 +689,7 @@ func (s *Server) DiagnoseContext(ctx context.Context, req DiagnoseRequest) (*Dia
 	sketches := req.Sketches || s.sketches
 	key := memoKey(req.Workload, top, baselines, candidates, sketches)
 	return s.diagEP.run(ctx, req.Workload, key, func(ctx context.Context) (*DiagnoseResponse, int, error) {
-		if sketches {
-			return s.computeSketches(ctx, req.Workload, top, key, baselines, candidates)
-		}
-		return s.compute(ctx, req.Workload, top, key, baselines, candidates)
+		return s.compute(ctx, req.Workload, top, key, baselines, candidates, sketches)
 	})
 }
 
@@ -736,60 +732,7 @@ func memoKey(workload string, top int, baselines, candidates []*store.Entry, ske
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func (s *Server) compute(ctx context.Context, workload string, top int, key string, baselines, candidates []*store.Entry) (*DiagnoseResponse, int, error) {
-	release, err := s.acquireCtx(ctx)
-	if err != nil {
-		return nil, statusFor(err), err
-	}
-	defer release()
-
-	dbg, sch, err := s.resolver.Resolve(workload)
-	if err != nil {
-		return nil, http.StatusNotFound, withCode(CodeNotFound, fmt.Errorf("resolve workload %q: %w", workload, err))
-	}
-	if err := ctx.Err(); err != nil {
-		cerr := cancelErr(err)
-		return nil, statusFor(cerr), cerr
-	}
-	load := func(entries []*store.Entry) ([]*sampler.Profile, []string, error) {
-		var ps []*sampler.Profile
-		var ids []string
-		for _, e := range entries {
-			p, err := s.store.Get(e.ID)
-			if err != nil {
-				return nil, nil, err
-			}
-			ps = append(ps, p)
-			ids = append(ids, e.ID)
-		}
-		return ps, ids, nil
-	}
-	normal, bIDs, err := load(baselines)
-	if err != nil {
-		return nil, http.StatusInternalServerError, withCode(CodeInternal, err)
-	}
-	buggy, cIDs, err := load(candidates)
-	if err != nil {
-		return nil, http.StatusInternalServerError, withCode(CodeInternal, err)
-	}
-	report, err := analysis.AnalyzeContext(ctx, analysis.Input{
-		Debug:  dbg,
-		Schema: sch,
-		Normal: normal,
-		Buggy:  buggy,
-	}, s.params)
-	if err != nil {
-		if ctx.Err() != nil {
-			cerr := cancelErr(ctx.Err())
-			return nil, statusFor(cerr), cerr
-		}
-		return nil, http.StatusUnprocessableEntity, withCode(CodeAnalysisFailed, fmt.Errorf("analyze %q: %w", workload, err))
-	}
-	return diagnoseResponse(report, key, workload, top, bIDs, cIDs), http.StatusOK, nil
-}
-
-// diagnoseResponse shapes an analysis report into the API response; shared
-// by the decoded-profile and sketch compute paths.
+// diagnoseResponse shapes an analysis report into the API response.
 func diagnoseResponse(report *analysis.Report, key, workload string, top int, bIDs, cIDs []string) *DiagnoseResponse {
 	resp := &DiagnoseResponse{
 		ReportID:   "r-" + key[:16],
@@ -841,39 +784,11 @@ type Health struct {
 
 // HealthSnapshot evaluates the health checks.
 func (s *Server) HealthSnapshot() Health {
-	h := Health{Status: "ok", Checks: map[string]string{}}
-	if hd, ok := s.store.(healthDetailer); ok {
-		// Cluster backend: it classifies itself (replica loss and
-		// dirty-recovered nodes degrade; a shard below write quorum is
-		// unavailable) and names the failing checks.
-		status, checks := hd.HealthDetail()
-		for k, v := range checks {
-			h.Checks[k] = v
-		}
-		switch status {
-		case "unavailable":
-			h.Status = "unavailable"
-		case "degraded":
-			h.Status = "degraded"
-		}
-	} else {
-		if err := s.store.Health(); err != nil {
-			h.Checks["store_writable"] = err.Error()
-			h.Status = "unavailable"
-		} else {
-			h.Checks["store_writable"] = "ok"
-		}
-		// A store that came up from a dirty shutdown serves reads and
-		// writes, but signals the repair until a clean restart.
-		if rr, ok := s.store.(recoveryReporter); ok {
-			if rep := rr.Recovery(); rep != nil && !rep.Clean() {
-				h.Checks["store_recovery"] = fmt.Sprintf("recovered from dirty shutdown (%d issue(s) repaired)", len(rep.Issues))
-				if h.Status == "ok" {
-					h.Status = "degraded"
-				}
-			}
-		}
-	}
+	// The backend classifies itself first (store writability and dirty
+	// recovery, or cluster replica health); the service adds its own
+	// checks on top.
+	status, checks := s.store.HealthDetail()
+	h := Health{Status: status, Checks: checks}
 	if known := s.resolver.Known(); len(known) == 0 {
 		h.Checks["resolver"] = "no workloads resolvable"
 		h.Status = "unavailable"

@@ -43,9 +43,9 @@ func sketchFixture(t *testing.T, cfg service.Config) (*service.Server, *store.St
 	return srv, st, b
 }
 
-// TestSketchDiagnoseMatchesFull: the sketch path returns the identical rank
-// table (costs, discounts, patterns) as the decoded-profile path, under a
-// memo key of its own.
+// TestSketchDiagnoseMatchesFull: a sketch-only diagnosis returns the
+// identical rank table (costs, discounts, patterns) as the localized one,
+// under a memo key of its own.
 func TestSketchDiagnoseMatchesFull(t *testing.T) {
 	srv, _, _ := sketchFixture(t, service.Config{})
 
@@ -119,5 +119,33 @@ func TestSketchDiagnoseIncremental(t *testing.T) {
 	stats := srv.StatsSnapshot()
 	if stats.SketchCache.Indexed == 0 {
 		t.Fatalf("stats do not surface sketch counters: %+v", stats.SketchCache)
+	}
+}
+
+// TestDiagnoseDecodesOnlyTrail: a localized (non-sketch-mode) diagnosis of
+// a freshly pushed candidate reads the baseline side from sketches and the
+// cached corpus, and decodes exactly one blob — the candidate's own, the
+// trail that block localization replays.
+func TestDiagnoseDecodesOnlyTrail(t *testing.T) {
+	srv, st, b := sketchFixture(t, service.Config{})
+	if _, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1"}); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := b.ProfileBuggy(1)
+	if _, _, err := st.Put("b1", store.LabelCandidate, "1", p); err != nil {
+		t.Fatal(err)
+	}
+
+	before := st.CacheStats()
+	resp, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Candidates: []string{"1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := st.CacheStats()
+	if resp.Cached || resp.Sketches {
+		t.Fatalf("localized diagnosis: cached=%v sketches=%v", resp.Cached, resp.Sketches)
+	}
+	if reads := (after.Hits + after.Misses) - (before.Hits + before.Misses); reads != 1 {
+		t.Fatalf("localized diagnosis read %d blobs, want 1 (the candidate): %+v -> %+v", reads, before, after)
 	}
 }

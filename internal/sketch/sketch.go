@@ -1,71 +1,29 @@
 // Package sketch provides mergeable per-variable summaries of value-assisted
-// profiles: fixed-bucket value histograms, change-delta and run-length
-// summaries, and count/sum/min/max moments, folded from a decoded profile
-// once at ingest time. Sketches are the store's derived "summary section":
-// diagnosing a new run against a stored baseline corpus reads only sketches
-// (O(new runs)), never re-decoding old profile blobs, and sketch merge is
-// associative, commutative and deterministic (fixed bucket boundaries,
-// index-ordered variable lists), so a sharded store can combine partial
-// sketches into one answer.
+// profiles: exact value, change-delta and run-length histograms and
+// count/sum/min/max moments, folded from a decoded profile once at ingest
+// time. Sketches are the store's derived "summary section": diagnosing a new
+// run against a stored baseline corpus reads only sketches (O(new runs)),
+// never re-decoding old profile blobs, and sketch merge is associative,
+// commutative and deterministic (index-ordered variable lists), so a sharded
+// store can combine partial sketches into one answer.
 //
-// Exactness: bucket boundaries are the identity for integral values with
-// |v| <= 1<<20 — which covers run lengths, change deltas and the value
-// ranges of the reproduced issues — so the analysis kernels in
-// internal/analysis recompute the variable-discounter verdicts bit-for-bit
-// from sketches in that range. Larger magnitudes collapse into logarithmic
-// buckets (16 per octave); there the rank-identity goldens in
-// internal/harness gate the diagnosis instead of byte-for-byte equality.
+// Exactness: histograms count exact observations, so Expand reproduces the
+// sorted observation multiset and the analysis kernels in internal/analysis
+// compute the same verdicts as over the raw series. Pointer variables carry
+// no value or delta histogram: addresses mean nothing across runs, so only
+// the processing-cost dimension (run lengths) applies to them (paper §5.1).
 package sketch
 
 import (
-	"math"
 	"sort"
 
 	"vprof/internal/sampler"
 	"vprof/internal/stats"
 )
 
-const (
-	// exactMax bounds the identity range: integral values with magnitude
-	// up to exactMax are their own bucket.
-	exactMax = 1 << 20
-	// subBuckets is the number of logarithmic buckets per power of two
-	// outside the identity range (relative error <= 1/16).
-	subBuckets = 16
-)
-
-// Bucket maps a value to its fixed bucket representative. The mapping is
-// idempotent (Bucket(Bucket(v)) == Bucket(v)) and sign-symmetric; Inf and
-// NaN pass through untouched (the codec rejects NaN at decode time).
-func Bucket(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return v
-	}
-	a := math.Abs(v)
-	if a <= exactMax && a == math.Trunc(a) {
-		return v
-	}
-	frac, exp := math.Frexp(a) // a = frac * 2^exp, frac in [0.5, 1)
-	k := int((frac*2 - 1) * subBuckets)
-	if k < 0 {
-		k = 0
-	} else if k >= subBuckets {
-		k = subBuckets - 1
-	}
-	rep := math.Ldexp(1+float64(k)/subBuckets, exp-1)
-	if v < 0 {
-		rep = -rep
-	}
-	return rep
-}
-
-// Hist is a fixed-bucket histogram: bucket representative -> observation
-// count. The zero value (nil) is an empty histogram; Observe requires a
-// non-nil map.
+// Hist is an exact histogram: observed value -> observation count. The zero
+// value (nil) is an empty histogram.
 type Hist map[float64]int64
-
-// Observe adds one observation of v to its bucket.
-func (h Hist) Observe(v float64) { h[Bucket(v)]++ }
 
 // Total returns the number of observations.
 func (h Hist) Total() int64 {
@@ -76,17 +34,7 @@ func (h Hist) Total() int64 {
 	return n
 }
 
-// Max returns the largest bucket representative; ok is false when empty.
-func (h Hist) Max() (v float64, ok bool) {
-	for k := range h {
-		if !ok || k > v {
-			v, ok = k, true
-		}
-	}
-	return v, ok
-}
-
-// Keys returns the bucket representatives in ascending order.
+// Keys returns the observed values in ascending order.
 func (h Hist) Keys() []float64 {
 	out := make([]float64, 0, len(h))
 	for k := range h {
@@ -96,13 +44,13 @@ func (h Hist) Keys() []float64 {
 	return out
 }
 
-// Expand reconstructs the bucketed observation multiset as an ascending
-// series (each representative repeated by its count). The analysis kernels
-// feed these to the order-invariant Anderson-Darling and Hellinger tests.
+// Expand reconstructs the observation multiset as an ascending series (each
+// value repeated by its count). The analysis kernels feed these to the
+// order-invariant Anderson-Darling and Hellinger tests.
 func (h Hist) Expand() []float64 {
 	out := make([]float64, 0, h.Total())
 	for _, k := range h.Keys() {
-		for i := int64(0); i < h[k]; i++ {
+		for c := h[k]; c > 0; c-- {
 			out = append(out, k)
 		}
 	}
@@ -121,7 +69,7 @@ func (h Hist) Clone() Hist {
 	return out
 }
 
-// MergeHist returns the bucket-wise sum of two histograms. Either argument
+// MergeHist returns the value-wise sum of two histograms. Either argument
 // may be nil; the inputs are not mutated.
 func MergeHist(a, b Hist) Hist {
 	if len(a) == 0 && len(b) == 0 {
@@ -137,14 +85,20 @@ func MergeHist(a, b Hist) Hist {
 	return out
 }
 
-// HistOf buckets a raw series into a histogram (nil for an empty series).
+// HistOf counts a raw series into a histogram (nil for an empty series).
+// A run of equal adjacent values costs one map update.
 func HistOf(series []float64) Hist {
 	if len(series) == 0 {
 		return nil
 	}
 	h := make(Hist)
-	for _, v := range series {
-		h.Observe(v)
+	for i := 0; i < len(series); {
+		j := i + 1
+		for j < len(series) && series[j] == series[i] {
+			j++
+		}
+		h[series[i]] += int64(j - i)
+		i = j
 	}
 	return h
 }
@@ -158,11 +112,12 @@ type VarSummary struct {
 	IsPointer bool
 
 	// Count is the number of tick-collapsed observations (== Values
-	// total); NumRuns the number of equal-value runs (== Runs total).
+	// total, except for pointers); NumRuns the number of equal-value runs
+	// (== Runs total).
 	Count   int64
 	NumRuns int64
-	// MaxRun is the longest equal-value run; Min/Max/Sum are exact
-	// moments of the raw (unbucketed) observations, valid when Count > 0.
+	// MaxRun is the longest equal-value run; Min/Max/Sum are moments of
+	// the observations, valid when Count > 0.
 	MaxRun float64
 	Min    float64
 	Max    float64
@@ -172,7 +127,7 @@ type VarSummary struct {
 	// tick-collapsed value series, its change deltas
 	// (stats.ChangeDeltas), and its equal-value run lengths
 	// (stats.RunLengths), all computed from the ordered series at fold
-	// time and then bucketed.
+	// time. Pointer variables keep only Runs.
 	Values Hist
 	Deltas Hist
 	Runs   Hist
@@ -267,28 +222,35 @@ type Profile struct {
 	Vars []VarSummary
 }
 
-// FromProfile folds a decoded profile into its sketch. The fold is
-// deterministic: variable grouping, tick collapsing and dimension series
-// mirror the analysis package's per-variable pipeline exactly.
-func FromProfile(p *sampler.Profile) *Profile {
+// FromHist folds only a profile's PC histogram and run totals: the part of
+// its sketch the hist-discounter reads.
+func FromHist(p *sampler.Profile) *Profile {
 	s := &Profile{
 		Interval:   p.Interval,
 		TotalTicks: p.TotalTicks,
 		NumAlarms:  p.NumAlarms,
 		HistLen:    int64(len(p.Hist)),
 		Hist:       make(map[int32]int64),
-		UnitsByPC:  make(map[int32]int64),
 	}
 	for pc, n := range p.Hist {
 		if n != 0 {
 			s.Hist[int32(pc)] = n
 		}
 	}
+	return s
+}
+
+// FromProfile folds a decoded profile into its sketch. The fold is
+// deterministic: variables are keyed by their first layout entry and
+// summarized from their tick-collapsed series.
+func FromProfile(p *sampler.Profile) *Profile {
+	s := FromHist(p)
+	s.UnitsByPC = make(map[int32]int64)
 	type unit struct {
 		tick int64
 		pc   int32
 	}
-	seen := make(map[unit]bool, len(p.Samples))
+	seen := map[unit]bool{}
 	for _, smp := range p.Samples {
 		u := unit{smp.Tick, smp.PC}
 		if !seen[u] {
@@ -297,51 +259,54 @@ func FromProfile(p *sampler.Profile) *Profile {
 		}
 	}
 
-	// Group samples by variable with the analysis package's first-layout-
-	// index dedup, then summarize each group's tick-collapsed series.
-	first := make(map[string]int32, len(p.Layout))
-	order := make([]string, 0, len(p.Layout))
+	// One pass over the samples, in recording (time) order, folds every
+	// variable's tick-collapsed series — one observation per alarm tick,
+	// first sample winning (virtual unwinding can record a variable
+	// several times in one alarm at different stack depths; it has a
+	// single value at that moment) — and its PC set. A variable listed at
+	// several layout indices keeps the samples of the first, matching
+	// sampler.Profile.VarSamples.
+	type varFold struct {
+		series   []float64
+		lastTick int64
+		pcs      map[int32]bool
+	}
+	folds := make([]varFold, len(p.Layout))
+	for i := range folds {
+		folds[i].lastTick = -1
+	}
+	for _, smp := range p.Samples {
+		if smp.Layout < 0 || int(smp.Layout) >= len(folds) {
+			continue
+		}
+		f := &folds[smp.Layout]
+		if f.pcs == nil {
+			f.pcs = map[int32]bool{}
+		}
+		f.pcs[smp.PC] = true
+		if smp.Tick != f.lastTick {
+			f.lastTick = smp.Tick
+			f.series = append(f.series, float64(smp.Value))
+		}
+	}
+	folded := make(map[string]bool, len(p.Layout))
+	s.Vars = make([]VarSummary, 0, len(p.Layout))
 	for i, l := range p.Layout {
 		key := l.Func + "\x00" + l.Name
-		if _, ok := first[key]; !ok {
-			first[key] = int32(i)
-			order = append(order, key)
+		if folded[key] {
+			continue
 		}
+		folded[key] = true
+		s.Vars = append(s.Vars, summarizeVar(l, folds[i].series, folds[i].pcs))
 	}
-	sort.Strings(order)
-	byLayout := make([][]sampler.Sample, len(p.Layout))
-	for _, smp := range p.Samples {
-		if smp.Layout >= 0 && int(smp.Layout) < len(byLayout) {
-			byLayout[smp.Layout] = append(byLayout[smp.Layout], smp)
-		}
-	}
-	s.Vars = make([]VarSummary, 0, len(order))
-	for _, key := range order {
-		li := first[key]
-		l := p.Layout[li]
-		s.Vars = append(s.Vars, summarizeVar(l, byLayout[li]))
-	}
+	sort.Slice(s.Vars, func(i, j int) bool { return s.Vars[i].Key() < s.Vars[j].Key() })
 	return s
 }
 
-// summarizeVar folds one variable's samples (recording order) into its
-// summary.
-func summarizeVar(l sampler.LayoutEntry, samples []sampler.Sample) VarSummary {
+// summarizeVar folds one variable's tick-collapsed series and PC set into
+// its summary.
+func summarizeVar(l sampler.LayoutEntry, series []float64, pcs map[int32]bool) VarSummary {
 	vs := VarSummary{Func: l.Func, Name: l.Name, IsPointer: l.IsPointer}
-
-	// Tick-collapse: one observation per alarm tick (first sample wins),
-	// exactly like the analysis package's tickSeries.
-	var series []float64
-	var lastTick int64 = -1
-	pcSet := map[int32]bool{}
-	for _, smp := range samples {
-		pcSet[smp.PC] = true
-		if smp.Tick == lastTick {
-			continue
-		}
-		lastTick = smp.Tick
-		series = append(series, float64(smp.Value))
-	}
 	vs.Count = int64(len(series))
 	if len(series) > 0 {
 		vs.Min, vs.Max, _ = stats.MinMax(series)
@@ -349,15 +314,17 @@ func summarizeVar(l sampler.LayoutEntry, samples []sampler.Sample) VarSummary {
 			vs.Sum += v
 		}
 	}
-	vs.Values = HistOf(series)
-	vs.Deltas = HistOf(stats.ChangeDeltas(series))
+	if !l.IsPointer {
+		vs.Values = HistOf(series)
+		vs.Deltas = HistOf(stats.ChangeDeltas(series))
+	}
 	runs := stats.RunLengths(series)
 	vs.Runs = HistOf(runs)
 	vs.NumRuns = int64(len(runs))
 	_, vs.MaxRun, _ = stats.MinMax(runs)
-	if len(pcSet) > 0 {
-		vs.PCs = make([]int32, 0, len(pcSet))
-		for pc := range pcSet {
+	if len(pcs) > 0 {
+		vs.PCs = make([]int32, 0, len(pcs))
+		for pc := range pcs {
 			vs.PCs = append(vs.PCs, pc)
 		}
 		sort.Slice(vs.PCs, func(i, j int) bool { return vs.PCs[i] < vs.PCs[j] })

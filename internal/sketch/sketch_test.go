@@ -1,68 +1,82 @@
 package sketch_test
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"vprof/internal/profilefmt"
+	"vprof/internal/sampler"
 	"vprof/internal/sketch"
 	"vprof/internal/stats"
 )
 
-func TestBucketIdentityRange(t *testing.T) {
-	for _, v := range []float64{0, 1, -1, 7, 42, -99, 1 << 20, -(1 << 20), 1048575} {
-		if got := sketch.Bucket(v); got != v {
-			t.Errorf("Bucket(%v) = %v, want identity", v, got)
-		}
+// TestFoldExactBeyondSmallValues: value histograms are exact at any
+// magnitude — large non-pointer values survive FromProfile, the sketch
+// codec and Expand unchanged — and pointer variables keep no value or delta
+// histogram, only run lengths.
+func TestFoldExactBeyondSmallValues(t *testing.T) {
+	big := []int64{1<<20 + 1, -(1<<20 + 3), 3 << 30, 1<<20 + 1}
+	p := &sampler.Profile{
+		Interval: 10,
+		Hist:     []int64{0, 4},
+		Layout: []sampler.LayoutEntry{
+			{Func: "f", Name: "x"},
+			{Func: "f", Name: "p", IsPointer: true},
+		},
 	}
-}
+	for i, v := range big {
+		tick := int64(10 * (i + 1))
+		p.Samples = append(p.Samples,
+			sampler.Sample{Layout: 0, PC: 1, Value: v, Tick: tick},
+			sampler.Sample{Layout: 1, PC: 1, Value: 0x7f0000 + int64(i), Tick: tick, Ptr: true})
+	}
+	blob, err := profilefmt.MarshalSketch(sketch.FromProfile(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := profilefmt.UnmarshalSketch(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-func TestBucketIdempotentAndMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := []float64{1 << 21, -(1 << 21), 3.5e7, 1e12, -2.75e9, 1234567.89}
-	for i := 0; i < 2000; i++ {
-		vals = append(vals, (rng.Float64()-0.5)*math.Ldexp(1, rng.Intn(60)))
+	x := sk.Var("f\x00x")
+	if x == nil {
+		t.Fatal("no summary for f.x")
 	}
-	for _, v := range vals {
-		b := sketch.Bucket(v)
-		if bb := sketch.Bucket(b); bb != b {
-			t.Fatalf("Bucket not idempotent: %v -> %v -> %v", v, b, bb)
-		}
-		// The representative stays within one sub-bucket (1/16 octave) of
-		// the value.
-		if v != 0 && math.Abs(b-v)/math.Abs(v) > 1.0/16 {
-			t.Fatalf("Bucket(%v) = %v: relative error %v", v, b, math.Abs(b-v)/math.Abs(v))
-		}
-		if math.Signbit(b) != math.Signbit(v) && b != 0 {
-			t.Fatalf("Bucket(%v) = %v: sign flipped", v, b)
-		}
+	series := []float64{float64(1<<20 + 1), float64(-(1<<20 + 3)), float64(3 << 30), float64(1<<20 + 1)}
+	wantValues := append([]float64(nil), series...)
+	sort.Float64s(wantValues)
+	if got := x.Values.Expand(); !reflect.DeepEqual(got, wantValues) {
+		t.Errorf("Values.Expand() = %v, want %v", got, wantValues)
 	}
-	// Monotonic: bucketing preserves (non-strict) order.
-	a, b := rng.Float64()*1e9, 0.0
-	for i := 0; i < 2000; i++ {
-		b = a + rng.Float64()*1e8
-		if sketch.Bucket(a) > sketch.Bucket(b) {
-			t.Fatalf("Bucket not monotonic: %v < %v but %v > %v", a, b, sketch.Bucket(a), sketch.Bucket(b))
-		}
-		a = b
+	wantDeltas := stats.ChangeDeltas(series)
+	sort.Float64s(wantDeltas)
+	if got := x.Deltas.Expand(); !reflect.DeepEqual(got, wantDeltas) {
+		t.Errorf("Deltas.Expand() = %v, want %v", got, wantDeltas)
 	}
-}
+	if x.Min != float64(-(1<<20+3)) || x.Max != float64(3<<30) {
+		t.Errorf("moments (%v, %v), want (%v, %v)", x.Min, x.Max, float64(-(1<<20 + 3)), float64(3<<30))
+	}
 
-func TestBucketSpecials(t *testing.T) {
-	if !math.IsNaN(sketch.Bucket(math.NaN())) {
-		t.Error("NaN should pass through")
+	ptr := sk.Var("f\x00p")
+	if ptr == nil {
+		t.Fatal("no summary for f.p")
 	}
-	if !math.IsInf(sketch.Bucket(math.Inf(1)), 1) || !math.IsInf(sketch.Bucket(math.Inf(-1)), -1) {
-		t.Error("Inf should pass through")
+	if len(ptr.Values) != 0 || len(ptr.Deltas) != 0 {
+		t.Errorf("pointer summary carries Values %v / Deltas %v, want none", ptr.Values, ptr.Deltas)
+	}
+	if ptr.Count != 4 || ptr.NumRuns != 4 || ptr.Runs.Total() != 4 {
+		t.Errorf("pointer summary Count %d NumRuns %d Runs %v, want 4 single-tick runs", ptr.Count, ptr.NumRuns, ptr.Runs)
 	}
 }
 
 func randSeries(rng *rand.Rand, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		// Small integral values (the exact range) with occasional runs,
-		// like real tick-collapsed series.
+		// Small integral values with occasional runs, like real
+		// tick-collapsed series.
 		if i > 0 && rng.Intn(3) == 0 {
 			out[i] = out[i-1]
 		} else {
@@ -72,7 +86,7 @@ func randSeries(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// TestHistMergeEqualsBatch: merging per-shard histograms equals bucketing
+// TestHistMergeEqualsBatch: merging per-shard histograms equals counting
 // the concatenated raw series — the core mergeability property.
 func TestHistMergeEqualsBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -118,22 +132,11 @@ func TestHistExpandSortedAndComplete(t *testing.T) {
 				t.Fatal("Expand not sorted")
 			}
 		}
-		// In the exact range, Expand reproduces the sorted multiset.
+		// Expand reproduces the sorted multiset.
 		want := append([]float64(nil), s...)
-		for j := range want {
-			want[j] = sketch.Bucket(want[j])
-		}
-		sortFloats(want)
+		sort.Float64s(want)
 		if len(ex) > 0 && !reflect.DeepEqual(ex, want) {
-			t.Fatalf("Expand != sorted bucketed multiset")
-		}
-	}
-}
-
-func sortFloats(s []float64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+			t.Fatalf("Expand != sorted multiset")
 		}
 	}
 }

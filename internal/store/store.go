@@ -927,6 +927,24 @@ func (s *Store) Health() error {
 	return nil
 }
 
+// HealthDetail classifies the store for /healthz: "unavailable" when it is
+// not writable (see Health), "degraded" when it came up from a dirty
+// shutdown — it serves reads and writes, but signals the repair until a
+// clean restart — and "ok" otherwise.
+func (s *Store) HealthDetail() (string, map[string]string) {
+	status, checks := "ok", map[string]string{"store_writable": "ok"}
+	if err := s.Health(); err != nil {
+		status, checks["store_writable"] = "unavailable", err.Error()
+	}
+	if rep := s.Recovery(); rep != nil && !rep.Clean() {
+		checks["store_recovery"] = fmt.Sprintf("recovered from dirty shutdown (%d issue(s) repaired)", len(rep.Issues))
+		if status == "ok" {
+			status = "degraded"
+		}
+	}
+	return status, checks
+}
+
 // Close releases file handles. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()

@@ -29,9 +29,7 @@
 //
 // The context cancels profiling runs (checked at each sampling alarm) and
 // the analysis fan-out. AnalyzeRequest (plus the With* options) is the only
-// analysis entry point; WithSketches(true) runs the same diagnosis over
-// mergeable per-variable sketches (internal/sketch), the representation the
-// service's incremental diagnose path stores and merges.
+// analysis entry point.
 package vprof
 
 import (
@@ -49,7 +47,6 @@ import (
 	"vprof/internal/parallel"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
-	"vprof/internal/sketch"
 	"vprof/internal/vm"
 )
 
@@ -341,11 +338,6 @@ type AnalyzeRequest struct {
 	// Params are the analysis tunables; nil means DefaultParams. The
 	// WithParams / WithWorkers options modify this field.
 	Params *Params
-	// Sketches folds the profiles into mergeable per-variable sketches and
-	// runs the sketch-mode analysis: identical ranking and verdicts where
-	// sketch buckets are exact, but no per-block localization (sketches
-	// keep no ordered PC trail). Set via WithSketches.
-	Sketches bool
 }
 
 // AnalyzeOption tweaks an AnalyzeRequest; pass options to AnalyzeContext.
@@ -370,12 +362,6 @@ func WithWorkers(n int) AnalyzeOption {
 	}
 }
 
-// WithSketches toggles the sketch-mode analysis (see
-// AnalyzeRequest.Sketches).
-func WithSketches(on bool) AnalyzeOption {
-	return func(r *AnalyzeRequest) { r.Sketches = on }
-}
-
 // AnalyzeContext runs the post-profiling analysis. The context cancels the
 // analysis fan-out cooperatively (workers drain, ctx.Err() is returned);
 // with a never-canceled context the report is byte-for-byte the sequential
@@ -388,29 +374,8 @@ func AnalyzeContext(ctx context.Context, req AnalyzeRequest, opts ...AnalyzeOpti
 	if req.Params != nil {
 		params = *req.Params
 	}
-	dbg := req.Program.compiled.Debug
-	if req.Sketches {
-		fold := func(ps []*Profile) []*sketch.Profile {
-			out := make([]*sketch.Profile, 0, len(ps))
-			for _, p := range ps {
-				out = append(out, sketch.FromProfile(p))
-			}
-			return out
-		}
-		normal := fold(req.Normal)
-		if len(normal) == 0 || len(req.Buggy) == 0 {
-			return nil, analysis.ErrNoProfiles
-		}
-		return analysis.AnalyzeSketchesContext(ctx, analysis.SketchInput{
-			Debug:  dbg,
-			Schema: req.Schema,
-			Normal: normal[0],
-			Corpus: analysis.CorpusOfSketches(normal, dbg),
-			Buggy:  fold(req.Buggy),
-		}, params)
-	}
 	return analysis.AnalyzeContext(ctx, analysis.Input{
-		Debug:  dbg,
+		Debug:  req.Program.compiled.Debug,
 		Schema: req.Schema,
 		Normal: req.Normal,
 		Buggy:  req.Buggy,
