@@ -317,18 +317,34 @@ func BenchmarkBaselines(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
+// BenchmarkProfiledExecution times one profiled execution and the merge of
+// its per-process profiles, the profile path of every diagnosis run. b1 is
+// the normal-input run of the buggy build; u3-buggy is the largest
+// single-process profile (86k samples); b8-buggy merges 3 processes.
 func BenchmarkProfiledExecution(b *testing.B) {
-	built, err := bugs.ByID("b1").Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := sampler.ProfileRun(built.Prog, built.Meta, built.W.NormalConfig(0),
-			sampler.Options{Interval: bugs.DefaultInterval})
-		if len(res.Profiles) == 0 {
-			b.Fatal("no profiles")
+	for _, c := range []struct {
+		name, id string
+		buggy    bool
+	}{{"b1", "b1", false}, {"u3-buggy", "u3", true}, {"b8-buggy", "b8", true}} {
+		built, err := bugs.ByID(c.id).Build()
+		if err != nil {
+			b.Fatal(err)
 		}
+		cfg := built.W.NormalConfig(0)
+		if c.buggy {
+			cfg = built.W.BuggyConfig(0)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := sampler.ProfileRun(built.Prog, built.Meta, cfg,
+					sampler.Options{Interval: bugs.DefaultInterval})
+				if len(sampler.MergeProfiles(res.Profiles).Samples) == 0 {
+					b.Fatal("no value samples")
+				}
+				res.Recycle()
+			}
+		})
 	}
 }
 

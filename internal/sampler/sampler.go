@@ -24,6 +24,7 @@
 package sampler
 
 import (
+	"sync"
 	"time"
 
 	"vprof/internal/compiler"
@@ -65,8 +66,13 @@ type LayoutEntry struct {
 	IsPointer bool
 }
 
-// Sample is one SampleArray record.
+// Sample is one SampleArray record. Fields are ordered widest first so the
+// struct packs into 40 bytes; the codec writes them by name, not by layout.
 type Sample struct {
+	// Value and Ptr are the variable's value at the alarm.
+	Value int64
+	// Tick is the simulated time of the alarm.
+	Tick int64
 	// Layout identifies the sampled variable (index into Profile.Layout).
 	Layout int32
 	// VarNode is the VariableArray node through which the sample was
@@ -78,13 +84,9 @@ type Sample struct {
 	// StackDepth is the number of frames unwound before recording (0 =
 	// sampled at the interrupted PC).
 	StackDepth int32
-	// Value and Ptr are the variable's value at the alarm.
-	Value int64
-	Ptr   bool
-	// Tick is the simulated time of the alarm.
-	Tick int64
 	// Link chains to the previous sample of the same VarNode (-1 ends).
 	Link int32
+	Ptr  bool
 }
 
 // varNode is a VariableArray entry.
@@ -103,6 +105,12 @@ type pcEntry struct {
 	next     int32
 }
 
+// samplePool holds SampleArray recording buffers between runs, so a
+// profiler appends into capacity an earlier run already grew instead of
+// regrowing its array from nil. Finish copies the samples out before
+// returning a buffer, so no Profile aliases pooled memory.
+var samplePool = sync.Pool{New: func() any { return new([]Sample) }}
+
 // Profiler records PC and value samples for one process execution.
 type Profiler struct {
 	prog *compiler.Program
@@ -115,8 +123,11 @@ type Profiler struct {
 	buckets []int32
 	entries []pcEntry
 
-	hist      []int64
+	hist []int64
+	// samples is the recording buffer, taken from samplePool in New;
+	// buf is the pool handle Finish returns it through.
 	samples   []Sample
+	buf       *[]Sample
 	numAlarms int64
 	initTime  time.Duration
 }
@@ -138,12 +149,15 @@ func New(prog *compiler.Program, metadata []debuginfo.VarLoc, opts Options) *Pro
 			opts.TableSize = 16
 		}
 	}
+	buf := samplePool.Get().(*[]Sample)
 	p := &Profiler{
 		prog:      prog,
 		opts:      opts,
 		layoutIdx: map[string]int32{},
 		buckets:   make([]int32, opts.TableSize),
 		hist:      make([]int64, len(prog.Instrs)),
+		samples:   (*buf)[:0],
+		buf:       buf,
 	}
 	for i := range p.buckets {
 		p.buckets[i] = -1
@@ -287,14 +301,14 @@ func (p *Profiler) sampleAt(m *vm.VM, pc, frameDepth, stackDepth int, tick int64
 		}
 		idx := int32(len(p.samples))
 		p.samples = append(p.samples, Sample{
+			Value:      val.I,
+			Tick:       tick,
 			Layout:     node.layout,
 			VarNode:    ni,
 			PC:         int32(pc),
 			StackDepth: int32(stackDepth),
-			Value:      val.I,
-			Ptr:        val.Ptr,
-			Tick:       tick,
 			Link:       node.sampleTail,
+			Ptr:        val.Ptr,
 		})
 		node.sampleTail = idx
 	}
@@ -320,13 +334,23 @@ type Profile struct {
 }
 
 // Finish packages the recorded data into a Profile for process pid that
-// consumed totalTicks.
+// consumed totalTicks. The samples are copied out at exact length (len ==
+// cap) and the recording buffer goes back to the pool, so Finish is called
+// once, after the run.
 func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 	const (
 		pcEntrySize = 12 // pc + varIndex + next
 		varNodeSize = 64 // metadata + link + tail (modeled)
 		sampleSize  = 40 // fields of a SampleArray record
 	)
+	var samples []Sample
+	if len(p.samples) > 0 {
+		samples = make([]Sample, len(p.samples))
+		copy(samples, p.samples)
+	}
+	*p.buf = p.samples[:0]
+	samplePool.Put(p.buf)
+	p.samples, p.buf = nil, nil
 	return &Profile{
 		Pid:           pid,
 		File:          p.prog.File,
@@ -334,11 +358,11 @@ func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 		TotalTicks:    totalTicks,
 		NumAlarms:     p.numAlarms,
 		Hist:          p.hist,
-		Samples:       p.samples,
+		Samples:       samples,
 		Layout:        p.layout,
 		PCTableBytes:  int64(len(p.buckets)*4 + len(p.entries)*pcEntrySize),
 		VarArrayBytes: int64(len(p.vars) * varNodeSize),
-		SampleBytes:   int64(len(p.samples) * sampleSize),
+		SampleBytes:   int64(len(samples) * sampleSize),
 		InitDuration:  p.initTime,
 	}
 }

@@ -119,7 +119,8 @@ func Run(prog *compiler.Program, baseCfg vm.Config) ([]vm.Process, time.Duration
 // profile (vProf's fix of gprof's multi-process handling: per-pid gmon files
 // merged in analysis). Histograms and samples are concatenated; samples keep
 // their per-process time order, which is sufficient for per-variable series
-// because a variable's samples are grouped before analysis.
+// because a variable's samples are grouped before analysis. The merged
+// sample array is allocated once, at its final length.
 func MergeProfiles(profiles []*Profile) *Profile {
 	if len(profiles) == 0 {
 		return nil
@@ -129,6 +130,13 @@ func MergeProfiles(profiles []*Profile) *Profile {
 		File:     profiles[0].File,
 		Interval: profiles[0].Interval,
 		Hist:     make([]int64, len(profiles[0].Hist)),
+	}
+	n := 0
+	for _, pr := range profiles {
+		n += len(pr.Samples)
+	}
+	if n > 0 {
+		out.Samples = make([]Sample, 0, n)
 	}
 	// Layouts may be identical across processes (same metadata); build a
 	// merged layout and remap sample indices.
@@ -157,10 +165,12 @@ func MergeProfiles(profiles []*Profile) *Profile {
 			layoutIdx[key] = idx
 			remap[i] = idx
 		}
-		for _, s := range pr.Samples {
+		off := len(out.Samples)
+		out.Samples = append(out.Samples, pr.Samples...)
+		for i := off; i < len(out.Samples); i++ {
+			s := &out.Samples[i]
 			s.Layout = remap[s.Layout]
 			s.Link = -1 // links are per-process; invalidated by merging
-			out.Samples = append(out.Samples, s)
 		}
 	}
 	return out
