@@ -39,7 +39,8 @@ func (r *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 	// Scan: one sweep of every member's full entry list, bucketed by shard.
 	byShard := make(map[int][]*entryCopies, layout.Shards)
 	keyOf := map[*entryCopies]string{}
-	for k, copies := range r.sweep("") {
+	keys, _ := r.sweep("")
+	for k, copies := range keys {
 		wl, label, run := splitKey(k)
 		s := ShardOf(wl, store.Label(label), run, r.shards)
 		byShard[s] = append(byShard[s], copies)
@@ -60,42 +61,24 @@ func (r *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 			if winner == nil {
 				continue
 			}
-			var lagging []string
-			for _, owner := range layout.Owners[s] {
-				if e, ok := copies.byNode[owner]; !ok || e.ID != winner.ID {
-					lagging = append(lagging, owner)
-				}
-			}
+			// Unlike read-repair, every owner counts here, answered or not:
+			// an unreachable owner is an error, so operators rerun the pass
+			// until it is clean.
+			lagging := laggingOwners(layout.Owners[s], winner, copies.byNode)
 			if len(lagging) == 0 {
 				continue
 			}
-			blob, err := r.blobFromHolders(winner.ID, copies.byNode, nodes)
-			if err != nil {
-				rep.Errors++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("cluster: rebalance shard %d: fetch %s: %w", s, winner.ID, err)
-				}
-				continue
+			copied, size, errs := r.copyWinner(winner, copies.byNode, lagging, nodes)
+			rep.Errors += len(errs)
+			if len(errs) > 0 && firstErr == nil {
+				firstErr = fmt.Errorf("cluster: rebalance shard %d: %w", s, errs[0])
 			}
-			for _, owner := range lagging {
-				nc, ok := nodes[owner]
-				if !ok {
-					continue
-				}
-				if _, _, err := nc.put(winner.Workload, string(winner.Label), winner.Run, blob); err != nil {
-					rep.Errors++
-					r.nodeErr(owner, err)
-					if firstErr == nil {
-						firstErr = fmt.Errorf("cluster: rebalance shard %d: copy %s/%s/%s to %s: %w",
-							s, winner.Workload, winner.Label, winner.Run, owner, err)
-					}
-					continue
-				}
+			if len(copied) > 0 {
 				synced = true
-				rep.CopiedEntries++
-				rep.CopiedBytes += int64(len(blob))
-				r.m.rebalanceCopies.Inc()
 			}
+			rep.CopiedEntries += len(copied)
+			rep.CopiedBytes += int64(len(copied) * size)
+			r.m.rebalanceCopies.Add(float64(len(copied)))
 		}
 		if synced {
 			rep.SyncedShards++

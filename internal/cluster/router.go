@@ -489,10 +489,11 @@ func resolveWinner(byNode map[string]*store.Entry) *store.Entry {
 	return nil
 }
 
-// sweep queries every member for its entries of one workload ("" = all).
-// Unreachable nodes are skipped — availability over completeness; repair and
-// health reporting cover the gap.
-func (r *Router) sweep(workload string) map[string]*entryCopies {
+// sweep queries every member for its entries of one workload ("" = all)
+// and reports which members answered. Unreachable nodes are skipped —
+// availability over completeness; repair and health reporting cover the
+// gap.
+func (r *Router) sweep(workload string) (map[string]*entryCopies, map[string]bool) {
 	_, nodes := r.snapshot()
 	type result struct {
 		node    string
@@ -507,12 +508,14 @@ func (r *Router) sweep(workload string) map[string]*entryCopies {
 		}(id, nc)
 	}
 	keys := map[string]*entryCopies{}
+	answered := map[string]bool{}
 	for range nodes {
 		res := <-results
 		if res.err != nil {
 			r.nodeErr(res.node, res.err)
 			continue
 		}
+		answered[res.node] = true
 		for _, e := range res.entries {
 			k := e.Workload + "\x00" + string(e.Label) + "\x00" + e.Run
 			c := keys[k]
@@ -523,29 +526,29 @@ func (r *Router) sweep(workload string) map[string]*entryCopies {
 			c.byNode[res.node] = e
 		}
 	}
-	return keys
+	return keys, answered
 }
 
-// repairKey pushes the winning copy of a key to every owner that lacks it.
-// Repair is strictly best-effort: failures are counted and logged, never
-// surfaced to the read that triggered them.
-func (r *Router) repairKey(winner *store.Entry, byNode map[string]*store.Entry) {
-	layout, nodes := r.snapshot()
-	shard := ShardOf(winner.Workload, winner.Label, winner.Run, r.shards)
+// laggingOwners lists the owners of winner's shard whose copy is missing
+// or differs from the winner.
+func laggingOwners(owners []string, winner *store.Entry, byNode map[string]*store.Entry) []string {
 	var lagging []string
-	for _, owner := range layout.Owners[shard] {
+	for _, owner := range owners {
 		if e, ok := byNode[owner]; !ok || e.ID != winner.ID {
 			lagging = append(lagging, owner)
 		}
 	}
-	if len(lagging) == 0 {
-		return
-	}
+	return lagging
+}
+
+// copyWinner puts the winning copy of a key onto every lagging owner,
+// fetching its blob once from a node that holds it. It returns the owners
+// it updated, the blob size, and one error per failure: a failed fetch
+// fails the whole key once, a failed put fails one owner.
+func (r *Router) copyWinner(winner *store.Entry, byNode map[string]*store.Entry, lagging []string, nodes map[string]*nodeClient) (copied []string, size int, errs []error) {
 	blob, err := r.blobFromHolders(winner.ID, byNode, nodes)
 	if err != nil {
-		r.m.repairFailures.Inc()
-		r.log.Warn("read-repair: winner blob unavailable", "id", winner.ID, "err", err)
-		return
+		return nil, 0, []error{fmt.Errorf("fetch %s: %w", winner.ID, err)}
 	}
 	for _, owner := range lagging {
 		nc, ok := nodes[owner]
@@ -553,10 +556,39 @@ func (r *Router) repairKey(winner *store.Entry, byNode map[string]*store.Entry) 
 			continue
 		}
 		if _, _, err := nc.put(winner.Workload, string(winner.Label), winner.Run, blob); err != nil {
-			r.m.repairFailures.Inc()
 			r.nodeErr(owner, err)
+			errs = append(errs, fmt.Errorf("copy %s/%s/%s to %s: %w", winner.Workload, winner.Label, winner.Run, owner, err))
 			continue
 		}
+		copied = append(copied, owner)
+	}
+	return copied, len(blob), errs
+}
+
+// repairKey pushes the winning copy of a key to every owner that answered
+// the sweep and lacks it. An owner that did not answer is down or cut off,
+// so a put to it would fail too; its copy waits for a read that reaches it
+// (or for Rebalance). Repair is strictly best-effort: failures are counted
+// and logged, never surfaced to the read that triggered them.
+func (r *Router) repairKey(winner *store.Entry, byNode map[string]*store.Entry, answered map[string]bool) {
+	layout, nodes := r.snapshot()
+	shard := ShardOf(winner.Workload, winner.Label, winner.Run, r.shards)
+	var reachable []string
+	for _, owner := range layout.Owners[shard] {
+		if answered[owner] {
+			reachable = append(reachable, owner)
+		}
+	}
+	lagging := laggingOwners(reachable, winner, byNode)
+	if len(lagging) == 0 {
+		return
+	}
+	copied, _, errs := r.copyWinner(winner, byNode, lagging, nodes)
+	for _, err := range errs {
+		r.m.repairFailures.Inc()
+		r.log.Warn("read-repair failed", "err", err)
+	}
+	for _, owner := range copied {
 		r.m.readRepairs.Inc()
 		r.log.Info("read-repair", "workload", winner.Workload, "label", winner.Label,
 			"run", winner.Run, "node", owner)
@@ -598,14 +630,14 @@ func (r *Router) blobFromHolders(id string, byNode map[string]*store.Entry, node
 // mergedEntries resolves the cluster-wide view of one workload's entries,
 // repairing divergent owner copies along the way.
 func (r *Router) mergedEntries(workload string) []*store.Entry {
-	keys := r.sweep(workload)
+	keys, answered := r.sweep(workload)
 	var out []*store.Entry
 	for _, c := range keys {
 		winner := resolveWinner(c.byNode)
 		if winner == nil {
 			continue
 		}
-		r.repairKey(winner, c.byNode)
+		r.repairKey(winner, c.byNode, answered)
 		out = append(out, winner)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -671,7 +703,8 @@ func (r *Router) Candidates(workload string) []*store.Entry {
 // Workloads lists every workload any member holds, with merged counts.
 func (r *Router) Workloads() []store.WorkloadInfo {
 	names := map[string]bool{}
-	for k := range r.sweep("") {
+	keys, _ := r.sweep("")
+	for k := range keys {
 		wl, _, _ := splitKey(k)
 		names[wl] = true
 	}

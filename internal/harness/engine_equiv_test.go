@@ -13,7 +13,8 @@ import (
 // an 8-way worker pool, must equal byte for byte the checked-in golden under
 // testdata/golden that the tree-walking reference interpreter produced
 // (wall-clock timings masked). The continuous-mode replay has the same gate
-// in TestReplayContinuousEngineEquivalence.
+// in TestReplayContinuousEngineEquivalence (internal/sim's replay-single
+// schedule).
 //
 // Each artifact is computed once per worker count and the result is shared
 // with the determinism and causal validation tests, so a full suite runs

@@ -364,8 +364,10 @@ func Unmarshal(blob []byte) (*sampler.Profile, error) {
 }
 
 // Validate checks a decoded profile's internal consistency: every value
-// sample must reference an existing layout entry, and the hist/alarm counters
-// must be non-negative. Decoders run it before returning untrusted input.
+// sample must reference an existing layout entry and a PC the histogram
+// covers (the sketch folded from it is keyed by that PC), and the
+// hist/alarm counters must be non-negative. Decoders run it before
+// returning untrusted input.
 func Validate(p *sampler.Profile) error {
 	if p.Interval < 0 || p.TotalTicks < 0 || p.NumAlarms < 0 {
 		return fmt.Errorf("profilefmt: negative counters (interval %d, ticks %d, alarms %d)",
@@ -374,6 +376,9 @@ func Validate(p *sampler.Profile) error {
 	for i, s := range p.Samples {
 		if s.Layout < 0 || int(s.Layout) >= len(p.Layout) {
 			return fmt.Errorf("profilefmt: sample %d references layout %d of %d", i, s.Layout, len(p.Layout))
+		}
+		if s.PC < 0 || int(s.PC) >= len(p.Hist) {
+			return fmt.Errorf("profilefmt: sample %d has pc %d outside the %d-pc histogram", i, s.PC, len(p.Hist))
 		}
 		if s.Link < -1 || int(s.Link) >= len(p.Samples) {
 			return fmt.Errorf("profilefmt: sample %d has link %d of %d", i, s.Link, len(p.Samples))

@@ -143,6 +143,24 @@ func TestTruncatedStream(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsSamplePCOutsideHist: a sample PC the histogram does
+// not cover would fold into a sketch no decoder accepts, so the bundle is
+// rejected at ingest (found by FuzzServiceHandler: a diagnosis over such a
+// stored profile dereferenced a nil sketch).
+func TestUnmarshalRejectsSamplePCOutsideHist(t *testing.T) {
+	for _, pc := range []int32{-1, 10, 1 << 20} {
+		p := sampleProfile()
+		p.Samples[1].PC = pc
+		blob, err := profilefmt.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := profilefmt.Unmarshal(blob); err == nil || !strings.Contains(err.Error(), "histogram") {
+			t.Errorf("pc %d: err = %v, want a histogram range error", pc, err)
+		}
+	}
+}
+
 func TestEncodedSize(t *testing.T) {
 	p := sampleProfile()
 	n, err := profilefmt.EncodedSize(p)

@@ -9,9 +9,8 @@ import (
 	"testing"
 
 	"vprof/internal/obs"
-	"vprof/internal/profilefmt"
-	"vprof/internal/sampler"
 	"vprof/internal/service"
+	"vprof/internal/sim"
 	"vprof/internal/store"
 )
 
@@ -26,22 +25,6 @@ func deadEndpoint(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return "http://" + addr
-}
-
-func marshalProfile(t *testing.T, seed int64) []byte {
-	t.Helper()
-	p := &sampler.Profile{
-		File: "prog.vp", Interval: 97, TotalTicks: 10000 + seed, Hist: make([]int64, 8),
-		Layout: []sampler.LayoutEntry{{Func: "scan", Name: "n"}},
-	}
-	for i := int64(0); i < 5; i++ {
-		p.Samples = append(p.Samples, sampler.Sample{Layout: 0, PC: int32(i), Value: seed + i, Tick: 97 * i, Link: -1})
-	}
-	blob, err := profilefmt.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
 }
 
 // TestClientFailoverNoDuplicates: a push against a cluster client whose
@@ -63,7 +46,7 @@ func TestClientFailoverNoDuplicates(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	client := service.NewClusterClient(deadEndpoint(t), hs.URL).Instrument(reg)
-	blob := marshalProfile(t, 7)
+	blob := sim.SyntheticBlob(7)
 
 	first, err := client.PushBlob("b1", store.LabelNormal, "0", blob)
 	if err != nil {
@@ -143,7 +126,7 @@ func TestIngestUnavailableMapsTo503(t *testing.T) {
 	client := service.NewClient(hs.URL)
 	client.Retry.MaxAttempts = 2
 	client.Retry.BaseDelay = 1 // don't sleep a real Retry-After in tests
-	_, err = client.PushBlob("b1", store.LabelNormal, "0", marshalProfile(t, 1))
+	_, err = client.PushBlob("b1", store.LabelNormal, "0", sim.SyntheticBlob(1))
 	if !errors.Is(err, service.ErrOverloaded) {
 		t.Fatalf("client error = %v, want ErrOverloaded", err)
 	}
@@ -164,10 +147,10 @@ func TestBatchIngest(t *testing.T) {
 	c, hs := newTestServer(t)
 
 	items := []service.BatchItem{
-		{Workload: "b1", Label: "normal", Run: "0", Blob: marshalProfile(t, 1)},
-		{Workload: "b1", Label: "normal", Run: "1", Blob: marshalProfile(t, 2)},
-		{Workload: "b1", Label: "candidate", Run: "0", Blob: marshalProfile(t, 3)},
-		{Workload: "b1", Label: "wat", Run: "2", Blob: marshalProfile(t, 4)},    // bad label
+		{Workload: "b1", Label: "normal", Run: "0", Blob: sim.SyntheticBlob(1)},
+		{Workload: "b1", Label: "normal", Run: "1", Blob: sim.SyntheticBlob(2)},
+		{Workload: "b1", Label: "candidate", Run: "0", Blob: sim.SyntheticBlob(3)},
+		{Workload: "b1", Label: "wat", Run: "2", Blob: sim.SyntheticBlob(4)},    // bad label
 		{Workload: "b1", Label: "normal", Run: "3", Blob: []byte("not a blob")}, // invalid bundle
 	}
 	results, err := c.PushBatch(items)

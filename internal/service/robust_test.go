@@ -20,6 +20,7 @@ import (
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
 	"vprof/internal/service"
+	"vprof/internal/sim"
 	"vprof/internal/store"
 )
 
@@ -347,22 +348,12 @@ func TestClientExpiredContextDoesNotDial(t *testing.T) {
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := c.PushContext(dctx, "w", store.LabelNormal, "0", testServiceProfile(1)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.PushBlobContext(dctx, "w", store.LabelNormal, "0", sim.SyntheticBlob(1)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("past-deadline push = %v, want context.DeadlineExceeded", err)
 	}
 	if got := hits.Load(); got != 0 {
 		t.Fatalf("expired-context requests reached the server %d time(s)", got)
 	}
-}
-
-func testServiceProfile(seed int64) *sampler.Profile {
-	p := &sampler.Profile{
-		Pid: 1, File: "prog.vp", Interval: 97, TotalTicks: 1000 + seed, NumAlarms: 10,
-		Hist:   make([]int64, 8),
-		Layout: []sampler.LayoutEntry{{Func: "f", Name: "n"}},
-	}
-	p.Samples = append(p.Samples, sampler.Sample{Layout: 0, PC: 1, Value: seed, Tick: 97, Link: -1})
-	return p
 }
 
 // TestClientRetriesHonorRetryAfter: a flaky endpoint that sheds twice with

@@ -247,8 +247,9 @@ func (s *Store) rebuildSketch(id string) (*sketch.Profile, error) {
 	}
 	s.sketchRebuilt++
 	s.m.sketchRebuilds.Inc()
-	if err := s.appendSketchLocked(id, p); err != nil {
-		// Persisting is best-effort; still serve the folded sketch.
+	if err := s.appendSketchLocked(id, p); err != nil || s.sketchCache[id] == nil {
+		// Persisting is best-effort; still serve the folded sketch. A frame
+		// already indexed but no longer decodable is not appended again.
 		sk := sketch.FromProfile(p)
 		sk.BlobID = id
 		s.sketchCacheAddLocked(id, sk)
