@@ -16,7 +16,9 @@ import (
 	"vprof/internal/baselines"
 	"vprof/internal/bugs"
 	"vprof/internal/harness"
+	"vprof/internal/profilefmt"
 	"vprof/internal/sampler"
+	"vprof/internal/sketch"
 	"vprof/internal/stats"
 )
 
@@ -317,15 +319,18 @@ func BenchmarkBaselines(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-// BenchmarkProfiledExecution times one profiled execution and the merge of
-// its per-process profiles, the profile path of every diagnosis run. b1 is
-// the normal-input run of the buggy build; u3-buggy is the largest
+// profiledCases are the runs the profile-path benchmarks use. b1 is the
+// normal-input run of the buggy build; u3-buggy is the largest
 // single-process profile (86k samples); b8-buggy merges 3 processes.
+var profiledCases = []struct {
+	name, id string
+	buggy    bool
+}{{"b1", "b1", false}, {"u3-buggy", "u3", true}, {"b8-buggy", "b8", true}}
+
+// BenchmarkProfiledExecution times one profiled execution and the merge of
+// its per-process profiles, the profile path of every diagnosis run.
 func BenchmarkProfiledExecution(b *testing.B) {
-	for _, c := range []struct {
-		name, id string
-		buggy    bool
-	}{{"b1", "b1", false}, {"u3-buggy", "u3", true}, {"b8-buggy", "b8", true}} {
+	for _, c := range profiledCases {
 		built, err := bugs.ByID(c.id).Build()
 		if err != nil {
 			b.Fatal(err)
@@ -345,6 +350,53 @@ func BenchmarkProfiledExecution(b *testing.B) {
 				res.Recycle()
 			}
 		})
+	}
+}
+
+// BenchmarkCodec times both codecs on the merged profiles of
+// profiledCases: Marshal encodes the profile as a bundle, Unmarshal
+// decodes and validates it, and MarshalSketch/UnmarshalSketch do the same
+// for the sketch folded from it. Every push pays Marshal, Unmarshal and
+// MarshalSketch once per replica.
+func BenchmarkCodec(b *testing.B) {
+	for _, c := range profiledCases {
+		built, err := bugs.ByID(c.id).Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := built.W.NormalConfig(0)
+		if c.buggy {
+			cfg = built.W.BuggyConfig(0)
+		}
+		p := sampler.MergeProfiles(sampler.ProfileRun(built.Prog, built.Meta, cfg,
+			sampler.Options{Interval: bugs.DefaultInterval}).Profiles)
+		sk := sketch.FromProfile(p)
+		blob, err := profilefmt.Marshal(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frame, err := profilefmt.MarshalSketch(sk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Marshal", func() error { _, err := profilefmt.Marshal(p); return err }},
+			{"Unmarshal", func() error { _, err := profilefmt.Unmarshal(blob); return err }},
+			{"MarshalSketch", func() error { _, err := profilefmt.MarshalSketch(sk); return err }},
+			{"UnmarshalSketch", func() error { _, err := profilefmt.UnmarshalSketch(frame); return err }},
+		} {
+			b.Run(c.name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := op.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,0 +1,171 @@
+package profilefmt_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"vprof/internal/bugs"
+	"vprof/internal/profilefmt"
+	"vprof/internal/sampler"
+	"vprof/internal/sketch"
+)
+
+// pinnedProfile is merged run 0 of one workload with the byte format's
+// sha256 for its bundle and for its sketch frame.
+type pinnedProfile struct {
+	id           string
+	buggy        bool
+	bundle, skch string
+}
+
+// pinned are the hashes of the byte format as it was first recorded; blob
+// IDs are these bundle hashes, and the sketch frames sit in every
+// sketches.log, so neither may change.
+var pinned = []pinnedProfile{
+	{"b1", false, "3feee617628706a7d5353cfae497dc3ee8dad0b68eebba461e159b8c1182eb0e", "48ec092d0af4a6e177429d329bfa8825bb63e1b803ce2901b1185bd1539b9e96"},
+	{"b1", true, "4e1cda8771b4d2bf2e0f11dca64eafb952d44f3f57b1e9024cbfe5fe801b4f75", "a03c73ce23ba1c0c699d5e76d16ded3a2b13a0b12290ac5b5848db3313fcd6a2"},
+	{"b8", false, "1f8029aeb39beaae6e45fcc8feeabe6a98e342baa6e9778e40d79247d772035a", "19edbf5db35528a00dd97000fadab2c1c5193d079842a04f4627cbfc09160c30"},
+	{"b8", true, "2b5f1ce62ec1c8f2c16da871f6cf59316e7fd2b1e4ae9c3522df2ee10622c3c7", "29c6a9a40c8ed4836d3ca08abe2129e4b431404f7cd9a9c4f81b580fb8c5508e"},
+	{"u3", false, "0c37caf41abd39aff491fbbf08cfced3e665a187a2b50be90a89158860c8eb27", "0c03353bb23f40aebee1af4f961715c0dbafbbfa821928729ba906d92d6c5274"},
+	{"u3", true, "9a9e845f6bd147c437af5dad96e692f3eb3a297a76900ca6ef6f20141eb49c8f", "456ab7c81fc2cca71c516052dc9598ad7c1b323b7ccd5b650b611ff11efddc7e"},
+}
+
+var (
+	runProfilesOnce sync.Once
+	runProfiles     map[string]*sampler.Profile
+)
+
+func profileKey(id string, buggy bool) string {
+	if buggy {
+		return id + "-buggy"
+	}
+	return id
+}
+
+// runProfile returns merged run 0 of a workload, profiled once per test
+// binary.
+func runProfile(t testing.TB, id string, buggy bool) *sampler.Profile {
+	t.Helper()
+	runProfilesOnce.Do(func() {
+		runProfiles = map[string]*sampler.Profile{}
+		for _, pp := range pinned {
+			built, err := bugs.ByID(pp.id).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _ := built.ProfileNormal(0)
+			if pp.buggy {
+				p, _ = built.ProfileBuggy(0)
+			}
+			runProfiles[profileKey(pp.id, pp.buggy)] = p
+		}
+	})
+	return runProfiles[profileKey(id, buggy)]
+}
+
+func sha(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFormatPinned: the bundle and sketch encodings of six real profiles
+// hash as first recorded, each encoder fills exactly the buffer it sized,
+// and both decoders reproduce the input.
+func TestFormatPinned(t *testing.T) {
+	for _, pp := range pinned {
+		p := runProfile(t, pp.id, pp.buggy)
+		name := profileKey(pp.id, pp.buggy)
+		blob, err := profilefmt.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha(blob); got != pp.bundle {
+			t.Errorf("%s: bundle sha256 %s, want %s", name, got, pp.bundle)
+		}
+		if len(blob) != cap(blob) {
+			t.Errorf("%s: Marshal sized %d bytes for a %d-byte bundle", name, cap(blob), len(blob))
+		}
+		q, err := profilefmt.Unmarshal(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertEqualProfiles(t, p, q)
+
+		frame, err := profilefmt.MarshalSketch(sketch.FromProfile(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha(frame); got != pp.skch {
+			t.Errorf("%s: sketch sha256 %s, want %s", name, got, pp.skch)
+		}
+		if len(frame) != cap(frame) {
+			t.Errorf("%s: MarshalSketch sized %d bytes for a %d-byte sketch", name, cap(frame), len(frame))
+		}
+		sk, err := profilefmt.UnmarshalSketch(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, _ := profilefmt.MarshalSketch(sk); !bytes.Equal(again, frame) {
+			t.Errorf("%s: re-encoding the decoded sketch changed its bytes", name)
+		}
+	}
+}
+
+// TestCodecAllocs: encoding makes one allocation and decoding a number
+// independent of the sample count. Collection is off while counting: the
+// runtime's own allocations during a cycle would otherwise be counted too.
+func TestCodecAllocs(t *testing.T) {
+	p := runProfile(t, "u3", true)
+	blob, err := profilefmt.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if n := testing.AllocsPerRun(5, func() { profilefmt.Marshal(p) }); n > 1 {
+		t.Errorf("Marshal of %d samples: %v allocations, want <= 1", len(p.Samples), n)
+	}
+	if n := testing.AllocsPerRun(5, func() { profilefmt.Unmarshal(blob) }); n > 32 {
+		t.Errorf("Unmarshal of %d samples: %v allocations, want <= 32", len(p.Samples), n)
+	}
+}
+
+// TestUnmarshalAllocatesOnlyWhatInputBacks: a sample section that claims
+// MaxSamples records but carries one is rejected before the decoder
+// reserves space for the claimed count.
+func TestUnmarshalAllocatesOnlyWhatInputBacks(t *testing.T) {
+	p := sampleProfile()
+	var hist, layout bytes.Buffer
+	if err := profilefmt.EncodeHist(&hist, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := profilefmt.EncodeLayout(&layout, p); err != nil {
+		t.Fatal(err)
+	}
+	blob := append([]byte(profilefmt.MagicBundle), 1, 0, 0, 0)
+	blob = append(blob, hist.Bytes()...)
+	blob = append(blob, profilefmt.MagicVar...)
+	blob = binary.LittleEndian.AppendUint32(blob, profilefmt.Version)
+	blob = binary.LittleEndian.AppendUint64(blob, profilefmt.MaxSamples)
+	blob = append(blob, make([]byte, 64)...)
+	blob = append(blob, layout.Bytes()...)
+
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := profilefmt.Unmarshal(blob); err == nil {
+			t.Fatal("bundle claiming MaxSamples samples with one record was accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 64<<10 {
+		t.Errorf("rejecting the bundle allocated %d bytes per decode, want < 64 KiB", perRun)
+	}
+}

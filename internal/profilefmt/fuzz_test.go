@@ -43,7 +43,7 @@ func fuzzSeeds(f *testing.F) {
 
 // FuzzDecode asserts that no decode path panics or over-allocates on
 // arbitrary input (the ingestion endpoint feeds untrusted uploads straight
-// into these decoders), and that anything DecodeProfile accepts survives a
+// into these decoders), and that anything Unmarshal accepts survives a
 // re-encode/re-decode round trip.
 func FuzzDecode(f *testing.F) {
 	fuzzSeeds(f)

@@ -8,14 +8,17 @@
 // The format is a compact little-endian binary encoding with a magic header
 // and version, so a profile written by one session can be analyzed offline
 // by another (cmd/vprof's profile/analyze split).
+//
+// Encoders append to one []byte sized up front by the matching *Size
+// function; decoders read the input slice through a sticky-error cursor.
+// Neither side reflects or allocates per record.
 package profilefmt
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,9 +47,19 @@ const (
 	MaxHistLen    = 1 << 22
 	MaxSamples    = 1 << 26
 	MaxLayout     = 1 << 20
+	maxString     = 1 << 20
 	maxPreallocCP = 1 << 16 // cap on trusted-count preallocation
 )
 
+// Encoded sizes of the fixed-size pieces.
+const (
+	headerSize   = 8  // magic + uint32 version
+	sampleRecord = 64 // eight int64 fields per value sample
+	pairRecord   = 16 // one (int64 key, int64 count) pair
+)
+
+// prealloc caps the capacity reserved for variable-size records, whose
+// count the remaining input cannot bound exactly.
 func prealloc(n int64) int64 {
 	if n > maxPreallocCP {
 		return maxPreallocCP
@@ -54,311 +67,336 @@ func prealloc(n int64) int64 {
 	return n
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
+var le = binary.LittleEndian
+
+func appendHeader(b []byte, magic string) []byte {
+	return le.AppendUint32(append(b, magic...), Version)
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+func appendString(b []byte, s string) []byte {
+	return append(le.AppendUint32(b, uint32(len(s))), s...)
 }
 
-func writeHeader(w io.Writer, magic string) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
+func stringSize(s string) int { return 4 + len(s) }
+
+func appendInt64s(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = le.AppendUint64(b, uint64(v))
 	}
-	return binary.Write(w, binary.LittleEndian, uint32(Version))
+	return b
 }
 
-func readHeader(r io.Reader, magic string) error {
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+func boolWord(v bool) uint32 {
+	if v {
+		return 1
 	}
-	if string(buf) != magic {
-		return fmt.Errorf("profilefmt: bad magic %q, want %q", buf, magic)
-	}
-	var v uint32
-	if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-		return err
-	}
-	if v != Version {
-		return fmt.Errorf("profilefmt: unsupported version %d", v)
-	}
-	return nil
+	return 0
 }
 
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
+// reader is a sticky-error cursor over an encoded slice: the first short
+// read or failed check records err, after which every read returns zero and
+// consumes nothing, so decoders check err only where it gates an allocation
+// or a loop.
+type reader struct {
+	b   []byte
+	err error
+}
+
+func (r *reader) failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("profilefmt: "+format, args...)
+	}
+}
+
+// next consumes n bytes; nil once the cursor has failed.
+func (r *reader) next(n int) []byte {
+	if r.err == nil && len(r.b) < n {
+		r.err = io.ErrUnexpectedEOF
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.next(4); b != nil {
+		return le.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) i64() int64 {
+	if b := r.next(8); b != nil {
+		return int64(le.Uint64(b))
+	}
+	return 0
+}
+
+func (r *reader) f64() float64 { return math.Float64frombits(uint64(r.i64())) }
+
+func (r *reader) str() string {
+	n := r.u32()
+	if n > maxString {
+		r.failf("string length %d too large", n)
+		return ""
+	}
+	return string(r.next(int(n)))
+}
+
+func (r *reader) header(magic string) {
+	if m := r.next(4); m != nil && string(m) != magic {
+		r.failf("bad magic %q, want %q", m, magic)
+	}
+	if v := r.u32(); r.err == nil && v != Version {
+		r.failf("unsupported version %d", v)
+	}
+}
+
+// records reports whether n records of size bytes each fit in the input
+// left, failing the cursor if not. A decoder that checks it first can
+// allocate exactly n: nothing is allocated that the input does not back.
+func (r *reader) records(n int64, size int, what string) bool {
+	if r.err == nil && n > int64(len(r.b)/size) {
+		r.failf("%d %s of %d bytes exceed the %d bytes left", n, what, size, len(r.b))
+	}
+	return r.err == nil
+}
+
+// decodeBytes runs dec over data and fails if dec leaves bytes unread;
+// what names the decoded unit in that error.
+func decodeBytes(data []byte, what string, dec func(*reader)) error {
+	r := reader{b: data}
+	dec(&r)
+	if r.err == nil && len(r.b) != 0 {
+		return fmt.Errorf("profilefmt: %d trailing bytes after %s", len(r.b), what)
+	}
+	return r.err
+}
+
+// decodeSection is decodeBytes over everything src yields.
+func decodeSection(src io.Reader, what string, dec func(*reader)) error {
+	data, err := io.ReadAll(src)
+	if err != nil {
 		return err
 	}
-	_, err := io.WriteString(w, s)
+	return decodeBytes(data, what, dec)
+}
+
+func writeSection(w io.Writer, b []byte) error {
+	_, err := w.Write(b)
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("profilefmt: string length %d too large", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
+// Histogram section: header, file name, (pid, interval, ticks, alarms,
+// hist length, nonzero buckets), then one (pc, count) pair per nonzero
+// bucket.
 
-// EncodeHist writes the PC histogram section of a profile.
-func EncodeHist(w io.Writer, p *sampler.Profile) error {
-	if err := writeHeader(w, MagicHist); err != nil {
-		return err
-	}
-	if err := writeString(w, p.File); err != nil {
-		return err
-	}
-	hdr := []int64{int64(p.Pid), p.Interval, p.TotalTicks, p.NumAlarms, int64(len(p.Hist))}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	// Sparse encoding: (pc, count) pairs for nonzero buckets.
-	var nz int64
-	for _, n := range p.Hist {
+func nonzero(hist []int64) int {
+	nz := 0
+	for _, n := range hist {
 		if n != 0 {
 			nz++
 		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, nz); err != nil {
-		return err
-	}
-	for pc, n := range p.Hist {
-		if n == 0 {
-			continue
-		}
-		if err := binary.Write(w, binary.LittleEndian, [2]int64{int64(pc), n}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return nz
 }
 
-// DecodeHist reads a histogram section into a fresh profile shell.
-func DecodeHist(r io.Reader) (*sampler.Profile, error) {
-	if err := readHeader(r, MagicHist); err != nil {
-		return nil, err
+func histSize(p *sampler.Profile) int {
+	return headerSize + stringSize(p.File) + 6*8 + pairRecord*nonzero(p.Hist)
+}
+
+func appendHist(b []byte, p *sampler.Profile) []byte {
+	b = appendHeader(b, MagicHist)
+	b = appendString(b, p.File)
+	b = appendInt64s(b, int64(p.Pid), p.Interval, p.TotalTicks, p.NumAlarms, int64(len(p.Hist)), int64(nonzero(p.Hist)))
+	for pc, n := range p.Hist {
+		if n != 0 {
+			b = appendInt64s(b, int64(pc), n)
+		}
 	}
-	file, err := readString(r)
-	if err != nil {
-		return nil, err
+	return b
+}
+
+// decodeHist reads a histogram section into a fresh profile shell (never
+// nil, so later sections can decode into it even after a failure).
+func decodeHist(r *reader) *sampler.Profile {
+	r.header(MagicHist)
+	p := &sampler.Profile{File: r.str()}
+	p.Pid, p.Interval, p.TotalTicks, p.NumAlarms = int(r.i64()), r.i64(), r.i64(), r.i64()
+	n := r.i64()
+	if r.err == nil && (n < 0 || n > MaxHistLen) {
+		r.failf("hist length %d out of range", n)
 	}
-	var hdr [5]int64
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, err
+	nz := r.i64()
+	if r.err == nil && (nz < 0 || nz > n) {
+		r.failf("nonzero-bucket count %d out of range", nz)
 	}
-	if hdr[4] < 0 || hdr[4] > MaxHistLen {
-		return nil, fmt.Errorf("profilefmt: hist length %d out of range", hdr[4])
+	if !r.records(nz, pairRecord, "histogram buckets") {
+		return p
 	}
-	p := &sampler.Profile{
-		File:       file,
-		Pid:        int(hdr[0]),
-		Interval:   hdr[1],
-		TotalTicks: hdr[2],
-		NumAlarms:  hdr[3],
-		Hist:       make([]int64, hdr[4]),
-	}
-	var nz int64
-	if err := binary.Read(r, binary.LittleEndian, &nz); err != nil {
-		return nil, err
-	}
-	if nz < 0 || nz > hdr[4] {
-		return nil, fmt.Errorf("profilefmt: nonzero-bucket count %d out of range", nz)
-	}
+	p.Hist = make([]int64, n)
 	for i := int64(0); i < nz; i++ {
-		var pair [2]int64
-		if err := binary.Read(r, binary.LittleEndian, &pair); err != nil {
-			return nil, err
+		pc, c := r.i64(), r.i64()
+		if pc < 0 || pc >= n {
+			r.failf("pc %d out of range", pc)
+			return p
 		}
-		if pair[0] < 0 || pair[0] >= int64(len(p.Hist)) {
-			return nil, fmt.Errorf("profilefmt: pc %d out of range", pair[0])
+		p.Hist[pc] = c
+	}
+	return p
+}
+
+// Sample section: header, count, then one 64-byte record per sample.
+
+func samplesSize(p *sampler.Profile) int {
+	return headerSize + 8 + sampleRecord*len(p.Samples)
+}
+
+func appendSamples(b []byte, p *sampler.Profile) []byte {
+	b = appendHeader(b, MagicVar)
+	b = appendInt64s(b, int64(len(p.Samples)))
+	for i := range p.Samples {
+		s := &p.Samples[i]
+		b = appendInt64s(b, int64(s.Layout), int64(s.VarNode), int64(s.PC), int64(s.StackDepth),
+			s.Value, int64(boolWord(s.Ptr)), s.Tick, int64(s.Link))
+	}
+	return b
+}
+
+// decodeSamples reads a sample section into one exact-size array, allocated
+// only once the whole section is known to be present.
+func decodeSamples(r *reader, p *sampler.Profile) {
+	r.header(MagicVar)
+	n := r.i64()
+	if r.err == nil && (n < 0 || n > MaxSamples) {
+		r.failf("sample count %d out of range", n)
+	}
+	if !r.records(n, sampleRecord, "samples") {
+		return
+	}
+	data := r.next(int(n) * sampleRecord)
+	p.Samples = make([]sampler.Sample, n)
+	for i := range p.Samples {
+		rec := data[i*sampleRecord : (i+1)*sampleRecord]
+		p.Samples[i] = sampler.Sample{
+			Layout:     int32(le.Uint64(rec[0:])),
+			VarNode:    int32(le.Uint64(rec[8:])),
+			PC:         int32(le.Uint64(rec[16:])),
+			StackDepth: int32(le.Uint64(rec[24:])),
+			Value:      int64(le.Uint64(rec[32:])),
+			Ptr:        le.Uint64(rec[40:]) != 0,
+			Tick:       int64(le.Uint64(rec[48:])),
+			Link:       int32(le.Uint64(rec[56:])),
 		}
-		p.Hist[pair[0]] = pair[1]
+	}
+}
+
+// Layout section: header, count, then (func, name, uint32 pointer flag)
+// per entry.
+
+func layoutSize(p *sampler.Profile) int {
+	n := headerSize + 8
+	for _, l := range p.Layout {
+		n += stringSize(l.Func) + stringSize(l.Name) + 4
+	}
+	return n
+}
+
+func appendLayout(b []byte, p *sampler.Profile) []byte {
+	b = appendHeader(b, MagicLayout)
+	b = appendInt64s(b, int64(len(p.Layout)))
+	for _, l := range p.Layout {
+		b = appendString(b, l.Func)
+		b = appendString(b, l.Name)
+		b = le.AppendUint32(b, boolWord(l.IsPointer))
+	}
+	return b
+}
+
+func decodeLayout(r *reader, p *sampler.Profile) {
+	r.header(MagicLayout)
+	n := r.i64()
+	if r.err == nil && (n < 0 || n > MaxLayout) {
+		r.failf("layout count %d out of range", n)
+	}
+	if r.err != nil {
+		return
+	}
+	p.Layout = make([]sampler.LayoutEntry, 0, prealloc(n))
+	for i := int64(0); i < n && r.err == nil; i++ {
+		fn, name := r.str(), r.str()
+		p.Layout = append(p.Layout, sampler.LayoutEntry{Func: fn, Name: name, IsPointer: r.u32() != 0})
+	}
+}
+
+// EncodeHist writes the PC histogram section of a profile.
+func EncodeHist(w io.Writer, p *sampler.Profile) error {
+	return writeSection(w, appendHist(make([]byte, 0, histSize(p)), p))
+}
+
+// DecodeHist reads a histogram section, which must be all src holds, into a
+// fresh profile shell.
+func DecodeHist(src io.Reader) (*sampler.Profile, error) {
+	var p *sampler.Profile
+	if err := decodeSection(src, "histogram", func(r *reader) { p = decodeHist(r) }); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
 // EncodeSamples writes the value-sample section.
 func EncodeSamples(w io.Writer, p *sampler.Profile) error {
-	if err := writeHeader(w, MagicVar); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(p.Samples))); err != nil {
-		return err
-	}
-	for _, s := range p.Samples {
-		ptr := int32(0)
-		if s.Ptr {
-			ptr = 1
-		}
-		rec := []int64{int64(s.Layout), int64(s.VarNode), int64(s.PC), int64(s.StackDepth), s.Value, int64(ptr), s.Tick, int64(s.Link)}
-		if err := binary.Write(w, binary.LittleEndian, rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeSection(w, appendSamples(make([]byte, 0, samplesSize(p)), p))
 }
 
-// DecodeSamples reads the value-sample section into p.
-func DecodeSamples(r io.Reader, p *sampler.Profile) error {
-	if err := readHeader(r, MagicVar); err != nil {
-		return err
-	}
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
-	}
-	if n < 0 || n > MaxSamples {
-		return fmt.Errorf("profilefmt: sample count %d out of range", n)
-	}
-	p.Samples = make([]sampler.Sample, 0, prealloc(n))
-	for i := int64(0); i < n; i++ {
-		var rec [8]int64
-		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
-			return err
-		}
-		p.Samples = append(p.Samples, sampler.Sample{
-			Layout:     int32(rec[0]),
-			VarNode:    int32(rec[1]),
-			PC:         int32(rec[2]),
-			StackDepth: int32(rec[3]),
-			Value:      rec[4],
-			Ptr:        rec[5] != 0,
-			Tick:       rec[6],
-			Link:       int32(rec[7]),
-		})
-	}
-	return nil
+// DecodeSamples reads a value-sample section, which must be all src holds,
+// into p.
+func DecodeSamples(src io.Reader, p *sampler.Profile) error {
+	return decodeSection(src, "sample section", func(r *reader) { decodeSamples(r, p) })
 }
 
 // EncodeLayout writes the layout log.
 func EncodeLayout(w io.Writer, p *sampler.Profile) error {
-	if err := writeHeader(w, MagicLayout); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(p.Layout))); err != nil {
-		return err
-	}
-	for _, l := range p.Layout {
-		if err := writeString(w, l.Func); err != nil {
-			return err
-		}
-		if err := writeString(w, l.Name); err != nil {
-			return err
-		}
-		ptr := int32(0)
-		if l.IsPointer {
-			ptr = 1
-		}
-		if err := binary.Write(w, binary.LittleEndian, ptr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeSection(w, appendLayout(make([]byte, 0, layoutSize(p)), p))
 }
 
-// DecodeLayout reads the layout log into p.
-func DecodeLayout(r io.Reader, p *sampler.Profile) error {
-	if err := readHeader(r, MagicLayout); err != nil {
-		return err
-	}
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
-	}
-	if n < 0 || n > MaxLayout {
-		return fmt.Errorf("profilefmt: layout count %d out of range", n)
-	}
-	p.Layout = make([]sampler.LayoutEntry, 0, prealloc(n))
-	for i := int64(0); i < n; i++ {
-		fn, err := readString(r)
-		if err != nil {
-			return err
-		}
-		name, err := readString(r)
-		if err != nil {
-			return err
-		}
-		var ptr int32
-		if err := binary.Read(r, binary.LittleEndian, &ptr); err != nil {
-			return err
-		}
-		p.Layout = append(p.Layout, sampler.LayoutEntry{Func: fn, Name: name, IsPointer: ptr != 0})
-	}
-	return nil
+// DecodeLayout reads a layout log, which must be all src holds, into p.
+func DecodeLayout(src io.Reader, p *sampler.Profile) error {
+	return decodeSection(src, "layout log", func(r *reader) { decodeLayout(r, p) })
 }
 
-// EncodeProfile writes all three sections of a profile as one blob:
-// a bundle header followed by the hist, sample and layout sections. This is
-// the transport encoding used by the profile store and the ingestion API,
-// where a profile travels as a single opaque, content-addressable byte
-// string rather than three files.
-func EncodeProfile(w io.Writer, p *sampler.Profile) error {
-	if err := writeHeader(w, MagicBundle); err != nil {
-		return err
-	}
-	if err := EncodeHist(w, p); err != nil {
-		return err
-	}
-	if err := EncodeSamples(w, p); err != nil {
-		return err
-	}
-	return EncodeLayout(w, p)
+// Marshal renders a profile as a single bundle blob: a bundle header
+// followed by the hist, sample and layout sections. This is the transport
+// encoding used by the profile store and the ingestion API, where a profile
+// travels as a single opaque, content-addressable byte string rather than
+// three files.
+func Marshal(p *sampler.Profile) ([]byte, error) {
+	b := make([]byte, 0, headerSize+histSize(p)+samplesSize(p)+layoutSize(p))
+	b = appendHeader(b, MagicBundle)
+	b = appendHist(b, p)
+	b = appendSamples(b, p)
+	return appendLayout(b, p), nil
 }
 
-// DecodeProfile reads a bundle written by EncodeProfile and validates the
-// cross-section invariants (sample indices in range), so a successfully
-// decoded profile is safe to hand to the analyzer.
-func DecodeProfile(r io.Reader) (*sampler.Profile, error) {
-	if err := readHeader(r, MagicBundle); err != nil {
-		return nil, err
-	}
-	p, err := DecodeHist(r)
+// Unmarshal parses a bundle blob, rejecting trailing garbage, and validates
+// the cross-section invariants, so a successfully decoded profile is safe
+// to hand to the analyzer.
+func Unmarshal(blob []byte) (*sampler.Profile, error) {
+	var p *sampler.Profile
+	err := decodeBytes(blob, "bundle", func(r *reader) {
+		r.header(MagicBundle)
+		p = decodeHist(r)
+		decodeSamples(r, p)
+		decodeLayout(r, p)
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := DecodeSamples(r, p); err != nil {
-		return nil, err
-	}
-	if err := DecodeLayout(r, p); err != nil {
 		return nil, err
 	}
 	if err := Validate(p); err != nil {
 		return nil, err
-	}
-	return p, nil
-}
-
-// Marshal renders a profile as a single bundle blob (EncodeProfile to bytes).
-func Marshal(p *sampler.Profile) ([]byte, error) {
-	var b bytes.Buffer
-	if err := EncodeProfile(&b, p); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// Unmarshal parses a bundle blob, rejecting trailing garbage.
-func Unmarshal(blob []byte) (*sampler.Profile, error) {
-	r := bytes.NewReader(blob)
-	p, err := DecodeProfile(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("profilefmt: %d trailing bytes after bundle", r.Len())
 	}
 	return p, nil
 }
@@ -393,29 +431,19 @@ func WriteDir(dir string, p *sampler.Profile) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, enc func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{
+		{"gmon.%d.out", appendHist(make([]byte, 0, histSize(p)), p)},
+		{"gmon_var.%d.out", appendSamples(make([]byte, 0, samplesSize(p)), p)},
+		{"layout.%d.out", appendLayout(make([]byte, 0, layoutSize(p)), p)},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(f.name, p.Pid)), f.data, 0o666); err != nil {
 			return err
 		}
-		bw := bufio.NewWriter(f)
-		if err := enc(bw); err != nil {
-			f.Close()
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
 	}
-	if err := write(fmt.Sprintf("gmon.%d.out", p.Pid), func(w io.Writer) error { return EncodeHist(w, p) }); err != nil {
-		return err
-	}
-	if err := write(fmt.Sprintf("gmon_var.%d.out", p.Pid), func(w io.Writer) error { return EncodeSamples(w, p) }); err != nil {
-		return err
-	}
-	return write(fmt.Sprintf("layout.%d.out", p.Pid), func(w io.Writer) error { return EncodeLayout(w, p) })
+	return nil
 }
 
 // ReadDir loads every profile found in dir (one per pid), in pid order.
@@ -448,53 +476,36 @@ func ReadDir(dir string) ([]*sampler.Profile, error) {
 	return out, nil
 }
 
-// ReadPid loads the three artifacts of one pid from dir.
+// ReadPid loads the three artifacts of one pid from dir and validates the
+// profile they form, as Unmarshal does for a bundle.
 func ReadPid(dir string, pid int) (*sampler.Profile, error) {
-	open := func(name string) (*os.File, error) {
-		return os.Open(filepath.Join(dir, name))
+	var p *sampler.Profile
+	for _, f := range []struct {
+		name, what string
+		dec        func(*reader)
+	}{
+		{"gmon.%d.out", "hist", func(r *reader) { p = decodeHist(r) }},
+		{"gmon_var.%d.out", "samples", func(r *reader) { decodeSamples(r, p) }},
+		{"layout.%d.out", "layout", func(r *reader) { decodeLayout(r, p) }},
+	} {
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(f.name, pid)))
+		if err != nil {
+			return nil, err
+		}
+		if err := decodeBytes(data, f.what+" file", f.dec); err != nil {
+			return nil, fmt.Errorf("decode %s pid %d: %w", f.what, pid, err)
+		}
 	}
-	hf, err := open(fmt.Sprintf("gmon.%d.out", pid))
-	if err != nil {
-		return nil, err
-	}
-	defer hf.Close()
-	p, err := DecodeHist(bufio.NewReader(hf))
-	if err != nil {
-		return nil, fmt.Errorf("decode hist pid %d: %w", pid, err)
-	}
-	vf, err := open(fmt.Sprintf("gmon_var.%d.out", pid))
-	if err != nil {
-		return nil, err
-	}
-	defer vf.Close()
-	if err := DecodeSamples(bufio.NewReader(vf), p); err != nil {
-		return nil, fmt.Errorf("decode samples pid %d: %w", pid, err)
-	}
-	lf, err := open(fmt.Sprintf("layout.%d.out", pid))
-	if err != nil {
-		return nil, err
-	}
-	defer lf.Close()
-	if err := DecodeLayout(bufio.NewReader(lf), p); err != nil {
-		return nil, fmt.Errorf("decode layout pid %d: %w", pid, err)
+	if err := Validate(p); err != nil {
+		return nil, fmt.Errorf("pid %d: %w", pid, err)
 	}
 	return p, nil
 }
 
-// EncodedSize returns the total encoded byte size of a profile (used by the
-// overhead tables without touching the filesystem).
+// EncodedSize returns the total encoded byte size of a profile's three
+// artifacts (used by the overhead tables without touching the filesystem).
 func EncodedSize(p *sampler.Profile) (int64, error) {
-	cw := &countingWriter{w: io.Discard}
-	if err := EncodeHist(cw, p); err != nil {
-		return 0, err
-	}
-	if err := EncodeSamples(cw, p); err != nil {
-		return 0, err
-	}
-	if err := EncodeLayout(cw, p); err != nil {
-		return 0, err
-	}
-	return cw.n, nil
+	return int64(histSize(p) + samplesSize(p) + layoutSize(p)), nil
 }
 
 // Timestamp formats a time for artifact logging; isolated here so tests can

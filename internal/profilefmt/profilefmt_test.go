@@ -195,3 +195,18 @@ func TestReadDirMissingArtifacts(t *testing.T) {
 func removeFile(dir, name string) error {
 	return os.Remove(filepath.Join(dir, name))
 }
+
+// TestReadDirValidates: artifacts whose samples reference a layout entry
+// the layout log does not have are rejected on read, as a bundle would be,
+// instead of reaching MergeProfiles.
+func TestReadDirValidates(t *testing.T) {
+	dir := t.TempDir()
+	p := sampleProfile()
+	p.Samples[2].Layout = 45
+	if err := profilefmt.WriteDir(dir, p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := profilefmt.ReadDir(dir); err == nil || !strings.Contains(err.Error(), "references layout 45 of 2") {
+		t.Fatalf("ReadDir err = %v, want a layout range error", err)
+	}
+}

@@ -9,12 +9,9 @@ package profilefmt
 // re-encoding a decoded sketch reproduces the input bit for bit.
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"vprof/internal/sketch"
 )
@@ -26,306 +23,234 @@ const MagicSketch = "VPRS"
 // bounding what Expand() can be made to allocate.
 const maxHistTotal = MaxSamples
 
-// EncodeSketch writes a sketch in canonical form.
-func EncodeSketch(w io.Writer, s *sketch.Profile) error {
-	if err := writeHeader(w, MagicSketch); err != nil {
-		return err
-	}
-	if err := writeString(w, s.BlobID); err != nil {
-		return err
-	}
-	hdr := []int64{s.Interval, s.TotalTicks, s.NumAlarms, s.HistLen, int64(len(s.Vars))}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	if err := writePCCounts(w, s.Hist); err != nil {
-		return err
-	}
-	if err := writePCCounts(w, s.UnitsByPC); err != nil {
-		return err
-	}
+func sketchSize(s *sketch.Profile) int {
+	n := headerSize + stringSize(s.BlobID) + 5*8 + pcCountsSize(s.Hist) + pcCountsSize(s.UnitsByPC)
 	for i := range s.Vars {
-		if err := encodeVarSummary(w, &s.Vars[i]); err != nil {
-			return err
-		}
+		v := &s.Vars[i]
+		n += stringSize(v.Func) + stringSize(v.Name) + 4 + 6*8 +
+			sketchHistSize(v.Values) + sketchHistSize(v.Deltas) + sketchHistSize(v.Runs) +
+			8 + 4*len(v.PCs)
 	}
-	return nil
+	return n
 }
 
-// DecodeSketch reads one sketch, validating every count and key order
-// before allocating or indexing (the store replays this over untrusted
-// on-disk bytes after a crash).
-func DecodeSketch(r io.Reader) (*sketch.Profile, error) {
-	if err := readHeader(r, MagicSketch); err != nil {
-		return nil, err
+func appendSketch(b []byte, s *sketch.Profile) []byte {
+	b = appendHeader(b, MagicSketch)
+	b = appendString(b, s.BlobID)
+	b = appendInt64s(b, s.Interval, s.TotalTicks, s.NumAlarms, s.HistLen, int64(len(s.Vars)))
+	b = appendPCCounts(b, s.Hist)
+	b = appendPCCounts(b, s.UnitsByPC)
+	for i := range s.Vars {
+		b = appendVarSummary(b, &s.Vars[i])
 	}
-	blobID, err := readString(r)
-	if err != nil {
-		return nil, err
+	return b
+}
+
+// decodeSketch validates every count and key order before allocating or
+// indexing (the store replays this over untrusted on-disk bytes after a
+// crash).
+func decodeSketch(r *reader) *sketch.Profile {
+	r.header(MagicSketch)
+	s := &sketch.Profile{BlobID: r.str(), Interval: r.i64(), TotalTicks: r.i64(), NumAlarms: r.i64(), HistLen: r.i64()}
+	nvars := r.i64()
+	if r.err != nil {
+		return nil
 	}
-	var hdr [5]int64
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, err
+	if s.Interval < 0 || s.TotalTicks < 0 || s.NumAlarms < 0 {
+		r.failf("negative sketch counters (interval %d, ticks %d, alarms %d)", s.Interval, s.TotalTicks, s.NumAlarms)
+	} else if s.HistLen < 0 || s.HistLen > MaxHistLen {
+		r.failf("sketch hist length %d out of range", s.HistLen)
+	} else if nvars < 0 || nvars > MaxLayout {
+		r.failf("sketch variable count %d out of range", nvars)
 	}
-	if hdr[0] < 0 || hdr[1] < 0 || hdr[2] < 0 {
-		return nil, fmt.Errorf("profilefmt: negative sketch counters (interval %d, ticks %d, alarms %d)",
-			hdr[0], hdr[1], hdr[2])
+	s.Hist = decodePCCounts(r, s.HistLen)
+	s.UnitsByPC = decodePCCounts(r, s.HistLen)
+	if r.err != nil {
+		return nil
 	}
-	if hdr[3] < 0 || hdr[3] > MaxHistLen {
-		return nil, fmt.Errorf("profilefmt: sketch hist length %d out of range", hdr[3])
-	}
-	if hdr[4] < 0 || hdr[4] > MaxLayout {
-		return nil, fmt.Errorf("profilefmt: sketch variable count %d out of range", hdr[4])
-	}
-	s := &sketch.Profile{
-		BlobID:     blobID,
-		Interval:   hdr[0],
-		TotalTicks: hdr[1],
-		NumAlarms:  hdr[2],
-		HistLen:    hdr[3],
-	}
-	if s.Hist, err = readPCCounts(r, hdr[3]); err != nil {
-		return nil, err
-	}
-	if s.UnitsByPC, err = readPCCounts(r, hdr[3]); err != nil {
-		return nil, err
-	}
-	s.Vars = make([]sketch.VarSummary, 0, prealloc(hdr[4]))
+	s.Vars = make([]sketch.VarSummary, 0, prealloc(nvars))
 	prevKey := ""
-	for i := int64(0); i < hdr[4]; i++ {
-		vs, err := decodeVarSummary(r, hdr[3])
-		if err != nil {
-			return nil, err
-		}
+	for i := int64(0); i < nvars && r.err == nil; i++ {
+		vs := decodeVarSummary(r, s.HistLen)
 		key := vs.Key()
 		if i > 0 && key <= prevKey {
-			return nil, fmt.Errorf("profilefmt: sketch variables out of order at %q", key)
+			r.failf("sketch variables out of order at %q", key)
 		}
 		prevKey = key
 		s.Vars = append(s.Vars, vs)
+	}
+	return s
+}
+
+// EncodeSketch writes a sketch in canonical form.
+func EncodeSketch(w io.Writer, s *sketch.Profile) error {
+	return writeSection(w, appendSketch(make([]byte, 0, sketchSize(s)), s))
+}
+
+// DecodeSketch reads one sketch, which must be all src holds.
+func DecodeSketch(src io.Reader) (*sketch.Profile, error) {
+	var s *sketch.Profile
+	if err := decodeSection(src, "sketch", func(r *reader) { s = decodeSketch(r) }); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // MarshalSketch renders a sketch as one blob.
 func MarshalSketch(s *sketch.Profile) ([]byte, error) {
-	var b bytes.Buffer
-	if err := EncodeSketch(&b, s); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return appendSketch(make([]byte, 0, sketchSize(s)), s), nil
 }
 
 // UnmarshalSketch parses a sketch blob, rejecting trailing garbage.
 func UnmarshalSketch(blob []byte) (*sketch.Profile, error) {
-	r := bytes.NewReader(blob)
-	s, err := DecodeSketch(r)
-	if err != nil {
+	var s *sketch.Profile
+	if err := decodeBytes(blob, "sketch", func(r *reader) { s = decodeSketch(r) }); err != nil {
 		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("profilefmt: %d trailing bytes after sketch", r.Len())
 	}
 	return s, nil
 }
 
-func encodeVarSummary(w io.Writer, v *sketch.VarSummary) error {
-	if err := writeString(w, v.Func); err != nil {
-		return err
+func appendVarSummary(b []byte, v *sketch.VarSummary) []byte {
+	b = appendString(b, v.Func)
+	b = appendString(b, v.Name)
+	b = le.AppendUint32(b, boolWord(v.IsPointer))
+	b = appendInt64s(b, v.Count, v.NumRuns)
+	for _, m := range [4]float64{v.MaxRun, v.Min, v.Max, v.Sum} {
+		b = le.AppendUint64(b, math.Float64bits(m))
 	}
-	if err := writeString(w, v.Name); err != nil {
-		return err
+	b = appendSketchHist(b, v.Values)
+	b = appendSketchHist(b, v.Deltas)
+	b = appendSketchHist(b, v.Runs)
+	b = appendInt64s(b, int64(len(v.PCs)))
+	for _, pc := range v.PCs {
+		b = le.AppendUint32(b, uint32(pc))
 	}
-	flags := int32(0)
-	if v.IsPointer {
-		flags = 1
-	}
-	if err := binary.Write(w, binary.LittleEndian, flags); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, [2]int64{v.Count, v.NumRuns}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, [4]float64{v.MaxRun, v.Min, v.Max, v.Sum}); err != nil {
-		return err
-	}
-	for _, h := range []sketch.Hist{v.Values, v.Deltas, v.Runs} {
-		if err := writeHist(w, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(v.PCs))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, v.PCs)
+	return b
 }
 
-func decodeVarSummary(r io.Reader, histLen int64) (sketch.VarSummary, error) {
-	var v sketch.VarSummary
-	var err error
-	if v.Func, err = readString(r); err != nil {
-		return v, err
+func decodeVarSummary(r *reader, histLen int64) sketch.VarSummary {
+	v := sketch.VarSummary{Func: r.str(), Name: r.str()}
+	// Any word but 0 or 1 would re-encode differently.
+	if flags := r.u32(); r.err == nil && flags > 1 {
+		r.failf("sketch variable flags %d not canonical", flags)
+	} else {
+		v.IsPointer = flags == 1
 	}
-	if v.Name, err = readString(r); err != nil {
-		return v, err
+	v.Count, v.NumRuns = r.i64(), r.i64()
+	if r.err == nil && (v.Count < 0 || v.Count > MaxSamples || v.NumRuns < 0 || v.NumRuns > MaxSamples) {
+		r.failf("sketch variable counts (%d, %d) out of range", v.Count, v.NumRuns)
 	}
-	var flags int32
-	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-		return v, err
+	v.MaxRun, v.Min, v.Max, v.Sum = r.f64(), r.f64(), r.f64(), r.f64()
+	if r.err == nil && slices.ContainsFunc([]float64{v.MaxRun, v.Min, v.Max, v.Sum}, math.IsNaN) {
+		r.failf("NaN sketch moment for %s.%s", v.Func, v.Name)
 	}
-	v.IsPointer = flags != 0
-	var counts [2]int64
-	if err := binary.Read(r, binary.LittleEndian, &counts); err != nil {
-		return v, err
+	v.Values = decodeSketchHist(r)
+	v.Deltas = decodeSketchHist(r)
+	v.Runs = decodeSketchHist(r)
+	npcs := r.i64()
+	if r.err == nil && (npcs < 0 || npcs > MaxHistLen) {
+		r.failf("sketch PC count %d out of range", npcs)
 	}
-	if counts[0] < 0 || counts[0] > MaxSamples || counts[1] < 0 || counts[1] > MaxSamples {
-		return v, fmt.Errorf("profilefmt: sketch variable counts (%d, %d) out of range", counts[0], counts[1])
+	if npcs == 0 || !r.records(npcs, 4, "sketch PCs") {
+		return v
 	}
-	v.Count, v.NumRuns = counts[0], counts[1]
-	var moments [4]float64
-	if err := binary.Read(r, binary.LittleEndian, &moments); err != nil {
-		return v, err
-	}
-	for _, m := range moments {
-		if math.IsNaN(m) {
-			return v, fmt.Errorf("profilefmt: NaN sketch moment for %s.%s", v.Func, v.Name)
+	v.PCs = make([]int32, npcs)
+	for i := range v.PCs {
+		pc := int32(r.u32())
+		if int64(pc) < 0 || int64(pc) >= histLen {
+			r.failf("sketch PC %d out of range", pc)
+		} else if i > 0 && pc <= v.PCs[i-1] {
+			r.failf("sketch PCs out of order at %d", pc)
 		}
+		v.PCs[i] = pc
 	}
-	v.MaxRun, v.Min, v.Max, v.Sum = moments[0], moments[1], moments[2], moments[3]
-	for _, dst := range []*sketch.Hist{&v.Values, &v.Deltas, &v.Runs} {
-		h, err := readHist(r)
-		if err != nil {
-			return v, err
-		}
-		*dst = h
-	}
-	var npcs int64
-	if err := binary.Read(r, binary.LittleEndian, &npcs); err != nil {
-		return v, err
-	}
-	if npcs < 0 || npcs > MaxHistLen {
-		return v, fmt.Errorf("profilefmt: sketch PC count %d out of range", npcs)
-	}
-	if npcs > 0 {
-		v.PCs = make([]int32, npcs)
-		if err := binary.Read(r, binary.LittleEndian, v.PCs); err != nil {
-			return v, err
-		}
-		for i, pc := range v.PCs {
-			if int64(pc) < 0 || int64(pc) >= histLen {
-				return v, fmt.Errorf("profilefmt: sketch PC %d out of range", pc)
-			}
-			if i > 0 && pc <= v.PCs[i-1] {
-				return v, fmt.Errorf("profilefmt: sketch PCs out of order at %d", pc)
-			}
-		}
-	}
-	return v, nil
+	return v
 }
 
-// writePCCounts writes a sparse pc -> count map as ascending (pc, count)
+// A pc -> count map is written as its length, then ascending (pc, count)
 // pairs.
-func writePCCounts(w io.Writer, m map[int32]int64) error {
-	if err := binary.Write(w, binary.LittleEndian, int64(len(m))); err != nil {
-		return err
-	}
+
+func pcCountsSize(m map[int32]int64) int { return 8 + pairRecord*len(m) }
+
+func appendPCCounts(b []byte, m map[int32]int64) []byte {
+	b = appendInt64s(b, int64(len(m)))
 	pcs := make([]int32, 0, len(m))
 	for pc := range m {
 		pcs = append(pcs, pc)
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.Sort(pcs)
 	for _, pc := range pcs {
-		if err := binary.Write(w, binary.LittleEndian, [2]int64{int64(pc), m[pc]}); err != nil {
-			return err
-		}
+		b = appendInt64s(b, int64(pc), m[pc])
 	}
-	return nil
+	return b
 }
 
-func readPCCounts(r io.Reader, histLen int64) (map[int32]int64, error) {
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+func decodePCCounts(r *reader, histLen int64) map[int32]int64 {
+	n := r.i64()
+	if r.err == nil && (n < 0 || n > histLen) {
+		r.failf("sketch pc-count entries %d out of range", n)
 	}
-	if n < 0 || n > histLen {
-		return nil, fmt.Errorf("profilefmt: sketch pc-count entries %d out of range", n)
+	if !r.records(n, pairRecord, "sketch pc counts") {
+		return nil
 	}
-	out := make(map[int32]int64, prealloc(n))
+	out := make(map[int32]int64, n)
 	prev := int64(-1)
-	for i := int64(0); i < n; i++ {
-		var pair [2]int64
-		if err := binary.Read(r, binary.LittleEndian, &pair); err != nil {
-			return nil, err
+	for i := int64(0); i < n && r.err == nil; i++ {
+		pc, c := r.i64(), r.i64()
+		switch {
+		case pc < 0 || pc >= histLen:
+			r.failf("sketch pc %d out of range", pc)
+		case pc <= prev:
+			r.failf("sketch pcs out of order at %d", pc)
+		case c <= 0:
+			r.failf("sketch pc count %d not positive", c)
 		}
-		if pair[0] < 0 || pair[0] >= histLen {
-			return nil, fmt.Errorf("profilefmt: sketch pc %d out of range", pair[0])
-		}
-		if pair[0] <= prev {
-			return nil, fmt.Errorf("profilefmt: sketch pcs out of order at %d", pair[0])
-		}
-		if pair[1] <= 0 {
-			return nil, fmt.Errorf("profilefmt: sketch pc count %d not positive", pair[1])
-		}
-		prev = pair[0]
-		out[int32(pair[0])] = pair[1]
+		prev = pc
+		out[int32(pc)] = c
 	}
-	return out, nil
+	return out
 }
 
-// writeHist writes a histogram as ascending (value, count) pairs.
-func writeHist(w io.Writer, h sketch.Hist) error {
-	if err := binary.Write(w, binary.LittleEndian, int64(len(h))); err != nil {
-		return err
-	}
+// A histogram is written as its length, then ascending (value, count)
+// pairs.
+
+func sketchHistSize(h sketch.Hist) int { return 8 + pairRecord*len(h) }
+
+func appendSketchHist(b []byte, h sketch.Hist) []byte {
+	b = appendInt64s(b, int64(len(h)))
 	for _, k := range h.Keys() {
-		if err := binary.Write(w, binary.LittleEndian, k); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, h[k]); err != nil {
-			return err
-		}
+		b = le.AppendUint64(b, math.Float64bits(k))
+		b = appendInt64s(b, h[k])
 	}
-	return nil
+	return b
 }
 
-func readHist(r io.Reader) (sketch.Hist, error) {
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+func decodeSketchHist(r *reader) sketch.Hist {
+	n := r.i64()
+	if r.err == nil && (n < 0 || n > MaxSamples) {
+		r.failf("sketch histogram entries %d out of range", n)
 	}
-	if n < 0 || n > MaxSamples {
-		return nil, fmt.Errorf("profilefmt: sketch histogram entries %d out of range", n)
+	if n == 0 || !r.records(n, pairRecord, "sketch histogram entries") {
+		return nil
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	h := make(sketch.Hist, prealloc(n))
+	h := make(sketch.Hist, n)
 	prev := math.Inf(-1)
 	var total int64
-	for i := int64(0); i < n; i++ {
-		var k float64
-		if err := binary.Read(r, binary.LittleEndian, &k); err != nil {
-			return nil, err
-		}
-		var c int64
-		if err := binary.Read(r, binary.LittleEndian, &c); err != nil {
-			return nil, err
-		}
-		if math.IsNaN(k) {
-			return nil, fmt.Errorf("profilefmt: NaN sketch histogram value")
-		}
-		if k <= prev {
-			return nil, fmt.Errorf("profilefmt: sketch histogram values out of order at %g", k)
-		}
-		if c <= 0 {
-			return nil, fmt.Errorf("profilefmt: sketch histogram count %d not positive", c)
+	for i := int64(0); i < n && r.err == nil; i++ {
+		k, c := r.f64(), r.i64()
+		switch {
+		case math.IsNaN(k):
+			r.failf("NaN sketch histogram value")
+		case k <= prev:
+			r.failf("sketch histogram values out of order at %g", k)
+		case c <= 0:
+			r.failf("sketch histogram count %d not positive", c)
+		case c > maxHistTotal-total:
+			r.failf("sketch histogram total exceeds %d", int64(maxHistTotal))
 		}
 		total += c
-		if total > maxHistTotal {
-			return nil, fmt.Errorf("profilefmt: sketch histogram total exceeds %d", int64(maxHistTotal))
-		}
 		prev = k
 		h[k] = c
 	}
-	return h, nil
+	return h
 }

@@ -153,6 +153,26 @@ func TestSketchDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSketchDecodeRejectsNonCanonicalFlags: a variable's flag word other
+// than 0 or 1 would re-encode as 1, so two frames would decode to one
+// sketch (found by FuzzSketchDecode).
+func TestSketchDecodeRejectsNonCanonicalFlags(t *testing.T) {
+	s := &sketch.Profile{BlobID: "b", HistLen: 4, Vars: []sketch.VarSummary{{Func: "f", Name: "v", IsPointer: true}}}
+	blob, err := profilefmt.MarshalSketch(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// header, blob ID, five counters, two empty pc-count maps, two names
+	flags := 8 + (4 + 1) + 5*8 + 8 + 8 + (4 + 1) + (4 + 1)
+	if blob[flags] != 1 {
+		t.Fatalf("flag word not at offset %d", flags)
+	}
+	blob[flags] = 2
+	if _, err := profilefmt.UnmarshalSketch(blob); err == nil {
+		t.Fatal("flag word 2 accepted")
+	}
+}
+
 func FuzzSketchDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 4; i++ {

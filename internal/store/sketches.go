@@ -124,22 +124,31 @@ func (s *Store) createSketchLog(path string) (err error) {
 	return s.fsys.Rename(tmp, path)
 }
 
-// appendSketchLocked folds a profile into a sketch and appends its frame.
-// Best-effort: sketches are derived data, so any failure only truncates the
-// partial frame away and reports the error — the caller must not fail the
-// push over it.
-func (s *Store) appendSketchLocked(id string, p *sampler.Profile) error {
+// foldSketch folds a profile into the sketch of blob id and encodes it.
+// It needs no lock; a nil payload means the sketch did not encode.
+func foldSketch(id string, p *sampler.Profile) (*sketch.Profile, []byte) {
+	sk := sketch.FromProfile(p)
+	sk.BlobID = id
+	payload, err := profilefmt.MarshalSketch(sk)
+	if err != nil {
+		return sk, nil
+	}
+	return sk, payload
+}
+
+// appendSketchLocked appends the frame of a folded sketch, unless the log
+// already indexes one for id. Best-effort: sketches are derived data, so
+// any failure only truncates the partial frame away and reports the error
+// — the caller must not fail the push over it.
+func (s *Store) appendSketchLocked(id string, sk *sketch.Profile, payload []byte) error {
 	if s.sketchLog == nil {
 		return errors.New("store: sketch log not open")
 	}
 	if _, ok := s.sketchIdx[id]; ok {
 		return nil
 	}
-	sk := sketch.FromProfile(p)
-	sk.BlobID = id
-	payload, err := profilefmt.MarshalSketch(sk)
-	if err != nil {
-		return err
+	if payload == nil {
+		return errors.New("store: sketch did not encode")
 	}
 	if len(payload) > maxSketchFrame {
 		return fmt.Errorf("store: sketch frame %d bytes exceeds bound", len(payload))
@@ -240,22 +249,19 @@ func (s *Store) rebuildSketch(id string) (*sketch.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	sk, payload := foldSketch(id, p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sk, ok := s.sketchCache[id]; ok { // raced with another rebuild
-		return sk, nil
+	if cached, ok := s.sketchCache[id]; ok { // raced with another rebuild
+		return cached, nil
 	}
 	s.sketchRebuilt++
 	s.m.sketchRebuilds.Inc()
-	if err := s.appendSketchLocked(id, p); err != nil || s.sketchCache[id] == nil {
-		// Persisting is best-effort; still serve the folded sketch. A frame
-		// already indexed but no longer decodable is not appended again.
-		sk := sketch.FromProfile(p)
-		sk.BlobID = id
-		s.sketchCacheAddLocked(id, sk)
-		return sk, nil
-	}
-	return s.sketchCache[id], nil
+	// Persisting is best-effort; serve the folded sketch either way. A
+	// frame already indexed but no longer decodable is not appended again.
+	_ = s.appendSketchLocked(id, sk, payload)
+	s.sketchCacheAddLocked(id, sk)
+	return sk, nil
 }
 
 // SketchStats reports sketch cache and rebuild counters.

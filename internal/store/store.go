@@ -504,6 +504,17 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	}
 	sum := sha256.Sum256(blob)
 	id := hex.EncodeToString(sum[:])
+	// Fold and encode the blob's sketch before taking the lock: the fold is
+	// a pure function of the blob, and the slowest step of a push. A blob
+	// whose sketch is already logged (a re-push) skips it.
+	s.mu.RLock()
+	_, logged := s.sketchIdx[id]
+	s.mu.RUnlock()
+	var sk *sketch.Profile
+	var frame []byte
+	if !logged {
+		sk, frame = foldSketch(id, p)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -534,11 +545,10 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	}
 	s.indexLocked(e, ref)
 	s.cacheAddLocked(id, p)
-	// Fold and persist the blob's sketch so incremental diagnoses never
-	// re-decode it. Sketches are derived data: an append failure is
-	// absorbed (GetSketch rebuilds on demand), never failing an
-	// acknowledged push.
-	_ = s.appendSketchLocked(id, p)
+	// Persist the blob's sketch so incremental diagnoses never re-decode
+	// it. Sketches are derived data: an append failure is absorbed
+	// (GetSketch rebuilds on demand), never failing an acknowledged push.
+	_ = s.appendSketchLocked(id, sk, frame)
 	cp := *s.entries[key]
 	return &cp, false, nil
 }

@@ -255,6 +255,9 @@ func TestSegmentRollover(t *testing.T) {
 
 // TestConcurrentAccess hammers Put/Get/Baselines/Workloads from many
 // goroutines; run under -race it is the satellite's concurrency check.
+// Every writer also pushes one shared profile under a run of its own, so
+// several pushes fold the same blob's sketch at once and exactly one frame
+// may reach the log.
 func TestConcurrentAccess(t *testing.T) {
 	s, err := store.Open(t.TempDir(), store.Options{CacheCap: 8, BaselineCap: 8})
 	if err != nil {
@@ -270,6 +273,10 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			wl := fmt.Sprintf("wl%d", w%2)
+			if _, _, err := s.Put(wl, store.LabelNormal, fmt.Sprintf("shared-%d", w), testProfile(1000)); err != nil {
+				errs <- err
+				return
+			}
 			for i := 0; i < perWriter; i++ {
 				label := store.LabelNormal
 				if i%3 == 0 {
@@ -314,8 +321,11 @@ func TestConcurrentAccess(t *testing.T) {
 	for _, info := range s.Workloads() {
 		total += info.Normals + info.Candidates
 	}
-	if total != writers*perWriter {
-		t.Fatalf("stored %d entries, want %d", total, writers*perWriter)
+	if total != writers*(perWriter+1) {
+		t.Fatalf("stored %d entries, want %d", total, writers*(perWriter+1))
+	}
+	if n := s.SketchStats().Indexed; n != writers*perWriter+1 {
+		t.Fatalf("sketch log indexes %d frames, want one per distinct blob (%d)", n, writers*perWriter+1)
 	}
 }
 
