@@ -31,9 +31,9 @@ func FuzzNodeHandler(f *testing.F) {
 		{"POST", "/internal/v1/put", "workload=b3&label=candidate&run=0", string(sim.SyntheticBlob(1))},
 		{"GET", "/internal/v1/blob/" + entry.ID, "", ""},
 		{"GET", "/internal/v1/sketch/" + entry.ID, "", ""},
-		{"GET", "/internal/v1/entries", "workload=b3&shard=1&shards=64", ""},
+		{"GET", "/internal/v1/entries", "workload=b3", ""},
+		{"GET", "/internal/v1/entries", "", ""},
 		{"POST", "/internal/v1/corpus", "", `{"workload":"b3","ids":["` + entry.ID + `"]}`},
-		{"GET", "/internal/v1/workloads", "", ""},
 		{"GET", "/internal/v1/health", "", ""},
 		{"POST", "/internal/v1/flush", "", ""},
 	}, nil)

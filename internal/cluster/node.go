@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 
 	"vprof/internal/analysis"
 	"vprof/internal/debuginfo"
@@ -36,8 +35,8 @@ type NodeConfig struct {
 	// Store is the node's durability layer, opened by the caller so tests
 	// can inject a faultfs crash injector underneath.
 	Store *store.Store
-	// Resolver, when set, enables node-side corpus folding (POST corpus).
-	// Without it the coordinator falls back to fetching raw sketches.
+	// Resolver supplies the debug info node-side corpus folds (POST
+	// corpus) rank against.
 	Resolver DebugResolver
 	Logger   *slog.Logger
 	Metrics  *obs.Registry
@@ -62,6 +61,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Store == nil {
 		return nil, errors.New("cluster: node needs a store")
+	}
+	if cfg.Resolver == nil {
+		return nil, errors.New("cluster: node needs a resolver")
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -129,7 +131,8 @@ type nodeHealth struct {
 	Recovered bool   `json:"recovered"`
 }
 
-// Handler returns the node's internal API. It is intentionally minimal and
+// Handler returns the node's internal API: exactly the routes the router's
+// node client calls, plus /metrics. It is intentionally minimal and
 // trusted: routers are the only clients, so there is no auth or shedding
 // tier here — the public surface stays in internal/service.
 func (n *Node) Handler() http.Handler {
@@ -138,10 +141,8 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /internal/v1/blob/{id}", n.handleBlob)
 	mux.HandleFunc("GET /internal/v1/sketch/{id}", n.handleSketch)
 	mux.HandleFunc("GET /internal/v1/entries", n.handleEntries)
-	mux.HandleFunc("GET /internal/v1/workloads", n.handleWorkloads)
 	mux.HandleFunc("POST /internal/v1/corpus", n.handleCorpus)
 	mux.HandleFunc("GET /internal/v1/health", n.handleHealth)
-	mux.HandleFunc("GET /internal/v1/stats", n.handleStats)
 	mux.HandleFunc("POST /internal/v1/flush", n.handleFlush)
 	if n.reg != nil {
 		mux.Handle("GET /metrics", n.reg.Handler())
@@ -209,38 +210,10 @@ func (n *Node) handleSketch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleEntries(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	entries := n.st.Entries(q.Get("workload"))
-	// Optional shard filter: the caller passes its shard count so a router
-	// and node with skewed configs fail loudly (different K → different
-	// filtering) instead of silently disagreeing on ownership.
-	if shardStr := q.Get("shard"); shardStr != "" {
-		shard, err1 := strconv.Atoi(shardStr)
-		shards, err2 := strconv.Atoi(q.Get("shards"))
-		if err1 != nil || err2 != nil || shards <= 0 || shard < 0 || shard >= shards {
-			writeNodeError(w, http.StatusBadRequest, "invalid", errors.New("cluster: bad shard filter"))
-			return
-		}
-		filtered := entries[:0]
-		for _, e := range entries {
-			if ShardOf(e.Workload, e.Label, e.Run, shards) == shard {
-				filtered = append(filtered, e)
-			}
-		}
-		entries = filtered
-	}
-	writeNodeJSON(w, http.StatusOK, entries)
-}
-
-func (n *Node) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	writeNodeJSON(w, http.StatusOK, n.st.Workloads())
+	writeNodeJSON(w, http.StatusOK, n.st.Entries(r.URL.Query().Get("workload")))
 }
 
 func (n *Node) handleCorpus(w http.ResponseWriter, r *http.Request) {
-	if n.resolver == nil {
-		writeNodeError(w, http.StatusNotImplemented, "no_resolver", errors.New("cluster: node has no resolver"))
-		return
-	}
 	var req corpusRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		writeNodeError(w, http.StatusBadRequest, "invalid", err)
@@ -277,13 +250,6 @@ func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeNodeJSON(w, http.StatusOK, h)
-}
-
-func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeNodeJSON(w, http.StatusOK, map[string]any{
-		"decode_cache": n.st.CacheStats(),
-		"sketch_cache": n.st.SketchStats(),
-	})
 }
 
 func (n *Node) handleFlush(w http.ResponseWriter, r *http.Request) {

@@ -44,9 +44,6 @@ type RouterConfig struct {
 	// BaselineCap bounds the merged rolling baseline corpus per workload
 	// (default 16, mirroring store.Options).
 	BaselineCap int
-	// CacheCap bounds the coordinator's decoded-profile and sketch caches
-	// (default 64 each).
-	CacheCap int
 	// HTTP is the transport to the nodes (default: 5s timeout client, so a
 	// hung node degrades a request instead of wedging it).
 	HTTP    *http.Client
@@ -70,20 +67,16 @@ type Router struct {
 	http *http.Client
 	log  *slog.Logger
 
-	cmu        sync.Mutex
-	cache      map[string]*sampler.Profile
-	cacheOrder []string
-	sketches   map[string]*sketch.Profile
-	sketchOrd  []string
-	cacheCap   int
-	hints      map[string]string // blob id → node id that served it last
-	cacheHits  int64
-	cacheMiss  int64
-	sketchHits int64
-	sketchMiss int64
+	decoded  *store.Cache[*sampler.Profile]
+	sketches *store.Cache[*sketch.Profile]
+	hints    *store.Cache[string] // blob id → node id that served or acked it last
 
 	m routerMetrics
 }
+
+// cacheCap bounds each of the coordinator's caches: decoded profiles,
+// sketches and fetch hints.
+const cacheCap = 64
 
 type routerMetrics struct {
 	replicasHealthy *obs.GaugeVec
@@ -109,9 +102,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.BaselineCap <= 0 {
 		cfg.BaselineCap = 16
 	}
-	if cfg.CacheCap <= 0 {
-		cfg.CacheCap = 64
-	}
 	if cfg.HTTP == nil {
 		// Generous by default: a quorum write blocks on replica fsyncs, and
 		// a put that times out client-side still lands server-side, turning
@@ -131,10 +121,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		nodes:       map[string]*nodeClient{},
 		http:        cfg.HTTP,
 		log:         log,
-		cache:       map[string]*sampler.Profile{},
-		sketches:    map[string]*sketch.Profile{},
-		cacheCap:    cfg.CacheCap,
-		hints:       map[string]string{},
+		decoded:     store.NewCache[*sampler.Profile](cacheCap),
+		sketches:    store.NewCache[*sketch.Profile](cacheCap),
+		hints:       store.NewCache[string](cacheCap),
 		m: routerMetrics{
 			replicasHealthy: cfg.Metrics.GaugeVec("vprof_replicas_healthy",
 				"Reachable replicas per shard, refreshed on every health probe.", "shard"),
@@ -307,14 +296,12 @@ func (r *Router) PutBlob(workload string, label store.Label, run string, blob []
 			workload, label, run, got, q, firstErr, store.ErrUnavailable)
 	}
 	r.m.ingestBytes.Add(float64(len(blob)))
-	r.cmu.Lock()
 	for _, a := range acks {
 		if a.err == nil {
-			r.hints[winner.ID] = a.node
+			r.hints.Put(winner.ID, a.node)
 			break
 		}
 	}
-	r.cmu.Unlock()
 	cp := *winner
 	cp.Seq = 0 // Seq is a per-node manifest position; meaningless cluster-wide
 	return &cp, dupAll, nil
@@ -322,140 +309,90 @@ func (r *Router) PutBlob(workload string, label store.Label, run string, blob []
 
 // ---- Backend: blob + sketch reads ------------------------------------------
 
-// fetchOrder returns node ids to try for a blob id: the last node that
-// served it first, then every member in sorted order.
+// fetchOrder returns node ids to try for a blob id: the last member that
+// served or acked it first, then every member in sorted order.
 func (r *Router) fetchOrder(id string, nodes map[string]*nodeClient) []string {
 	ids := make([]string, 0, len(nodes))
 	for nid := range nodes {
 		ids = append(ids, nid)
 	}
 	sort.Strings(ids)
-	r.cmu.Lock()
-	hint, ok := r.hints[id]
-	r.cmu.Unlock()
-	if ok {
-		ordered := []string{hint}
-		for _, nid := range ids {
-			if nid != hint {
-				ordered = append(ordered, nid)
-			}
-		}
-		return ordered
+	hint, ok := r.hints.Get(id)
+	if !ok || nodes[hint] == nil { // no hint, or the hinted node has left
+		return ids
 	}
-	return ids
+	ordered := []string{hint}
+	for _, nid := range ids {
+		if nid != hint {
+			ordered = append(ordered, nid)
+		}
+	}
+	return ordered
+}
+
+// fetch is the coordinator's one read path for an artifact of a stored
+// blob: the cache, else each member in fetchOrder until one serves bytes
+// that decode. A member that cannot serve the id (it does not hold it, or
+// is down) is skipped uncounted; one that serves corrupt or undecodable
+// bytes counts a node error. The serving member becomes id's hint.
+func fetch[V any](r *Router, cache *store.Cache[V], id string,
+	read func(*nodeClient, string) ([]byte, error), decode func([]byte) (V, error)) (V, error) {
+	if v, ok := cache.Get(id); ok {
+		return v, nil
+	}
+	_, nodes := r.snapshot()
+	lastErr := errors.New("cluster: no nodes")
+	for _, nid := range r.fetchOrder(id, nodes) {
+		raw, err := read(nodes[nid], id)
+		if err != nil {
+			if errors.Is(err, errCorrupt) {
+				r.nodeErr(nid, err)
+			}
+			lastErr = err
+			continue
+		}
+		v, err := decode(raw)
+		if err != nil {
+			lastErr = fmt.Errorf("cluster: node %s served undecodable bytes for %s: %w", nid, id, err)
+			r.nodeErr(nid, lastErr)
+			continue
+		}
+		r.hints.Put(id, nid)
+		cache.Put(id, v)
+		return v, nil
+	}
+	var zero V
+	return zero, fmt.Errorf("cluster: %s unavailable: %w", id, lastErr)
 }
 
 // Get returns the decoded profile stored under id, via the coordinator's
 // decode cache. Sketch-mode diagnoses never call it, which is what keeps the
 // decode-cache counters flat.
 func (r *Router) Get(id string) (*sampler.Profile, error) {
-	r.cmu.Lock()
-	if p, ok := r.cache[id]; ok {
-		r.cacheHits++
-		r.cmu.Unlock()
-		return p, nil
-	}
-	r.cacheMiss++
-	r.cmu.Unlock()
-
-	_, nodes := r.snapshot()
-	var lastErr error
-	for _, nid := range r.fetchOrder(id, nodes) {
-		nc := nodes[nid]
-		blob, err := nc.blob(id)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		sum := sha256.Sum256(blob)
-		if hex.EncodeToString(sum[:]) != id {
-			lastErr = fmt.Errorf("cluster: node %s served corrupt blob %s", nid, id)
-			r.nodeErr(nid, lastErr)
-			continue
-		}
-		p, err := profilefmt.Unmarshal(blob)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r.cmu.Lock()
-		r.hints[id] = nid
-		if _, ok := r.cache[id]; !ok {
-			for len(r.cache) >= r.cacheCap && len(r.cacheOrder) > 0 {
-				delete(r.cache, r.cacheOrder[0])
-				r.cacheOrder = r.cacheOrder[1:]
-			}
-			r.cache[id] = p
-			r.cacheOrder = append(r.cacheOrder, id)
-		}
-		r.cmu.Unlock()
-		return p, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: no nodes")
-	}
-	return nil, fmt.Errorf("cluster: blob %s unavailable: %w", id, lastErr)
+	return fetch(r, r.decoded, id, (*nodeClient).verifiedBlob, profilefmt.Unmarshal)
 }
 
 // GetSketch returns the per-variable sketch of a stored blob, fetched from
-// whichever replica holds it and cached at the coordinator.
+// whichever replica holds it and cached at the coordinator. A sketch folded
+// from another blob is rejected, as store.GetSketch rejects it.
 func (r *Router) GetSketch(id string) (*sketch.Profile, error) {
-	r.cmu.Lock()
-	if sk, ok := r.sketches[id]; ok {
-		r.sketchHits++
-		r.cmu.Unlock()
-		return sk, nil
-	}
-	r.sketchMiss++
-	r.cmu.Unlock()
-
-	_, nodes := r.snapshot()
-	var lastErr error
-	for _, nid := range r.fetchOrder(id, nodes) {
-		nc := nodes[nid]
-		raw, err := nc.sketch(id)
-		if err != nil {
-			lastErr = err
-			continue
-		}
+	return fetch(r, r.sketches, id, (*nodeClient).sketch, func(raw []byte) (*sketch.Profile, error) {
 		sk, err := profilefmt.UnmarshalSketch(raw)
-		if err != nil {
-			lastErr = fmt.Errorf("cluster: node %s served bad sketch %s: %w", nid, id, err)
-			r.nodeErr(nid, lastErr)
-			continue
+		if err == nil && sk.BlobID != id {
+			err = fmt.Errorf("sketch of blob %s", sk.BlobID)
 		}
-		r.cmu.Lock()
-		r.hints[id] = nid
-		if _, ok := r.sketches[id]; !ok {
-			for len(r.sketches) >= r.cacheCap && len(r.sketchOrd) > 0 {
-				delete(r.sketches, r.sketchOrd[0])
-				r.sketchOrd = r.sketchOrd[1:]
-			}
-			r.sketches[id] = sk
-			r.sketchOrd = append(r.sketchOrd, id)
-		}
-		r.cmu.Unlock()
-		return sk, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: no nodes")
-	}
-	return nil, fmt.Errorf("cluster: sketch %s unavailable: %w", id, lastErr)
+		return sk, err
+	})
 }
 
 // CacheStats reports the coordinator's decode-cache counters.
-func (r *Router) CacheStats() store.CacheStats {
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
-	return store.CacheStats{Hits: r.cacheHits, Misses: r.cacheMiss, Entries: len(r.cache)}
-}
+func (r *Router) CacheStats() store.CacheStats { return r.decoded.Stats() }
 
 // SketchStats reports the coordinator's sketch-cache counters. Rebuilds
 // happen node-side, so only hit/miss/indexed are meaningful here.
 func (r *Router) SketchStats() store.SketchStats {
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
-	return store.SketchStats{Hits: r.sketchHits, Misses: r.sketchMiss, Indexed: len(r.sketches)}
+	c := r.sketches.Stats()
+	return store.SketchStats{Hits: c.Hits, Misses: c.Misses, Indexed: c.Entries}
 }
 
 // ---- Backend: merged entry reads + read-repair -----------------------------
@@ -604,25 +541,15 @@ func (r *Router) blobFromHolders(id string, byNode map[string]*store.Entry, node
 		}
 	}
 	sort.Strings(holders)
-	var lastErr error
+	lastErr := fmt.Errorf("cluster: no reachable holder for %s", id)
 	for _, nid := range holders {
-		nc, ok := nodes[nid]
-		if !ok {
-			continue
-		}
-		blob, err := nc.blob(id)
-		if err != nil {
+		if nc, ok := nodes[nid]; ok {
+			blob, err := nc.verifiedBlob(id)
+			if err == nil {
+				return blob, nil
+			}
 			lastErr = err
-			continue
 		}
-		sum := sha256.Sum256(blob)
-		if hex.EncodeToString(sum[:]) == id {
-			return blob, nil
-		}
-		lastErr = fmt.Errorf("cluster: node %s served corrupt blob %s", nid, id)
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: no reachable holder for %s", id)
 	}
 	return nil, lastErr
 }
@@ -700,35 +627,22 @@ func (r *Router) Candidates(workload string) []*store.Entry {
 	return out
 }
 
-// Workloads lists every workload any member holds, with merged counts.
+// Workloads lists every workload any member holds, with merged counts,
+// from one merged read of all entries.
 func (r *Router) Workloads() []store.WorkloadInfo {
-	names := map[string]bool{}
-	keys, _ := r.sweep("")
-	for k := range keys {
-		wl, _, _ := splitKey(k)
-		names[wl] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for wl := range names {
-		sorted = append(sorted, wl)
-	}
-	sort.Strings(sorted)
-	out := make([]store.WorkloadInfo, 0, len(sorted))
-	for _, wl := range sorted {
-		info := store.WorkloadInfo{Workload: wl}
-		for _, e := range r.mergedEntries(wl) {
-			switch e.Label {
-			case store.LabelNormal:
-				info.Normals++
-			case store.LabelCandidate:
-				info.Candidates++
-			}
+	out := []store.WorkloadInfo{}
+	for _, e := range r.mergedEntries("") { // sorted by workload first
+		if len(out) == 0 || out[len(out)-1].Workload != e.Workload {
+			out = append(out, store.WorkloadInfo{Workload: e.Workload})
 		}
-		info.Baselines = info.Normals
-		if info.Baselines > r.baselineCap {
-			info.Baselines = r.baselineCap
+		info := &out[len(out)-1]
+		switch e.Label {
+		case store.LabelNormal:
+			info.Normals++
+		case store.LabelCandidate:
+			info.Candidates++
 		}
-		out = append(out, info)
+		info.Baselines = min(info.Normals, r.baselineCap)
 	}
 	return out
 }
@@ -946,8 +860,21 @@ func (nc *nodeClient) put(workload, label, run string, blob []byte) (*store.Entr
 	return pr.Entry, pr.Dup, nil
 }
 
-func (nc *nodeClient) blob(id string) ([]byte, error) {
-	return nc.getRaw("/internal/v1/blob/" + url.PathEscape(id))
+// errCorrupt marks a blob whose bytes do not hash to the id they were
+// served under.
+var errCorrupt = errors.New("corrupt blob")
+
+// verifiedBlob fetches a blob and checks its bytes against the content
+// hash they are stored under.
+func (nc *nodeClient) verifiedBlob(id string) ([]byte, error) {
+	blob, err := nc.getRaw("/internal/v1/blob/" + url.PathEscape(id))
+	if err != nil {
+		return nil, err
+	}
+	if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != id {
+		return nil, fmt.Errorf("cluster: node %s served a %w for %s", nc.ref.ID, errCorrupt, id)
+	}
+	return blob, nil
 }
 
 func (nc *nodeClient) sketch(id string) ([]byte, error) {

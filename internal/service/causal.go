@@ -15,8 +15,8 @@ import (
 // the workload with that candidate's tick costs scaled down and measure the
 // end-to-end runtime change.
 type CausalRequest struct {
-	// Workload names a registered workload whose resolver can supply a
-	// runnable program (RunnableResolver).
+	// Workload names a registered workload; the resolver supplies its
+	// runnable program.
 	Workload string `json:"workload"`
 	// Speedups lists virtual speedup percentages, each in (0,100); empty
 	// uses the engine's default sweep.
@@ -106,12 +106,7 @@ func (s *Server) computeCausal(ctx context.Context, workload string, gran causal
 	}
 	defer release()
 
-	rr, ok := s.resolver.(RunnableResolver)
-	if !ok {
-		return nil, http.StatusNotFound, withCode(CodeNotFound,
-			fmt.Errorf("resolver cannot provide runnable workloads"))
-	}
-	prog, cfg, err := rr.Runnable(workload)
+	prog, cfg, err := s.resolver.Runnable(workload)
 	if err != nil {
 		return nil, http.StatusNotFound, withCode(CodeNotFound,
 			fmt.Errorf("runnable workload %q: %w", workload, err))

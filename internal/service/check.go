@@ -14,7 +14,7 @@ import (
 // workload by name (the resolver supplies the source) or an inline program.
 type CheckRequest struct {
 	// Workload names a registered workload; its source comes from the
-	// resolver (SourceResolver). Mutually exclusive with Source.
+	// resolver. Mutually exclusive with Source.
 	Workload string `json:"workload,omitempty"`
 	// Source is an inline program text; Path names it in findings
 	// (default "input.vp").
@@ -55,13 +55,8 @@ func (s *Server) Check(req CheckRequest) (*CheckResponse, int, error) {
 		return nil, http.StatusBadRequest, withCode(CodeBadRequest,
 			fmt.Errorf("workload and source are mutually exclusive"))
 	case req.Workload != "":
-		sr, ok := s.resolver.(SourceResolver)
-		if !ok {
-			return nil, http.StatusNotFound, withCode(CodeNotFound,
-				fmt.Errorf("resolver cannot provide workload sources"))
-		}
 		var err error
-		path, src, err = sr.Source(req.Workload)
+		path, src, err = s.resolver.Source(req.Workload)
 		if err != nil {
 			return nil, http.StatusNotFound, withCode(CodeNotFound,
 				fmt.Errorf("source of workload %q: %w", req.Workload, err))

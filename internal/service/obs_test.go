@@ -184,7 +184,7 @@ func TestHealthzTriState(t *testing.T) {
 // until released, so a test can cancel the request at a known point inside
 // compute.
 type gateResolver struct {
-	inner   service.Resolver
+	service.Resolver
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
@@ -192,19 +192,17 @@ type gateResolver struct {
 
 func newGateResolver() *gateResolver {
 	return &gateResolver{
-		inner:   service.NewBugsResolver(),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
+		Resolver: service.NewBugsResolver(),
+		entered:  make(chan struct{}),
+		release:  make(chan struct{}),
 	}
 }
 
 func (g *gateResolver) Resolve(workload string) (*debuginfo.Info, *schema.Schema, error) {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release
-	return g.inner.Resolve(workload)
+	return g.Resolver.Resolve(workload)
 }
-
-func (g *gateResolver) Known() []string { return g.inner.Known() }
 
 func TestDiagnoseCancellation(t *testing.T) {
 	gate := newGateResolver()

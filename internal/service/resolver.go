@@ -16,32 +16,20 @@ import (
 	"vprof/internal/vm"
 )
 
-// Resolver maps a workload name to the debug info and monitoring schema its
-// diagnosis needs — what the offline pipeline gets from compiling the
-// program next to its profiles.
+// Resolver maps a workload name to what the service needs of its program:
+// the debug info and monitoring schema a diagnosis needs — what the offline
+// pipeline gets from compiling the program next to its profiles — the
+// source text POST /v1/check analyzes, and the compiled program POST
+// /v1/causal re-executes.
 type Resolver interface {
 	Resolve(workload string) (*debuginfo.Info, *schema.Schema, error)
+	// Source returns the workload's source path and text.
+	Source(workload string) (path, src string, err error)
+	// Runnable returns the workload's compiled program and run config.
+	Runnable(workload string) (*compiler.Program, vm.Config, error)
 	// Known lists resolvable workload names (for diagnostics; a resolver
 	// may accept names beyond this list).
 	Known() []string
-}
-
-// SourceResolver is an optional Resolver extension: endpoints that analyze
-// the program itself rather than its profiles (POST /v1/check) need the
-// workload's source text. Resolvers that cannot provide it simply do not
-// implement the interface.
-type SourceResolver interface {
-	// Source returns the workload's source path and text.
-	Source(workload string) (path, src string, err error)
-}
-
-// RunnableResolver is an optional Resolver extension: endpoints that
-// re-execute the workload (POST /v1/causal's virtual-speedup experiments)
-// need the compiled program and the VM configuration it runs under, not
-// just its debug info.
-type RunnableResolver interface {
-	// Runnable returns the workload's compiled program and run config.
-	Runnable(workload string) (*compiler.Program, vm.Config, error)
 }
 
 // bugsResolver serves the built-in bug registry: workload name = bug id
@@ -58,22 +46,30 @@ func NewBugsResolver() Resolver {
 }
 
 func (r *bugsResolver) Resolve(workload string) (*debuginfo.Info, *schema.Schema, error) {
+	_, b, err := r.build(workload)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.Prog.Debug, b.Schema, nil
+}
+
+// build returns the bug workload and its build, building it on first use.
+func (r *bugsResolver) build(workload string) (*bugs.Workload, *bugs.Built, error) {
+	w := bugs.ByID(workload)
+	if w == nil {
+		return nil, nil, fmt.Errorf("no bug workload %q", workload)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b, ok := r.built[workload]
 	if !ok {
-		w := bugs.ByID(workload)
-		if w == nil {
-			return nil, nil, fmt.Errorf("no bug workload %q", workload)
-		}
 		var err error
-		b, err = w.Build()
-		if err != nil {
+		if b, err = w.Build(); err != nil {
 			return nil, nil, err
 		}
 		r.built[workload] = b
 	}
-	return b.Prog.Debug, b.Schema, nil
+	return w, b, nil
 }
 
 // Source returns the workload's buggy source (the reproduced issue, noise
@@ -93,20 +89,9 @@ func (r *bugsResolver) Source(workload string) (string, string, error) {
 // Runnable returns the bug's compiled program and its buggy run config
 // (run 0), the same pair the harness's causal validation uses.
 func (r *bugsResolver) Runnable(workload string) (*compiler.Program, vm.Config, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := bugs.ByID(workload)
-	if w == nil {
-		return nil, vm.Config{}, fmt.Errorf("no bug workload %q", workload)
-	}
-	b, ok := r.built[workload]
-	if !ok {
-		var err error
-		b, err = w.Build()
-		if err != nil {
-			return nil, vm.Config{}, err
-		}
-		r.built[workload] = b
+	w, b, err := r.build(workload)
+	if err != nil {
+		return nil, vm.Config{}, err
 	}
 	return b.Prog, w.BuggyConfig(0), nil
 }
@@ -232,12 +217,14 @@ func NewMultiResolver(rs ...Resolver) Resolver {
 	return multiResolver(rs)
 }
 
-func (m multiResolver) Resolve(workload string) (*debuginfo.Info, *schema.Schema, error) {
+// first calls try on each chained resolver until one succeeds, and
+// returns the first resolver's error when none does.
+func (m multiResolver) first(workload string, try func(Resolver) error) error {
 	var firstErr error
 	for _, r := range m {
-		debug, sch, err := r.Resolve(workload)
+		err := try(r)
 		if err == nil {
-			return debug, sch, nil
+			return nil
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -246,53 +233,33 @@ func (m multiResolver) Resolve(workload string) (*debuginfo.Info, *schema.Schema
 	if firstErr == nil {
 		firstErr = fmt.Errorf("no resolver for workload %q", workload)
 	}
-	return nil, nil, firstErr
+	return firstErr
 }
 
-// Source delegates to the first chained resolver that both implements
-// SourceResolver and knows the workload.
-func (m multiResolver) Source(workload string) (string, string, error) {
-	var firstErr error
-	for _, r := range m {
-		sr, ok := r.(SourceResolver)
-		if !ok {
-			continue
-		}
-		path, src, err := sr.Source(workload)
-		if err == nil {
-			return path, src, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("no source for workload %q", workload)
-	}
-	return "", "", firstErr
+func (m multiResolver) Resolve(workload string) (debug *debuginfo.Info, sch *schema.Schema, err error) {
+	err = m.first(workload, func(r Resolver) (err error) {
+		debug, sch, err = r.Resolve(workload)
+		return err
+	})
+	return debug, sch, err
 }
 
-// Runnable delegates to the first chained resolver that both implements
-// RunnableResolver and knows the workload.
-func (m multiResolver) Runnable(workload string) (*compiler.Program, vm.Config, error) {
-	var firstErr error
-	for _, r := range m {
-		rr, ok := r.(RunnableResolver)
-		if !ok {
-			continue
-		}
-		prog, cfg, err := rr.Runnable(workload)
-		if err == nil {
-			return prog, cfg, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("no runnable program for workload %q", workload)
-	}
-	return nil, vm.Config{}, firstErr
+// Source delegates to the first chained resolver that knows the workload.
+func (m multiResolver) Source(workload string) (path, src string, err error) {
+	err = m.first(workload, func(r Resolver) (err error) {
+		path, src, err = r.Source(workload)
+		return err
+	})
+	return path, src, err
+}
+
+// Runnable delegates to the first chained resolver that knows the workload.
+func (m multiResolver) Runnable(workload string) (prog *compiler.Program, cfg vm.Config, err error) {
+	err = m.first(workload, func(r Resolver) (err error) {
+		prog, cfg, err = r.Runnable(workload)
+		return err
+	})
+	return prog, cfg, err
 }
 
 func (m multiResolver) Known() []string {

@@ -248,7 +248,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 // panicOnceResolver panics on its first Resolve and then behaves.
 type panicOnceResolver struct {
-	inner service.Resolver
+	service.Resolver
 	fired atomic.Bool
 }
 
@@ -256,17 +256,15 @@ func (p *panicOnceResolver) Resolve(workload string) (*debuginfo.Info, *schema.S
 	if p.fired.CompareAndSwap(false, true) {
 		panic("resolver exploded")
 	}
-	return p.inner.Resolve(workload)
+	return p.Resolver.Resolve(workload)
 }
-
-func (p *panicOnceResolver) Known() []string { return p.inner.Known() }
 
 // TestPanicRecoveryMiddleware: a handler panic costs one 500 and a
 // vprof_panics_total tick — not the process — and the poisoned in-flight
 // diagnosis entry is cleaned up so the retry computes normally.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	_, hs, _ := newRobustServer(t, service.Config{
-		Resolver: &panicOnceResolver{inner: service.NewBugsResolver()},
+		Resolver: &panicOnceResolver{Resolver: service.NewBugsResolver()},
 	})
 	c := service.NewClient(hs.URL)
 	seedB1(t, c)

@@ -177,22 +177,9 @@ func (s *Store) appendSketchLocked(id string, sk *sketch.Profile, payload []byte
 	}
 	s.sketchLogSize = start + int64(len(frame))
 	s.sketchIdx[id] = sketchRef{offset: start + sketchFrameHdr, size: int64(len(payload))}
-	s.sketchCacheAddLocked(id, sk)
+	s.sketches.Put(id, sk)
 	s.m.sketchWrites.Inc()
 	return nil
-}
-
-func (s *Store) sketchCacheAddLocked(id string, sk *sketch.Profile) {
-	if _, ok := s.sketchCache[id]; ok {
-		return
-	}
-	for len(s.sketchCache) >= sketchCacheSize && len(s.sketchCacheOrder) > 0 {
-		evict := s.sketchCacheOrder[0]
-		s.sketchCacheOrder = s.sketchCacheOrder[1:]
-		delete(s.sketchCache, evict)
-	}
-	s.sketchCache[id] = sk
-	s.sketchCacheOrder = append(s.sketchCacheOrder, id)
 }
 
 // GetSketch returns the sketch for a stored blob: from the in-memory cache,
@@ -201,25 +188,19 @@ func (s *Store) sketchCacheAddLocked(id string, sk *sketch.Profile) {
 // so the rebuild happens once. Sketches served from the cache or the log
 // never touch the raw blob or the decoded-profile cache.
 func (s *Store) GetSketch(id string) (*sketch.Profile, error) {
-	s.mu.Lock()
-	if sk, ok := s.sketchCache[id]; ok {
-		s.sketchHits++
-		s.mu.Unlock()
+	if sk, ok := s.sketches.Get(id); ok {
 		s.m.sketchHits.Inc()
 		return sk, nil
 	}
-	s.sketchMiss++
 	s.m.sketchMisses.Inc()
+	s.mu.RLock()
 	ref, ok := s.sketchIdx[id]
+	s.mu.RUnlock()
 	if !ok {
-		s.mu.Unlock()
 		return s.rebuildSketch(id)
 	}
-	path := s.sketchLogPath()
-	fsys := s.fsys
-	s.mu.Unlock()
 
-	f, err := fsys.Open(path)
+	f, err := s.fsys.Open(s.sketchLogPath())
 	if err != nil {
 		return nil, err
 	}
@@ -236,9 +217,7 @@ func (s *Store) GetSketch(id string) (*sketch.Profile, error) {
 		// rebuild from the raw blob.
 		return s.rebuildSketch(id)
 	}
-	s.mu.Lock()
-	s.sketchCacheAddLocked(id, sk)
-	s.mu.Unlock()
+	s.sketches.Put(id, sk)
 	return sk, nil
 }
 
@@ -250,17 +229,16 @@ func (s *Store) rebuildSketch(id string) (*sketch.Profile, error) {
 		return nil, err
 	}
 	sk, payload := foldSketch(id, p)
+	if !s.sketches.Put(id, sk) { // raced with another fill
+		return sk, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cached, ok := s.sketchCache[id]; ok { // raced with another rebuild
-		return cached, nil
-	}
 	s.sketchRebuilt++
 	s.m.sketchRebuilds.Inc()
 	// Persisting is best-effort; serve the folded sketch either way. A
 	// frame already indexed but no longer decodable is not appended again.
 	_ = s.appendSketchLocked(id, sk, payload)
-	s.sketchCacheAddLocked(id, sk)
 	return sk, nil
 }
 
@@ -272,11 +250,12 @@ type SketchStats struct {
 
 // SketchStats returns sketch-path effectiveness counters.
 func (s *Store) SketchStats() SketchStats {
+	c := s.sketches.Stats()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return SketchStats{
-		Hits:     s.sketchHits,
-		Misses:   s.sketchMiss,
+		Hits:     c.Hits,
+		Misses:   c.Misses,
 		Rebuilds: s.sketchRebuilt,
 		Indexed:  len(s.sketchIdx),
 	}

@@ -191,21 +191,15 @@ type Store struct {
 
 	recovery *FsckReport // what Open's recovery found and fixed
 
-	cache      map[string]*sampler.Profile
-	cacheOrder []string // FIFO eviction
-	cacheHits  int64
-	cacheMiss  int64
+	decoded *Cache[*sampler.Profile]
 
 	// Sketch log state (sketches.go): per-blob variable sketches the
 	// incremental diagnosis path reads instead of the raw blobs.
-	sketchLog        faultfs.File
-	sketchLogSize    int64
-	sketchIdx        map[string]sketchRef
-	sketchCache      map[string]*sketch.Profile
-	sketchCacheOrder []string
-	sketchHits       int64
-	sketchMiss       int64
-	sketchRebuilt    int64
+	sketchLog     faultfs.File
+	sketchLogSize int64
+	sketchIdx     map[string]sketchRef
+	sketches      *Cache[*sketch.Profile]
+	sketchRebuilt int64
 
 	m storeMetrics
 }
@@ -277,17 +271,17 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:         dir,
-		opts:        opts,
-		fsys:        fsys,
-		blobs:       map[string]blobRef{},
-		entries:     map[string]*Entry{},
-		byWl:        map[string][]*Entry{},
-		readers:     map[int]faultfs.File{},
-		cache:       map[string]*sampler.Profile{},
-		sketchCache: map[string]*sketch.Profile{},
-		recovery:    rep,
-		m:           newStoreMetrics(opts.Metrics),
+		dir:      dir,
+		opts:     opts,
+		fsys:     fsys,
+		blobs:    map[string]blobRef{},
+		entries:  map[string]*Entry{},
+		byWl:     map[string][]*Entry{},
+		readers:  map[int]faultfs.File{},
+		decoded:  NewCache[*sampler.Profile](opts.CacheCap),
+		sketches: NewCache[*sketch.Profile](sketchCacheSize),
+		recovery: rep,
+		m:        newStoreMetrics(opts.Metrics),
 	}
 	s.m.quarantined.Add(float64(len(rep.Quarantined)))
 	s.m.recoveredDrops.Add(float64(rep.DroppedRecords))
@@ -544,7 +538,7 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 		return nil, false, err
 	}
 	s.indexLocked(e, ref)
-	s.cacheAddLocked(id, p)
+	s.cacheDecoded(id, p)
 	// Persist the blob's sketch so incremental diagnoses never re-decode
 	// it. Sketches are derived data: an append failure is absorbed
 	// (GetSketch rebuilds on demand), never failing an acknowledged push.
@@ -673,41 +667,20 @@ func (s *Store) rolloverLocked() error {
 
 // Get returns the decoded profile stored under id, via the decoded cache.
 func (s *Store) Get(id string) (*sampler.Profile, error) {
-	s.mu.Lock()
-	if p, ok := s.cache[id]; ok {
-		s.cacheHits++
-		s.mu.Unlock()
+	if p, ok := s.decoded.Get(id); ok {
 		s.m.cacheHits.Inc()
 		return p, nil
 	}
-	s.cacheMiss++
 	s.m.cacheMisses.Inc()
-	ref, ok := s.blobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("store: no blob %s", id)
-	}
-	r, err := s.readerLocked(ref.segment)
-	s.mu.Unlock()
+	blob, err := s.GetBlob(id)
 	if err != nil {
 		return nil, err
-	}
-
-	blob := make([]byte, ref.size)
-	if _, err := r.ReadAt(blob, ref.offset); err != nil {
-		return nil, fmt.Errorf("store: read blob %s: %w", id, err)
-	}
-	sum := sha256.Sum256(blob)
-	if hex.EncodeToString(sum[:]) != id {
-		return nil, fmt.Errorf("store: blob %s failed content verification", id)
 	}
 	p, err := profilefmt.Unmarshal(blob)
 	if err != nil {
 		return nil, fmt.Errorf("store: decode blob %s: %w", id, err)
 	}
-	s.mu.Lock()
-	s.cacheAddLocked(id, p)
-	s.mu.Unlock()
+	s.cacheDecoded(id, p)
 	return p, nil
 }
 
@@ -752,18 +725,9 @@ func (s *Store) readerLocked(segment int) (faultfs.File, error) {
 	return r, nil
 }
 
-func (s *Store) cacheAddLocked(id string, p *sampler.Profile) {
-	if _, ok := s.cache[id]; ok {
-		return
-	}
-	for len(s.cache) >= s.opts.CacheCap && len(s.cacheOrder) > 0 {
-		evict := s.cacheOrder[0]
-		s.cacheOrder = s.cacheOrder[1:]
-		delete(s.cache, evict)
-	}
-	s.cache[id] = p
-	s.cacheOrder = append(s.cacheOrder, id)
-	s.m.cacheEntries.Set(float64(len(s.cache)))
+func (s *Store) cacheDecoded(id string, p *sampler.Profile) {
+	s.decoded.Put(id, p)
+	s.m.cacheEntries.Set(float64(s.decoded.Len()))
 }
 
 // Lookup returns the entry stored under a (workload, label, run) key.
@@ -887,11 +851,7 @@ func (s *Store) Workloads() []WorkloadInfo {
 }
 
 // CacheStats reports decoded-cache hit/miss counters.
-func (s *Store) CacheStats() CacheStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return CacheStats{Hits: s.cacheHits, Misses: s.cacheMiss, Entries: len(s.cache)}
-}
+func (s *Store) CacheStats() CacheStats { return s.decoded.Stats() }
 
 // Flush forces both append handles to stable storage — the final step of a
 // graceful shutdown. With the default options every acknowledged push is
