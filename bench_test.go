@@ -353,50 +353,83 @@ func BenchmarkProfiledExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkCodec times both codecs on the merged profiles of
+// caseProfile profiles run 0 of a profiledCases entry and merges its
+// processes.
+func caseProfile(b *testing.B, id string, buggy bool) *sampler.Profile {
+	built, err := bugs.ByID(id).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := built.W.NormalConfig(0)
+	if buggy {
+		cfg = built.W.BuggyConfig(0)
+	}
+	return sampler.MergeProfiles(sampler.ProfileRun(built.Prog, built.Meta, cfg,
+		sampler.Options{Interval: bugs.DefaultInterval}).Profiles)
+}
+
+// benchOp is one timed operation of a layer benchmark.
+type benchOp struct {
+	name string
+	run  func() error
+}
+
+// runOps times each op as the sub-benchmark prefix/name.
+func runOps(b *testing.B, prefix string, ops []benchOp) {
+	for _, op := range ops {
+		b.Run(prefix+"/"+op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCodec times the bundle codec on the merged profiles of
 // profiledCases: Marshal encodes the profile as a bundle, Unmarshal
-// decodes and validates it, and MarshalSketch/UnmarshalSketch do the same
-// for the sketch folded from it. Every push pays Marshal, Unmarshal and
-// MarshalSketch once per replica.
+// decodes and validates it. Every push pays both once per replica.
 func BenchmarkCodec(b *testing.B) {
 	for _, c := range profiledCases {
-		built, err := bugs.ByID(c.id).Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := built.W.NormalConfig(0)
-		if c.buggy {
-			cfg = built.W.BuggyConfig(0)
-		}
-		p := sampler.MergeProfiles(sampler.ProfileRun(built.Prog, built.Meta, cfg,
-			sampler.Options{Interval: bugs.DefaultInterval}).Profiles)
-		sk := sketch.FromProfile(p)
+		p := caseProfile(b, c.id, c.buggy)
 		blob, err := profilefmt.Marshal(p)
 		if err != nil {
 			b.Fatal(err)
 		}
+		runOps(b, c.name, []benchOp{
+			{"Marshal", func() error { _, err := profilefmt.Marshal(p); return err }},
+			{"Unmarshal", func() error { _, err := profilefmt.Unmarshal(blob); return err }},
+		})
+	}
+}
+
+// BenchmarkSketch times the sketch layer on the merged profiles of
+// profiledCases: FromProfile folds the profile, MarshalSketch and
+// UnmarshalSketch run the sketch codec, and Merge16 folds 16 copies of the
+// sketch into one, the shape of a corpus merge. Every push pays the fold
+// and MarshalSketch once per replica.
+func BenchmarkSketch(b *testing.B) {
+	for _, c := range profiledCases {
+		p := caseProfile(b, c.id, c.buggy)
+		sk := sketch.FromProfile(p)
 		frame, err := profilefmt.MarshalSketch(sk)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, op := range []struct {
-			name string
-			run  func() error
-		}{
-			{"Marshal", func() error { _, err := profilefmt.Marshal(p); return err }},
-			{"Unmarshal", func() error { _, err := profilefmt.Unmarshal(blob); return err }},
+		runOps(b, c.name, []benchOp{
+			{"FromProfile", func() error { sketch.FromProfile(p); return nil }},
 			{"MarshalSketch", func() error { _, err := profilefmt.MarshalSketch(sk); return err }},
 			{"UnmarshalSketch", func() error { _, err := profilefmt.UnmarshalSketch(frame); return err }},
-		} {
-			b.Run(c.name+"/"+op.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := op.run(); err != nil {
-						b.Fatal(err)
-					}
+			{"Merge16", func() error {
+				out := sk.Clone()
+				for i := 1; i < 16; i++ {
+					out.Merge(sk)
 				}
-			})
-		}
+				return nil
+			}},
+		})
 	}
 }
 

@@ -96,9 +96,9 @@ func AnalyzeSketchesContext(ctx context.Context, in SketchInput, p Params) (*Rep
 	varCost := map[string]float64{}
 	if !p.DisableVarCost {
 		units := map[string]int64{}
-		for pc, n := range buggy.UnitsByPC {
-			if fn := in.Debug.FuncAt(int(pc)); fn != nil {
-				units[fn.Name] += n
+		for _, e := range buggy.UnitsByPC {
+			if fn := in.Debug.FuncAt(int(e.Key)); fn != nil {
+				units[fn.Name] += e.Count
 			}
 		}
 		for fn, u := range units {

@@ -190,7 +190,10 @@ func analyzeVariables(ctx context.Context, p Params, in SketchInput) (map[string
 func normalRange(dim Dimension, nv *sketch.VarSummary) (lo, hi float64, ok bool) {
 	switch dim {
 	case DimDelta:
-		return stats.MinMax(nv.Deltas.Keys())
+		if len(nv.Deltas) == 0 {
+			return 0, 0, false
+		}
+		return nv.Deltas[0].Key, nv.Deltas[len(nv.Deltas)-1].Key, true
 	case DimCost:
 		return 0, nv.MaxRun, nv.NumRuns > 0
 	}

@@ -15,15 +15,12 @@ import (
 // profiled executable, and vProf inherits this) as are synthetic functions.
 func pcCostApp(s *sketch.Profile, info *debuginfo.Info) map[string]float64 {
 	out := map[string]float64{}
-	for pc, n := range s.Hist {
-		if n == 0 {
-			continue
-		}
-		fn := info.FuncAt(int(pc))
+	for _, e := range s.Hist {
+		fn := info.FuncAt(int(e.Key))
 		if fn == nil || fn.Library || isSynthetic(fn.Name) {
 			continue
 		}
-		out[fn.Name] += float64(n * s.Interval)
+		out[fn.Name] += float64(e.Count * s.Interval)
 	}
 	return out
 }

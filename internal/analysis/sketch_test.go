@@ -151,9 +151,9 @@ func TestSketchFoldPreservesUnits(t *testing.T) {
 
 	want := prof.FuncValueSampleUnits(tb.prog.Debug)
 	got := map[string]int64{}
-	for pc, n := range sk.UnitsByPC {
-		if fn := tb.prog.Debug.FuncAt(int(pc)); fn != nil {
-			got[fn.Name] += n
+	for _, e := range sk.UnitsByPC {
+		if fn := tb.prog.Debug.FuncAt(int(e.Key)); fn != nil {
+			got[fn.Name] += e.Count
 		}
 	}
 	for fn, w := range want {

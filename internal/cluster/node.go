@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 
 	"vprof/internal/analysis"
 	"vprof/internal/debuginfo"
@@ -162,13 +163,13 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, http.StatusBadRequest, "invalid", errors.New("cluster: put needs workload and run"))
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, maxPutBytes+1))
-	if err != nil {
-		writeNodeError(w, http.StatusBadRequest, "invalid", err)
+	blob, err := obs.ReadBody(r.Body, r.ContentLength, maxPutBytes)
+	if errors.Is(err, obs.ErrBodyTooLarge) {
+		writeNodeError(w, http.StatusRequestEntityTooLarge, "invalid", errors.New("cluster: blob too large"))
 		return
 	}
-	if len(blob) > maxPutBytes {
-		writeNodeError(w, http.StatusRequestEntityTooLarge, "invalid", errors.New("cluster: blob too large"))
+	if err != nil {
+		writeNodeError(w, http.StatusBadRequest, "invalid", err)
 		return
 	}
 	entry, dup, err := n.st.PutBlob(workload, label, run, blob)
@@ -190,8 +191,7 @@ func (n *Node) handleBlob(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, http.StatusNotFound, "not_found", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(blob)
+	writeNodeBlob(w, blob)
 }
 
 func (n *Node) handleSketch(w http.ResponseWriter, r *http.Request) {
@@ -205,7 +205,14 @@ func (n *Node) handleSketch(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
+	writeNodeBlob(w, blob)
+}
+
+// writeNodeBlob answers with raw bytes, declaring their length so the
+// router's read allocates for exactly that many.
+func writeNodeBlob(w http.ResponseWriter, blob []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	_, _ = w.Write(blob)
 }
 

@@ -834,7 +834,7 @@ func (nc *nodeClient) getRaw(path string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, nc.decodeError(resp)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxPutBytes+1))
+	return obs.ReadBody(resp.Body, resp.ContentLength, maxPutBytes)
 }
 
 func (nc *nodeClient) put(workload, label, run string, blob []byte) (*store.Entry, bool, error) {

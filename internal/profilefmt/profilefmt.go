@@ -244,6 +244,12 @@ func decodeHist(r *reader) *sampler.Profile {
 			r.failf("pc %d out of range", pc)
 			return p
 		}
+		if c <= 0 {
+			// Only nonzero buckets are written, and a sketch folded from
+			// the profile carries its counts only if they are positive.
+			r.failf("histogram count %d at pc %d not positive", c, pc)
+			return p
+		}
 		p.Hist[pc] = c
 	}
 	return p

@@ -161,6 +161,20 @@ func TestUnmarshalRejectsSamplePCOutsideHist(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsNegativeHistCount: a bucket count below one would
+// fold into a sketch the sketch codec rejects (found by FuzzFold).
+func TestUnmarshalRejectsNegativeHistCount(t *testing.T) {
+	p := sampleProfile()
+	p.Hist[1] = -5
+	blob, err := profilefmt.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := profilefmt.Unmarshal(blob); err == nil || !strings.Contains(err.Error(), "not positive") {
+		t.Errorf("err = %v, want a non-positive count error", err)
+	}
+}
+
 func TestEncodedSize(t *testing.T) {
 	p := sampleProfile()
 	n, err := profilefmt.EncodedSize(p)

@@ -3,10 +3,11 @@ package profilefmt
 // Sketch codec: the store persists per-blob sketches (internal/sketch) in a
 // CRC-framed log next to the segments. The encoding mirrors the profile
 // bundle's conventions — magic + version header, length-prefixed strings,
-// sparse (key, count) pair sections — and is canonical: map sections are
-// written in strictly ascending key order and decoders reject out-of-order
-// or duplicate keys, so a sketch has exactly one byte representation and
-// re-encoding a decoded sketch reproduces the input bit for bit.
+// sparse (key, count) pair sections — and is canonical: pair sections are
+// the sketch's ascending arrays written in order, and decoders reject
+// out-of-order or duplicate keys, so a sketch has exactly one byte
+// representation and re-encoding a decoded sketch reproduces the input bit
+// for bit.
 
 import (
 	"io"
@@ -167,35 +168,30 @@ func decodeVarSummary(r *reader, histLen int64) sketch.VarSummary {
 	return v
 }
 
-// A pc -> count map is written as its length, then ascending (pc, count)
+// A per-PC count is written as its length, then its ascending (pc, count)
 // pairs.
 
-func pcCountsSize(m map[int32]int64) int { return 8 + pairRecord*len(m) }
+func pcCountsSize(m sketch.PCCounts) int { return 8 + pairRecord*len(m) }
 
-func appendPCCounts(b []byte, m map[int32]int64) []byte {
+func appendPCCounts(b []byte, m sketch.PCCounts) []byte {
 	b = appendInt64s(b, int64(len(m)))
-	pcs := make([]int32, 0, len(m))
-	for pc := range m {
-		pcs = append(pcs, pc)
-	}
-	slices.Sort(pcs)
-	for _, pc := range pcs {
-		b = appendInt64s(b, int64(pc), m[pc])
+	for _, e := range m {
+		b = appendInt64s(b, int64(e.Key), e.Count)
 	}
 	return b
 }
 
-func decodePCCounts(r *reader, histLen int64) map[int32]int64 {
+func decodePCCounts(r *reader, histLen int64) sketch.PCCounts {
 	n := r.i64()
 	if r.err == nil && (n < 0 || n > histLen) {
 		r.failf("sketch pc-count entries %d out of range", n)
 	}
-	if !r.records(n, pairRecord, "sketch pc counts") {
+	if n == 0 || !r.records(n, pairRecord, "sketch pc counts") {
 		return nil
 	}
-	out := make(map[int32]int64, n)
+	out := make(sketch.PCCounts, n)
 	prev := int64(-1)
-	for i := int64(0); i < n && r.err == nil; i++ {
+	for i := range out {
 		pc, c := r.i64(), r.i64()
 		switch {
 		case pc < 0 || pc >= histLen:
@@ -205,22 +201,25 @@ func decodePCCounts(r *reader, histLen int64) map[int32]int64 {
 		case c <= 0:
 			r.failf("sketch pc count %d not positive", c)
 		}
+		if r.err != nil {
+			return nil
+		}
 		prev = pc
-		out[int32(pc)] = c
+		out[i] = sketch.Pair[int32]{Key: int32(pc), Count: c}
 	}
 	return out
 }
 
-// A histogram is written as its length, then ascending (value, count)
+// A histogram is written as its length, then its ascending (value, count)
 // pairs.
 
 func sketchHistSize(h sketch.Hist) int { return 8 + pairRecord*len(h) }
 
 func appendSketchHist(b []byte, h sketch.Hist) []byte {
 	b = appendInt64s(b, int64(len(h)))
-	for _, k := range h.Keys() {
-		b = le.AppendUint64(b, math.Float64bits(k))
-		b = appendInt64s(b, h[k])
+	for _, e := range h {
+		b = le.AppendUint64(b, math.Float64bits(e.Key))
+		b = appendInt64s(b, e.Count)
 	}
 	return b
 }
@@ -236,7 +235,7 @@ func decodeSketchHist(r *reader) sketch.Hist {
 	h := make(sketch.Hist, n)
 	prev := math.Inf(-1)
 	var total int64
-	for i := int64(0); i < n && r.err == nil; i++ {
+	for i := range h {
 		k, c := r.f64(), r.i64()
 		switch {
 		case math.IsNaN(k):
@@ -248,9 +247,12 @@ func decodeSketchHist(r *reader) sketch.Hist {
 		case c > maxHistTotal-total:
 			r.failf("sketch histogram total exceeds %d", int64(maxHistTotal))
 		}
+		if r.err != nil {
+			return nil
+		}
 		total += c
 		prev = k
-		h[k] = c
+		h[i] = sketch.Pair[float64]{Key: k, Count: c}
 	}
 	return h
 }

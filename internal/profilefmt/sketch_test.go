@@ -2,8 +2,10 @@ package profilefmt_test
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vprof/internal/profilefmt"
@@ -23,6 +25,17 @@ func randSketchSeries(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
+// pcCountsOf lists a pc -> count map as an ascending sketch.PCCounts (nil
+// when empty).
+func pcCountsOf(m map[int32]int64) sketch.PCCounts {
+	var out sketch.PCCounts
+	for pc, n := range m {
+		out = append(out, sketch.Pair[int32]{Key: pc, Count: n})
+	}
+	slices.SortFunc(out, func(a, b sketch.Pair[int32]) int { return cmp.Compare(a.Key, b.Key) })
+	return out
+}
+
 func randSketch(rng *rand.Rand) *sketch.Profile {
 	p := &sketch.Profile{
 		BlobID:     "blob-test",
@@ -30,15 +43,15 @@ func randSketch(rng *rand.Rand) *sketch.Profile {
 		TotalTicks: int64(rng.Intn(100000)),
 		NumAlarms:  int64(rng.Intn(500)),
 		HistLen:    128,
-		Hist:       map[int32]int64{},
-		UnitsByPC:  map[int32]int64{},
+	}
+	hist, units := map[int32]int64{}, map[int32]int64{}
+	for i := 0; i < rng.Intn(15); i++ {
+		hist[int32(rng.Intn(128))] += int64(rng.Intn(40) + 1)
 	}
 	for i := 0; i < rng.Intn(15); i++ {
-		p.Hist[int32(rng.Intn(128))] += int64(rng.Intn(40) + 1)
+		units[int32(rng.Intn(128))] += int64(rng.Intn(40) + 1)
 	}
-	for i := 0; i < rng.Intn(15); i++ {
-		p.UnitsByPC[int32(rng.Intn(128))] += int64(rng.Intn(40) + 1)
-	}
+	p.Hist, p.UnitsByPC = pcCountsOf(hist), pcCountsOf(units)
 	keys := []struct{ fn, nm string }{
 		{"f", "a"}, {"f", "b"}, {"g", "a"}, {"", "glob"},
 	}
@@ -88,13 +101,6 @@ func TestSketchRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("roundtrip decode: %v", err)
 		}
-		// Empty maps decode as empty (non-nil) maps; normalize for compare.
-		if len(want.Hist) == 0 {
-			want.Hist = map[int32]int64{}
-		}
-		if len(want.UnitsByPC) == 0 {
-			want.UnitsByPC = map[int32]int64{}
-		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("roundtrip mismatch:\nwant %+v\ngot  %+v", want, got)
 		}
@@ -103,7 +109,7 @@ func TestSketchRoundtrip(t *testing.T) {
 
 // TestSketchEncodingCanonical: one sketch, one byte representation —
 // re-encoding a decoded sketch reproduces the input exactly, and encoding
-// is deterministic across runs despite map-backed sections.
+// is deterministic across runs.
 func TestSketchEncodingCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 50; i++ {

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -531,15 +530,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "workload and run query parameters are required")
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, MaxUploadBytes+1))
+	blob, err := obs.ReadBody(r.Body, r.ContentLength, MaxUploadBytes)
+	if errors.Is(err, obs.ErrBodyTooLarge) {
+		s.rejected.Add(1)
+		writeErr(w, http.StatusRequestEntityTooLarge, CodeInvalidBundle, "profile exceeds %d bytes", MaxUploadBytes)
+		return
+	}
 	if err != nil {
 		s.rejected.Add(1)
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "read body: %v", err)
-		return
-	}
-	if len(blob) > MaxUploadBytes {
-		s.rejected.Add(1)
-		writeErr(w, http.StatusRequestEntityTooLarge, CodeInvalidBundle, "profile exceeds %d bytes", MaxUploadBytes)
 		return
 	}
 	release, err := s.acquireCtx(r.Context())

@@ -8,11 +8,13 @@
 package sim
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -410,6 +412,53 @@ func FuzzHandler(f *testing.F, h http.Handler, seeds [][4]string, bad func() err
 			}
 		}
 	})
+}
+
+// CheckBodyReads sends push bodies to target (a path and query on h) over
+// real connections, so net/http frames them as a client would: a body
+// declared over any limit gets 413, a Content-Length above the bytes sent
+// gets 400, and valid sent chunked, with no Content-Length, gets 200.
+func CheckBodyReads(t *testing.T, h http.Handler, target string, valid []byte) {
+	t.Helper()
+	hs := httptest.NewServer(h)
+	defer hs.Close()
+	for _, c := range []struct {
+		name, header string
+		body         []byte
+		want         int
+	}{
+		{"over limit", "Content-Length: 1099511627776", valid, http.StatusRequestEntityTooLarge},
+		{"short body", fmt.Sprintf("Content-Length: %d", len(valid)+100), valid, http.StatusBadRequest},
+		{"chunked", "Transfer-Encoding: chunked", chunked(valid), http.StatusOK},
+	} {
+		conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: sim\r\nContent-Type: application/octet-stream\r\n%s\r\n\r\n", target, c.header)
+		_, err = conn.Write(c.body)
+		if err == nil {
+			err = conn.(*net.TCPConn).CloseWrite()
+		}
+		var resp *http.Response
+		if err == nil {
+			resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+		}
+		if err != nil {
+			conn.Close()
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		conn.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", c.name, resp.StatusCode, bytes.TrimSpace(body), c.want)
+		}
+	}
+}
+
+// chunked frames b as one chunk of an HTTP/1.1 chunked body.
+func chunked(b []byte) []byte {
+	return append(append(fmt.Appendf(nil, "%x\r\n", len(b)), b...), "\r\n0\r\n\r\n"...)
 }
 
 // SyntheticBlob encodes a small, valid profile whose content is a function

@@ -4,8 +4,12 @@
 // time. Sketches are the store's derived "summary section": diagnosing a new
 // run against a stored baseline corpus reads only sketches (O(new runs)),
 // never re-decoding old profile blobs, and sketch merge is associative,
-// commutative and deterministic (index-ordered variable lists), so a sharded
-// store can combine partial sketches into one answer.
+// commutative and deterministic (variable lists ordered by key), so a
+// sharded store can combine partial sketches into one answer.
+//
+// Every histogram and per-PC count is an ascending array of (key, count)
+// pairs with no zero counts, so folding, merging and encoding are linear
+// passes and one sketch has one in-memory form.
 //
 // Exactness: histograms count exact observations, so Expand reproduces the
 // sorted observation multiset and the analysis kernels in internal/analysis
@@ -15,33 +19,35 @@
 package sketch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vprof/internal/sampler"
-	"vprof/internal/stats"
 )
 
-// Hist is an exact histogram: observed value -> observation count. The zero
-// value (nil) is an empty histogram.
-type Hist map[float64]int64
+// Pair is one entry of a sparse count: a key (an observed value, or a PC)
+// and how often it occurred.
+type Pair[K cmp.Ordered] struct {
+	Key   K
+	Count int64
+}
+
+// Hist is an exact histogram: (observed value, observation count) pairs in
+// strictly ascending value order, every count positive. The zero value
+// (nil) is an empty histogram.
+type Hist []Pair[float64]
+
+// PCCounts is a sparse per-PC count: (pc, count) pairs in strictly
+// ascending PC order, every count positive. nil is empty.
+type PCCounts []Pair[int32]
 
 // Total returns the number of observations.
 func (h Hist) Total() int64 {
 	var n int64
-	for _, c := range h {
-		n += c
+	for _, e := range h {
+		n += e.Count
 	}
 	return n
-}
-
-// Keys returns the observed values in ascending order.
-func (h Hist) Keys() []float64 {
-	out := make([]float64, 0, len(h))
-	for k := range h {
-		out = append(out, k)
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // Expand reconstructs the observation multiset as an ascending series (each
@@ -49,58 +55,80 @@ func (h Hist) Keys() []float64 {
 // order-invariant Anderson-Darling and Hellinger tests.
 func (h Hist) Expand() []float64 {
 	out := make([]float64, 0, h.Total())
-	for _, k := range h.Keys() {
-		for c := h[k]; c > 0; c-- {
-			out = append(out, k)
+	for _, e := range h {
+		for c := e.Count; c > 0; c-- {
+			out = append(out, e.Key)
 		}
-	}
-	return out
-}
-
-// Clone returns a deep copy (nil stays nil).
-func (h Hist) Clone() Hist {
-	if h == nil {
-		return nil
-	}
-	out := make(Hist, len(h))
-	for k, c := range h {
-		out[k] = c
 	}
 	return out
 }
 
 // MergeHist returns the value-wise sum of two histograms. Either argument
 // may be nil; the inputs are not mutated.
-func MergeHist(a, b Hist) Hist {
+func MergeHist(a, b Hist) Hist { return mergePairs(a, b) }
+
+// mergePairs merge-joins two ascending pair arrays into a fresh one,
+// summing the counts of equal keys (nil when both are empty).
+func mergePairs[K cmp.Ordered](a, b []Pair[K]) []Pair[K] {
 	if len(a) == 0 && len(b) == 0 {
 		return nil
 	}
-	out := make(Hist, len(a)+len(b))
-	for k, c := range a {
-		out[k] += c
+	out := make([]Pair[K], 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Key < b[j].Key:
+			out = append(out, a[i])
+			i++
+		case a[i].Key > b[j].Key:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, Pair[K]{a[i].Key, a[i].Count + b[j].Count})
+			i++
+			j++
+		}
 	}
-	for k, c := range b {
-		out[k] += c
-	}
-	return out
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // HistOf counts a raw series into a histogram (nil for an empty series).
-// A run of equal adjacent values costs one map update.
 func HistOf(series []float64) Hist {
-	if len(series) == 0 {
-		return nil
-	}
-	h := make(Hist)
+	var runs Hist
 	for i := 0; i < len(series); {
 		j := i + 1
 		for j < len(series) && series[j] == series[i] {
 			j++
 		}
-		h[series[i]] += int64(j - i)
+		runs = append(runs, Pair[float64]{series[i], int64(j - i)})
 		i = j
 	}
-	return h
+	return histOfPairs(runs)
+}
+
+// histOfPairs sorts unordered (value, count) pairs in place and sums equal
+// values into an exact-size histogram (nil for no pairs).
+func histOfPairs(pairs []Pair[float64]) Hist {
+	if len(pairs) == 0 {
+		return nil
+	}
+	slices.SortFunc(pairs, func(a, b Pair[float64]) int { return cmp.Compare(a.Key, b.Key) })
+	n := 1
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i].Key != pairs[i-1].Key {
+			n++
+		}
+	}
+	out := make(Hist, 0, n)
+	for _, e := range pairs {
+		if k := len(out) - 1; k >= 0 && out[k].Key == e.Key {
+			out[k].Count += e.Count
+		} else {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // VarSummary is the mergeable summary of one monitored variable in one (or
@@ -171,7 +199,7 @@ func unionPCs(a, b []int32) []int32 {
 		return a
 	}
 	if len(a) == 0 {
-		return append([]int32(nil), b...)
+		return slices.Clone(b)
 	}
 	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -198,7 +226,7 @@ func unionPCs(a, b []int32) []int32 {
 // Merge, of several tick-disjoint executions summed — the corpus view a
 // shard returns). It carries everything the analysis kernels need: the
 // sparse PC histogram, per-PC value-sample units, and per-variable
-// summaries, index-ordered by variable key.
+// summaries ordered by variable key.
 type Profile struct {
 	// BlobID is the content address of the profile blob the sketch was
 	// folded from ("" for merged sketches).
@@ -212,11 +240,11 @@ type Profile struct {
 	HistLen int64
 
 	// Hist is the sparse PC-sample histogram (zero counts omitted).
-	Hist map[int32]int64
+	Hist PCCounts
 	// UnitsByPC counts distinct (tick, pc) value-sample units per PC:
 	// summing over a function's PCs reproduces
 	// sampler.Profile.FuncValueSampleUnits exactly.
-	UnitsByPC map[int32]int64
+	UnitsByPC PCCounts
 
 	// Vars is sorted ascending by VarSummary.Key.
 	Vars []VarSummary
@@ -230,11 +258,19 @@ func FromHist(p *sampler.Profile) *Profile {
 		TotalTicks: p.TotalTicks,
 		NumAlarms:  p.NumAlarms,
 		HistLen:    int64(len(p.Hist)),
-		Hist:       make(map[int32]int64),
 	}
-	for pc, n := range p.Hist {
-		if n != 0 {
-			s.Hist[int32(pc)] = n
+	n := 0
+	for _, c := range p.Hist {
+		if c != 0 {
+			n++
+		}
+	}
+	if n > 0 {
+		s.Hist = make(PCCounts, 0, n)
+		for pc, c := range p.Hist {
+			if c != 0 {
+				s.Hist = append(s.Hist, Pair[int32]{int32(pc), c})
+			}
 		}
 	}
 	return s
@@ -242,100 +278,246 @@ func FromHist(p *sampler.Profile) *Profile {
 
 // FromProfile folds a decoded profile into its sketch. The fold is
 // deterministic: variables are keyed by their first layout entry and
-// summarized from their tick-collapsed series.
+// summarized from their tick-collapsed series. Samples whose PC lies
+// outside the PC histogram are ignored (profilefmt.Validate rejects them).
+//
+// No step is a map operation per sample. Two passes over the samples, in
+// recording (time) order, cut each variable's series into equal-value runs
+// (the first pass counts them, the second writes them) and bucket the
+// samples by PC with a stable counting sort. Walking the buckets in PC
+// order then yields each variable's ascending PC set and each PC's
+// distinct ticks, and each variable's histograms sort only its runs.
 func FromProfile(p *sampler.Profile) *Profile {
 	s := FromHist(p)
-	s.UnitsByPC = make(map[int32]int64)
-	type unit struct {
-		tick int64
-		pc   int32
+	histLen := len(p.Hist)
+	folds, varOf := newFolds(p.Layout)
+	varAt := func(l int32) int32 {
+		if l < 0 || int(l) >= len(varOf) {
+			return -1
+		}
+		return varOf[l]
 	}
-	seen := map[unit]bool{}
-	for _, smp := range p.Samples {
-		u := unit{smp.Tick, smp.PC}
-		if !seen[u] {
-			seen[u] = true
-			s.UnitsByPC[smp.PC]++
+
+	// Pass 1: bucket sizes, nonempty buckets and runs per variable.
+	end := make([]int32, histLen+1) // counts, then bucket starts, then bucket ends
+	used := 0
+	for i := range p.Samples {
+		smp := &p.Samples[i]
+		if !pcInRange(smp.PC, histLen) {
+			continue
+		}
+		if end[smp.PC+1] == 0 {
+			used++
+		}
+		end[smp.PC+1]++
+		if v := varAt(smp.Layout); v >= 0 {
+			if _, run := folds[v].observe(smp.Tick, float64(smp.Value)); run {
+				folds[v].nruns++
+			}
+		}
+	}
+	for pc := 1; pc <= histLen; pc++ {
+		end[pc] += end[pc-1]
+	}
+	runs := make([]Pair[float64], sumOf(folds, func(f *varFold) int { return f.nruns }))
+	for i := range folds {
+		f := &folds[i]
+		f.runs, runs = runs[:0:f.nruns], runs[f.nruns:]
+		f.lastTick, f.started = -1, false
+	}
+
+	// Pass 2: fill the PC buckets (tick and variable of each sample) and
+	// the runs and moments of each variable.
+	ticks := make([]int64, end[histLen])
+	vars := make([]int32, end[histLen])
+	for i := range p.Samples {
+		smp := &p.Samples[i]
+		if !pcInRange(smp.PC, histLen) {
+			continue
+		}
+		at := end[smp.PC]
+		end[smp.PC]++
+		ticks[at] = smp.Tick
+		vars[at] = varAt(smp.Layout)
+		if vars[at] >= 0 {
+			folds[vars[at]].add(smp.Tick, float64(smp.Value))
 		}
 	}
 
-	// One pass over the samples, in recording (time) order, folds every
-	// variable's tick-collapsed series — one observation per alarm tick,
-	// first sample winning (virtual unwinding can record a variable
-	// several times in one alarm at different stack depths; it has a
-	// single value at that moment) — and its PC set. A variable listed at
-	// several layout indices keeps the samples of the first, matching
-	// sampler.Profile.VarSamples.
-	type varFold struct {
-		series   []float64
-		lastTick int64
-		pcs      map[int32]bool
+	// The buckets in PC order: count each variable's PCs, then list them
+	// and each PC's distinct ticks. A bucket's ticks are ascending unless
+	// the profile merges several processes (each restarts its clock); it
+	// is then sorted, so equal ticks of different processes are one unit.
+	forBuckets := func(visit func(pc int32, lo, hi int32)) {
+		lo := int32(0)
+		for pc := int32(0); int(pc) < histLen; pc++ {
+			if hi := end[pc]; hi > lo {
+				visit(pc, lo, hi)
+				lo = hi
+			}
+		}
 	}
-	folds := make([]varFold, len(p.Layout))
+	forBuckets(func(pc int32, lo, hi int32) {
+		for _, v := range vars[lo:hi] {
+			if v >= 0 && folds[v].lastPC != pc {
+				folds[v].lastPC = pc
+				folds[v].npcs++
+			}
+		}
+	})
+	pcs := make([]int32, sumOf(folds, func(f *varFold) int { return f.npcs }))
 	for i := range folds {
-		folds[i].lastTick = -1
+		f := &folds[i]
+		if f.npcs > 0 {
+			f.PCs, pcs = pcs[:0:f.npcs], pcs[f.npcs:]
+		}
+		f.lastPC = -1
 	}
-	for _, smp := range p.Samples {
-		if smp.Layout < 0 || int(smp.Layout) >= len(folds) {
-			continue
-		}
-		f := &folds[smp.Layout]
-		if f.pcs == nil {
-			f.pcs = map[int32]bool{}
-		}
-		f.pcs[smp.PC] = true
-		if smp.Tick != f.lastTick {
-			f.lastTick = smp.Tick
-			f.series = append(f.series, float64(smp.Value))
-		}
+	if used > 0 {
+		s.UnitsByPC = make(PCCounts, 0, used)
 	}
-	folded := make(map[string]bool, len(p.Layout))
-	s.Vars = make([]VarSummary, 0, len(p.Layout))
-	for i, l := range p.Layout {
-		key := l.Func + "\x00" + l.Name
-		if folded[key] {
-			continue
+	forBuckets(func(pc int32, lo, hi int32) {
+		for _, v := range vars[lo:hi] {
+			if v >= 0 && folds[v].lastPC != pc {
+				folds[v].lastPC = pc
+				folds[v].PCs = append(folds[v].PCs, pc)
+			}
 		}
-		folded[key] = true
-		s.Vars = append(s.Vars, summarizeVar(l, folds[i].series, folds[i].pcs))
+		bucket := ticks[lo:hi]
+		if !slices.IsSorted(bucket) {
+			slices.Sort(bucket)
+		}
+		n := int64(1)
+		for i := 1; i < len(bucket); i++ {
+			if bucket[i] != bucket[i-1] {
+				n++
+			}
+		}
+		s.UnitsByPC = append(s.UnitsByPC, Pair[int32]{pc, n})
+	})
+
+	s.Vars = make([]VarSummary, len(folds))
+	var scratch []Pair[float64]
+	for i := range folds {
+		scratch = folds[i].finish(scratch)
+		s.Vars[i] = folds[i].VarSummary
 	}
-	sort.Slice(s.Vars, func(i, j int) bool { return s.Vars[i].Key() < s.Vars[j].Key() })
 	return s
 }
 
-// summarizeVar folds one variable's tick-collapsed series and PC set into
-// its summary.
-func summarizeVar(l sampler.LayoutEntry, series []float64, pcs map[int32]bool) VarSummary {
-	vs := VarSummary{Func: l.Func, Name: l.Name, IsPointer: l.IsPointer}
-	vs.Count = int64(len(series))
-	if len(series) > 0 {
-		vs.Min, vs.Max, _ = stats.MinMax(series)
-		for _, v := range series {
-			vs.Sum += v
+func pcInRange(pc int32, histLen int) bool { return pc >= 0 && int(pc) < histLen }
+
+func sumOf(folds []varFold, n func(*varFold) int) int {
+	total := 0
+	for i := range folds {
+		total += n(&folds[i])
+	}
+	return total
+}
+
+// varFold is one variable's summary while FromProfile builds it.
+type varFold struct {
+	VarSummary
+	lastTick int64           // tick of the last observation
+	last     float64         // value of the last observation
+	started  bool            // an observation has been made
+	nruns    int             // runs counted by the first pass
+	runs     []Pair[float64] // (value, length) per run, in time order
+	npcs     int             // PCs counted by the first bucket walk
+	lastPC   int32           // last PC the bucket walk credited to it
+}
+
+// newFolds makes one fold per variable, in key order, and maps each layout
+// index to its variable's fold. A variable listed at several layout
+// indices keeps the samples of the first, matching
+// sampler.Profile.VarSamples: the others map to -1.
+func newFolds(layout []sampler.LayoutEntry) (folds []varFold, varOf []int32) {
+	keys := make([]string, len(layout))
+	order := make([]int, len(layout))
+	for i, l := range layout {
+		keys[i] = l.Func + "\x00" + l.Name
+		order[i] = i
+	}
+	// Stable, so each key's first index comes first.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	varOf = make([]int32, len(layout))
+	folds = make([]varFold, 0, len(layout))
+	for k, i := range order {
+		if k > 0 && keys[i] == keys[order[k-1]] {
+			varOf[i] = -1
+			continue
 		}
+		varOf[i] = int32(len(folds))
+		l := layout[i]
+		folds = append(folds, varFold{
+			VarSummary: VarSummary{Func: l.Func, Name: l.Name, IsPointer: l.IsPointer},
+			lastTick:   -1,
+			lastPC:     -1,
+		})
 	}
-	if !l.IsPointer {
-		vs.Values = HistOf(series)
-		vs.Deltas = HistOf(stats.ChangeDeltas(series))
+	return folds, varOf
+}
+
+// observe feeds one sample of the variable. It reports whether the sample
+// is an observation, the first of its alarm tick (virtual unwinding can
+// record a variable several times in one alarm at different stack depths;
+// it has a single value at that moment), and whether that observation
+// starts a new equal-value run.
+func (f *varFold) observe(tick int64, v float64) (obs, run bool) {
+	if tick == f.lastTick {
+		return false, false
 	}
-	runs := stats.RunLengths(series)
-	vs.Runs = HistOf(runs)
-	vs.NumRuns = int64(len(runs))
-	_, vs.MaxRun, _ = stats.MinMax(runs)
-	if len(pcs) > 0 {
-		vs.PCs = make([]int32, 0, len(pcs))
-		for pc := range pcs {
-			vs.PCs = append(vs.PCs, pc)
+	run = !f.started || v != f.last
+	f.lastTick, f.last, f.started = tick, v, true
+	return true, run
+}
+
+// add feeds one sample to the second pass: observations update the moments
+// and extend the runs.
+func (f *varFold) add(tick int64, v float64) {
+	obs, run := f.observe(tick, v)
+	switch {
+	case run:
+		f.runs = append(f.runs, Pair[float64]{v, 1})
+	case obs:
+		f.runs[len(f.runs)-1].Count++
+	default:
+		return
+	}
+	if f.Count == 0 {
+		f.Min, f.Max = v, v
+	} else {
+		f.Min, f.Max = min(f.Min, v), max(f.Max, v)
+	}
+	f.Count++
+	f.Sum += v
+}
+
+// finish counts the histograms from the runs, reusing scratch (returned
+// for the next variable); the runs are sorted in place.
+func (f *varFold) finish(scratch []Pair[float64]) []Pair[float64] {
+	f.NumRuns = int64(len(f.runs))
+	scratch = scratch[:0]
+	for _, r := range f.runs {
+		f.MaxRun = max(f.MaxRun, float64(r.Count))
+		scratch = append(scratch, Pair[float64]{float64(r.Count), 1})
+	}
+	f.Runs = histOfPairs(scratch)
+	if !f.IsPointer {
+		scratch = scratch[:0]
+		for k := 1; k < len(f.runs); k++ {
+			scratch = append(scratch, Pair[float64]{f.runs[k].Key - f.runs[k-1].Key, 1})
 		}
-		sort.Slice(vs.PCs, func(i, j int) bool { return vs.PCs[i] < vs.PCs[j] })
+		f.Deltas = histOfPairs(scratch)
+		f.Values = histOfPairs(f.runs)
 	}
-	return vs
+	return scratch
 }
 
 // Var returns the summary for a variable key ("func\x00name"), or nil.
 func (s *Profile) Var(key string) *VarSummary {
-	i := sort.Search(len(s.Vars), func(i int) bool { return s.Vars[i].Key() >= key })
-	if i < len(s.Vars) && s.Vars[i].Key() == key {
+	i, ok := slices.BinarySearchFunc(s.Vars, key, func(v VarSummary, key string) int { return cmp.Compare(v.Key(), key) })
+	if ok {
 		return &s.Vars[i]
 	}
 	return nil
@@ -343,31 +525,14 @@ func (s *Profile) Var(key string) *VarSummary {
 
 // Clone returns a deep copy of the sketch.
 func (s *Profile) Clone() *Profile {
-	out := &Profile{
-		BlobID:     s.BlobID,
-		Interval:   s.Interval,
-		TotalTicks: s.TotalTicks,
-		NumAlarms:  s.NumAlarms,
-		HistLen:    s.HistLen,
-		Hist:       make(map[int32]int64, len(s.Hist)),
-		UnitsByPC:  make(map[int32]int64, len(s.UnitsByPC)),
-		Vars:       make([]VarSummary, len(s.Vars)),
-	}
-	for pc, n := range s.Hist {
-		out.Hist[pc] = n
-	}
-	for pc, n := range s.UnitsByPC {
-		out.UnitsByPC[pc] = n
-	}
+	out := *s
+	out.Hist = slices.Clone(s.Hist)
+	out.UnitsByPC = slices.Clone(s.UnitsByPC)
+	out.Vars = make([]VarSummary, len(s.Vars))
 	for i := range s.Vars {
-		v := s.Vars[i]
-		v.Values = v.Values.Clone()
-		v.Deltas = v.Deltas.Clone()
-		v.Runs = v.Runs.Clone()
-		v.PCs = append([]int32(nil), v.PCs...)
-		out.Vars[i] = v
+		out.Vars[i] = cloneVar(&s.Vars[i])
 	}
-	return out
+	return &out
 }
 
 // Merge folds other into s: counts sum and variable lists merge-join in key
@@ -383,21 +548,9 @@ func (s *Profile) Merge(other *Profile) {
 	s.BlobID = "" // merged sketches no longer address a single blob
 	s.TotalTicks += other.TotalTicks
 	s.NumAlarms += other.NumAlarms
-	if other.HistLen > s.HistLen {
-		s.HistLen = other.HistLen
-	}
-	if s.Hist == nil {
-		s.Hist = make(map[int32]int64, len(other.Hist))
-	}
-	for pc, n := range other.Hist {
-		s.Hist[pc] += n
-	}
-	if s.UnitsByPC == nil {
-		s.UnitsByPC = make(map[int32]int64, len(other.UnitsByPC))
-	}
-	for pc, n := range other.UnitsByPC {
-		s.UnitsByPC[pc] += n
-	}
+	s.HistLen = max(s.HistLen, other.HistLen)
+	s.Hist = mergePairs(s.Hist, other.Hist)
+	s.UnitsByPC = mergePairs(s.UnitsByPC, other.UnitsByPC)
 
 	merged := make([]VarSummary, 0, len(s.Vars)+len(other.Vars))
 	i, j := 0, 0
@@ -413,7 +566,7 @@ func (s *Profile) Merge(other *Profile) {
 			j++
 		default:
 			// VarSummary.Merge builds fresh histograms and PC slices, so
-			// the copied struct never aliases other's maps.
+			// the copied struct never aliases other's arrays.
 			v := *a
 			v.Merge(b)
 			merged = append(merged, v)
@@ -430,9 +583,9 @@ func (s *Profile) Merge(other *Profile) {
 
 func cloneVar(v *VarSummary) VarSummary {
 	out := *v
-	out.Values = v.Values.Clone()
-	out.Deltas = v.Deltas.Clone()
-	out.Runs = v.Runs.Clone()
-	out.PCs = append([]int32(nil), v.PCs...)
+	out.Values = slices.Clone(v.Values)
+	out.Deltas = slices.Clone(v.Deltas)
+	out.Runs = slices.Clone(v.Runs)
+	out.PCs = slices.Clone(v.PCs)
 	return out
 }

@@ -186,15 +186,15 @@ func mkProfile(rng *rand.Rand, nvars int) *sketch.Profile {
 		TotalTicks: int64(rng.Intn(100000)),
 		NumAlarms:  int64(rng.Intn(1000)),
 		HistLen:    256,
-		Hist:       map[int32]int64{},
-		UnitsByPC:  map[int32]int64{},
+	}
+	hist, units := map[int32]int64{}, map[int32]int64{}
+	for i := 0; i < rng.Intn(20); i++ {
+		hist[int32(rng.Intn(256))] += int64(rng.Intn(50) + 1)
 	}
 	for i := 0; i < rng.Intn(20); i++ {
-		p.Hist[int32(rng.Intn(256))] += int64(rng.Intn(50) + 1)
+		units[int32(rng.Intn(256))] += int64(rng.Intn(50) + 1)
 	}
-	for i := 0; i < rng.Intn(20); i++ {
-		p.UnitsByPC[int32(rng.Intn(256))] += int64(rng.Intn(50) + 1)
-	}
+	p.Hist, p.UnitsByPC = pcCountsOf(hist), pcCountsOf(units)
 	names := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	funcs := []string{"f", "g", "h"}
 	seen := map[string]bool{}
@@ -228,7 +228,7 @@ func mergeOf(ps ...*sketch.Profile) *sketch.Profile {
 }
 
 // TestProfileMergeAssociativeCommutative: (a+b)+c == a+(b+c) and a+b == b+a
-// for full profile sketches, including the index-ordered variable lists.
+// for full profile sketches, including the key-ordered variable lists.
 func TestProfileMergeAssociativeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for i := 0; i < 50; i++ {

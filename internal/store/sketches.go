@@ -193,22 +193,20 @@ func (s *Store) GetSketch(id string) (*sketch.Profile, error) {
 		return sk, nil
 	}
 	s.m.sketchMisses.Inc()
-	s.mu.RLock()
+	s.mu.Lock()
 	ref, ok := s.sketchIdx[id]
-	s.mu.RUnlock()
 	if !ok {
+		s.mu.Unlock()
 		return s.rebuildSketch(id)
 	}
-
-	f, err := s.fsys.Open(s.sketchLogPath())
+	r, err := s.sketchReaderLocked()
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	payload := make([]byte, ref.size)
-	_, rerr := f.ReadAt(payload, ref.offset)
-	f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("store: read sketch %s: %w", id, rerr)
+	if _, err := r.ReadAt(payload, ref.offset); err != nil {
+		return nil, fmt.Errorf("store: read sketch %s: %w", id, err)
 	}
 	sk, err := profilefmt.UnmarshalSketch(payload)
 	if err != nil || sk.BlobID != id {
@@ -219,6 +217,20 @@ func (s *Store) GetSketch(id string) (*sketch.Profile, error) {
 	}
 	s.sketches.Put(id, sk)
 	return sk, nil
+}
+
+// sketchReaderLocked returns the shared read handle of the sketch log,
+// opening it on first use; ReadAt is safe for concurrent readers, and
+// Close releases it.
+func (s *Store) sketchReaderLocked() (faultfs.File, error) {
+	if s.sketchReader == nil {
+		r, err := s.fsys.Open(s.sketchLogPath())
+		if err != nil {
+			return nil, err
+		}
+		s.sketchReader = r
+	}
+	return s.sketchReader, nil
 }
 
 // rebuildSketch is GetSketch's upgrade path: fold the sketch from the raw

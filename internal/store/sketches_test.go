@@ -6,9 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"vprof/internal/faultfs"
 	"vprof/internal/sketch"
 	"vprof/internal/store"
 )
@@ -414,5 +418,88 @@ func TestSketchLogBadHeaderQuarantined(t *testing.T) {
 	}
 	if st := s2.SketchStats(); st.Rebuilds != 1 || st.Indexed != 1 {
 		t.Fatalf("sketch not rebuilt into the fresh log: %+v", st)
+	}
+}
+
+// openCounter counts the read handles opened on, and closed for, one file.
+type openCounter struct {
+	faultfs.FS
+	name           string
+	opened, closed atomic.Int64
+}
+
+func (c *openCounter) Open(name string) (faultfs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil || filepath.Base(name) != c.name {
+		return f, err
+	}
+	c.opened.Add(1)
+	return countedFile{f, c}, nil
+}
+
+type countedFile struct {
+	faultfs.File
+	c *openCounter
+}
+
+func (f countedFile) Close() error {
+	f.c.closed.Add(1)
+	return f.File.Close()
+}
+
+// TestSketchLogReadHandleShared: sketch-cache misses, from several
+// goroutines at once, read the log through one shared handle, opened on
+// the first miss and released by Close.
+func TestSketchLogReadHandleShared(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for seed := int64(0); seed < 8; seed++ {
+		e, _, err := s.Put("w", store.LabelNormal, strconv.FormatInt(seed, 10), testProfile(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, e.ID)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := &openCounter{FS: faultfs.NewOS(), name: "sketches.log"}
+	s2, err := store.Open(dir, store.Options{NoSync: true, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atOpen := fsys.opened.Load() // Open's recovery and index scan
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range ids {
+				id := ids[(k+2*g)%len(ids)]
+				if sk, err := s2.GetSketch(id); err != nil {
+					t.Error(err)
+				} else if sk.BlobID != id {
+					t.Errorf("GetSketch(%s) returned the sketch of %s", id, sk.BlobID)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s2.SketchStats(); st.Misses < int64(len(ids)) || st.Rebuilds != 0 {
+		t.Fatalf("stats %+v, want at least %d misses served from the log", st, len(ids))
+	}
+	if n := fsys.opened.Load() - atOpen; n != 1 {
+		t.Errorf("sketch-cache misses opened the sketch log %d times, want once", n)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if o, c := fsys.opened.Load(), fsys.closed.Load(); o != c {
+		t.Errorf("sketch log read handles: %d opened, %d closed", o, c)
 	}
 }

@@ -195,7 +195,8 @@ type Store struct {
 
 	// Sketch log state (sketches.go): per-blob variable sketches the
 	// incremental diagnosis path reads instead of the raw blobs.
-	sketchLog     faultfs.File
+	sketchLog     faultfs.File // append handle
+	sketchReader  faultfs.File // shared read handle, opened on the first log read
 	sketchLogSize int64
 	sketchIdx     map[string]sketchRef
 	sketches      *Cache[*sketch.Profile]
@@ -936,6 +937,10 @@ func (s *Store) Close() error {
 	if s.sketchLog != nil {
 		keep(s.sketchLog.Close())
 		s.sketchLog = nil
+	}
+	if s.sketchReader != nil {
+		keep(s.sketchReader.Close())
+		s.sketchReader = nil
 	}
 	for _, r := range s.readers {
 		keep(r.Close())
