@@ -9,7 +9,10 @@ package vprof_test
 // metric), "rank" reports a specific workload's root-cause rank.
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"vprof/internal/analysis"
@@ -18,8 +21,10 @@ import (
 	"vprof/internal/harness"
 	"vprof/internal/profilefmt"
 	"vprof/internal/sampler"
+	"vprof/internal/service"
 	"vprof/internal/sketch"
 	"vprof/internal/stats"
+	"vprof/internal/store"
 )
 
 // --- Tables ---
@@ -430,6 +435,44 @@ func BenchmarkSketch(b *testing.B) {
 				return nil
 			}},
 		})
+	}
+}
+
+// BenchmarkPush times one push of merged b8 normal run 0, a 1.1 MiB
+// bundle, through the service's ingest handler into a store without fsync:
+// body read, decode, content hash, sketch fold, segment frame and manifest
+// record. Every push carries new bytes, so each stores a fresh blob; B/op
+// is what one push allocates.
+func BenchmarkPush(b *testing.B) {
+	p := caseProfile(b, "b8", false)
+	st, err := store.Open(b.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	srv, err := service.New(service.Config{Store: st, Resolver: service.NewBugsResolver()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		q := *p
+		q.TotalTicks += int64(i)
+		blob, err := profilefmt.Marshal(&q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost,
+			fmt.Sprintf("/v1/profiles?workload=b8&label=normal&run=%d", i), bytes.NewReader(blob))
+		rec := httptest.NewRecorder()
+		b.StartTimer()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("push %d: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -1,9 +1,15 @@
 package cluster_test
 
 import (
+	"bytes"
+	"io"
+	"net/http"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"vprof/internal/cluster"
+	"vprof/internal/obs"
 	"vprof/internal/service"
 	"vprof/internal/sim"
 	"vprof/internal/store"
@@ -22,4 +28,93 @@ func TestPutBodyReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.CheckBodyReads(t, node.Handler(), "/internal/v1/put?workload=b3&label=normal&run=0", sim.SyntheticBlob(1))
+}
+
+// closeFunc is a response body that reports its Close.
+type closeFunc struct {
+	io.ReadCloser
+	closed func()
+}
+
+func (c closeFunc) Close() error {
+	c.closed()
+	return c.ReadCloser.Close()
+}
+
+// TestPutBlobWaitsForLateBodyClose: net/http may close a request body on
+// its own goroutine after RoundTrip returns. PutBlob must not return before
+// the transport has closed every replica's body, and a blob recycled as
+// soon as it returns lands byte-identical on every owner.
+func TestPutBlobWaitsForLateBodyClose(t *testing.T) {
+	d := newCluster(t, 3)
+	gate := make(chan struct{})
+	replied := make(chan struct{}, len(d.Nodes)) // one reply per owner
+	var closed atomic.Int64
+	r := coldRouter(t, d, nil, roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		body := req.Body
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(body)
+		resp, err := d.Net.RoundTrip(req)
+		go func() { // the transport lets go of the body late
+			<-gate
+			closed.Add(1)
+			body.Close()
+		}()
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = closeFunc{resp.Body, func() { replied <- struct{}{} }}
+		return resp, nil
+	}))
+
+	want := sim.SyntheticBlob(1)
+	blob := append(obs.GetBuffer(len(want)), want...)
+	var (
+		entry          *store.Entry
+		putErr         error
+		closedAtReturn int64
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		entry, _, putErr = r.PutBlob("redis", store.LabelNormal, "0", blob)
+		closedAtReturn = closed.Load()
+		for i := range blob { // recycle at once
+			blob[i] = 0
+		}
+		obs.PutBuffer(blob)
+	}()
+	for range d.Nodes {
+		<-replied
+	}
+	// Every put has its reply: a PutBlob that waits only for its puts
+	// returns now. Give it the chance before any body is closed.
+	for i := 0; i < 100 && !isClosed(done); i++ {
+		runtime.Gosched()
+	}
+	close(gate)
+	<-done
+	if putErr != nil {
+		t.Fatal(putErr)
+	}
+	if closedAtReturn != int64(len(d.Nodes)) {
+		t.Errorf("PutBlob returned with %d of %d request bodies closed", closedAtReturn, len(d.Nodes))
+	}
+	for _, n := range d.Nodes {
+		got, err := n.Store().GetBlob(entry.ID)
+		if err != nil {
+			t.Errorf("%s: %v", n.ID, err)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s holds other bytes than were pushed", n.ID)
+		}
+	}
+}
+
+func isClosed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
 }

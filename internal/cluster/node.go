@@ -172,6 +172,7 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, http.StatusBadRequest, "invalid", err)
 		return
 	}
+	defer obs.PutBuffer(blob) // the store keeps no reference once PutBlob returns
 	entry, dup, err := n.st.PutBlob(workload, label, run, blob)
 	if err != nil {
 		if errors.Is(err, store.ErrInvalidProfile) {

@@ -233,6 +233,8 @@ func (r *Router) nodeErr(id string, err error) {
 // already had the identical entry. Validation is deterministic, so a single
 // replica rejecting the bundle rejects the write. Fewer than quorum acks
 // wrap store.ErrUnavailable (the service maps it to 503 + Retry-After).
+// PutBlob returns only once the transport has closed every replica's
+// request body, so the caller may recycle blob as soon as it returns.
 func (r *Router) PutBlob(workload string, label store.Label, run string, blob []byte) (*store.Entry, bool, error) {
 	layout, nodes := r.snapshot()
 	shard := ShardOf(workload, label, run, r.shards)
@@ -248,21 +250,23 @@ func (r *Router) PutBlob(workload string, label store.Label, run string, blob []
 		err   error
 	}
 	acks := make([]ack, len(owners))
-	var wg sync.WaitGroup
+	// held counts each put until it returns and each request body over
+	// blob until the transport closes it.
+	var held sync.WaitGroup
 	for i, id := range owners {
 		nc, ok := nodes[id]
 		if !ok {
 			acks[i] = ack{node: id, err: fmt.Errorf("cluster: owner %s not a member", id)}
 			continue
 		}
-		wg.Add(1)
+		held.Add(1)
 		go func(i int, id string, nc *nodeClient) {
-			defer wg.Done()
-			entry, dup, err := nc.put(workload, string(label), run, blob)
+			defer held.Done()
+			entry, dup, err := nc.put(workload, string(label), run, blob, &held)
 			acks[i] = ack{node: id, entry: entry, dup: dup, err: err}
 		}(i, id, nc)
 	}
-	wg.Wait()
+	held.Wait()
 
 	var (
 		got      int
@@ -352,6 +356,7 @@ func fetch[V any](r *Router, cache *store.Cache[V], id string,
 			continue
 		}
 		v, err := decode(raw)
+		obs.PutBuffer(raw) // decoders copy what they keep
 		if err != nil {
 			lastErr = fmt.Errorf("cluster: node %s served undecodable bytes for %s: %w", nid, id, err)
 			r.nodeErr(nid, lastErr)
@@ -487,12 +492,17 @@ func (r *Router) copyWinner(winner *store.Entry, byNode map[string]*store.Entry,
 	if err != nil {
 		return nil, 0, []error{fmt.Errorf("fetch %s: %w", winner.ID, err)}
 	}
+	var held sync.WaitGroup
+	defer func() {
+		held.Wait()
+		obs.PutBuffer(blob)
+	}()
 	for _, owner := range lagging {
 		nc, ok := nodes[owner]
 		if !ok {
 			continue
 		}
-		if _, _, err := nc.put(winner.Workload, string(winner.Label), winner.Run, blob); err != nil {
+		if _, _, err := nc.put(winner.Workload, string(winner.Label), winner.Run, blob, &held); err != nil {
 			r.nodeErr(owner, err)
 			errs = append(errs, fmt.Errorf("copy %s/%s/%s to %s: %w", winner.Workload, winner.Label, winner.Run, owner, err))
 			continue
@@ -837,9 +847,21 @@ func (nc *nodeClient) getRaw(path string) ([]byte, error) {
 	return obs.ReadBody(resp.Body, resp.ContentLength, maxPutBytes)
 }
 
-func (nc *nodeClient) put(workload, label, run string, blob []byte) (*store.Entry, bool, error) {
+// put writes blob to the node. Each request body it opens over blob counts
+// on held until the transport closes it, which net/http may do on its own
+// goroutine after put returns: blob must not change before held.Wait
+// returns.
+func (nc *nodeClient) put(workload, label, run string, blob []byte, held *sync.WaitGroup) (*store.Entry, bool, error) {
 	q := url.Values{"workload": {workload}, "label": {label}, "run": {run}}
-	resp, err := nc.http.Post(nc.url("/internal/v1/put?"+q.Encode()), "application/octet-stream", bytes.NewReader(blob))
+	req, err := http.NewRequest(http.MethodPost, nc.url("/internal/v1/put?"+q.Encode()), nil)
+	if err != nil {
+		return nil, false, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	req.ContentLength = int64(len(blob))
+	req.Body = newHeldBody(blob, held)
+	req.GetBody = func() (io.ReadCloser, error) { return newHeldBody(blob, held), nil }
+	resp, err := nc.http.Do(req)
 	if err != nil {
 		return nil, false, err
 	}
@@ -860,6 +882,28 @@ func (nc *nodeClient) put(workload, label, run string, blob []byte) (*store.Entr
 	return pr.Entry, pr.Dup, nil
 }
 
+// heldBody is a request body over a blob its owner recycles once held
+// says every such body is closed. GetBody opens more only while put runs:
+// PutBlob's held then counts the put itself, and copyWinner waits only
+// after its puts return.
+type heldBody struct {
+	*bytes.Reader
+	held *sync.WaitGroup
+	once sync.Once
+}
+
+func newHeldBody(blob []byte, held *sync.WaitGroup) *heldBody {
+	held.Add(1)
+	return &heldBody{Reader: bytes.NewReader(blob), held: held}
+}
+
+// Close tells held the transport is done with the blob; net/http may
+// close a body more than once.
+func (b *heldBody) Close() error {
+	b.once.Do(b.held.Done)
+	return nil
+}
+
 // errCorrupt marks a blob whose bytes do not hash to the id they were
 // served under.
 var errCorrupt = errors.New("corrupt blob")
@@ -872,6 +916,7 @@ func (nc *nodeClient) verifiedBlob(id string) ([]byte, error) {
 		return nil, err
 	}
 	if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != id {
+		obs.PutBuffer(blob)
 		return nil, fmt.Errorf("cluster: node %s served a %w for %s", nc.ref.ID, errCorrupt, id)
 	}
 	return blob, nil

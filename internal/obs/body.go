@@ -3,54 +3,102 @@ package obs
 import (
 	"errors"
 	"io"
+	"math/bits"
+	"sync"
 )
 
 // ErrBodyTooLarge reports a body over ReadBody's limit, declared or sent.
 var ErrBodyTooLarge = errors.New("body exceeds the size limit")
 
-// bodyStart is the first buffer ReadBody reads into.
-const bodyStart = 4 << 10
+// Push bodies and store frames are each about one encoded profile, a
+// megabyte or more, and every fresh allocation of one costs the runtime a
+// clear of that many bytes. They are recycled through one pool per size
+// class: the powers of two from ReadBody's first buffer to the largest
+// body a handler accepts.
+const (
+	minClassShift = 12 // 4 KiB
+	maxClassShift = 26 // 64 MiB
+)
+
+var classes [maxClassShift - minClassShift + 1]sync.Pool // of *[]byte
+
+// GetBuffer returns an empty buffer with room for at least n bytes. Its
+// capacity is n rounded up to a power of two, and at least 4 KiB; a buffer
+// over 64 MiB is allocated at exactly n and never pooled.
+func GetBuffer(n int) []byte {
+	shift := minClassShift
+	if n > 1<<minClassShift {
+		shift = bits.Len(uint(n - 1))
+	}
+	if shift > maxClassShift {
+		return make([]byte, 0, n)
+	}
+	if b, ok := classes[shift-minClassShift].Get().(*[]byte); ok {
+		return (*b)[:0]
+	}
+	return make([]byte, 0, 1<<shift)
+}
+
+// PutBuffer hands back a buffer that GetBuffer or ReadBody returned. The
+// caller must be its last reader: the next GetBuffer may overwrite it.
+func PutBuffer(b []byte) {
+	c := cap(b)
+	if c < 1<<minClassShift || c > 1<<maxClassShift || c&(c-1) != 0 {
+		return
+	}
+	b = b[:0]
+	classes[bits.Len(uint(c))-1-minClassShift].Put(&b)
+}
 
 // ReadBody reads an HTTP body of at most limit bytes; declared is its
 // Content-Length (-1 when unknown). A body declared or sent longer than
 // limit fails with ErrBodyTooLarge, one that ends before its declared
 // length with the transport's error (io.ErrUnexpectedEOF from net/http).
+// The caller hands the returned bytes back with PutBuffer once nothing
+// reads them any more.
 //
-// The buffer starts small and doubles as bytes arrive, but never grows past
-// min(declared, limit)+1 bytes: what a request holds stays proportional to
-// what it actually sent, whatever it declared.
+// The buffer starts at 4 KiB and moves to the next size class only when
+// it is full, so a request never holds more than max(4 KiB, twice what it
+// actually sent), whatever it declared. No read goes past
+// min(declared, limit)+1 bytes: the last byte is a one-byte probe that
+// must find the end of the body.
 func ReadBody(body io.Reader, declared int64, limit int) ([]byte, error) {
 	if declared > int64(limit) {
 		return nil, ErrBodyTooLarge
 	}
-	bound := limit + 1
+	size := limit
 	if declared >= 0 {
-		bound = int(declared) + 1
+		size = int(declared)
 	}
-	buf := make([]byte, 0, min(bound, bodyStart))
-	for {
+	buf := GetBuffer(1 << minClassShift)
+	for len(buf) < size {
 		if len(buf) == cap(buf) {
-			if len(buf) == bound {
-				if declared >= 0 {
-					return nil, errors.New("body longer than its Content-Length")
-				}
-				return nil, ErrBodyTooLarge
-			}
-			// Go straight to the bound when one more doubling would
-			// stop short of it by less than the bytes already read.
-			next := 2 * cap(buf)
-			if bound-next < cap(buf) {
-				next = bound
-			}
-			buf = append(make([]byte, 0, next), buf...)
+			next := append(GetBuffer(2*cap(buf)), buf...)
+			PutBuffer(buf)
+			buf = next
 		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
+		n, err := body.Read(buf[len(buf):min(cap(buf), size)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
+			PutBuffer(buf)
 			return nil, err
 		}
+	}
+	var probe [1]byte
+	_, err := io.ReadFull(body, probe[:])
+	if err == io.EOF {
+		return buf, nil
+	}
+	PutBuffer(buf)
+	switch {
+	case err != nil:
+		return nil, err
+	case declared >= 0:
+		return nil, errors.New("body longer than its Content-Length")
+	default:
+		return nil, ErrBodyTooLarge
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -41,6 +43,13 @@ func TestReadBody(t *testing.T) {
 	}
 }
 
+// pooling reports whether sync.Pool keeps what it is given: under the race
+// detector it drops a random quarter of its Puts.
+func pooling() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return !ok || !slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
 // allocated returns the fewest bytes one of a few calls of f allocated.
 func allocated(f func()) uint64 {
 	best := ^uint64(0)
@@ -74,5 +83,52 @@ func TestReadBodyAllocation(t *testing.T) {
 	})
 	if got > 64<<10 {
 		t.Errorf("a 10-byte body declared as 64 MiB allocated %d bytes", got)
+	}
+}
+
+// TestBufferClasses: GetBuffer rounds up to a power-of-two class of at
+// least 4 KiB, and PutBuffer pools only buffers of exactly such a class.
+func TestBufferClasses(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{0, 4 << 10}, {1, 4 << 10}, {4 << 10, 4 << 10}, {4<<10 + 1, 8 << 10},
+		{1 << 20, 1 << 20}, {1<<20 + 8, 2 << 20}, {64<<20 + 1, 64<<20 + 1},
+	} {
+		if b := obs.GetBuffer(c.n); len(b) != 0 || cap(b) != c.want {
+			t.Errorf("GetBuffer(%d): len %d cap %d, want len 0 cap %d", c.n, len(b), cap(b), c.want)
+		}
+	}
+	if !pooling() {
+		return
+	}
+	got := allocated(func() { obs.PutBuffer(obs.GetBuffer(1 << 20)) })
+	if got > 1<<10 {
+		t.Errorf("a pooled 1 MiB buffer cost %d bytes to get and put back", got)
+	}
+	obs.PutBuffer(make([]byte, 0, 3<<10)) // not a class: dropped
+	if b := obs.GetBuffer(3 << 10); cap(b) != 4<<10 {
+		t.Errorf("GetBuffer(3 KiB) after putting a 3 KiB buffer back: cap %d, want 4096", cap(b))
+	}
+}
+
+// TestReadBodyRecycled: a body read into buffers handed back after the
+// previous read allocates almost nothing, and each read still returns
+// exactly the bytes sent.
+func TestReadBodyRecycled(t *testing.T) {
+	if !pooling() {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	blob := bytes.Repeat([]byte("vprof"), 1<<18) // 1.25 MiB: ends in the 2 MiB class
+	got := allocated(func() {
+		b, err := obs.ReadBody(bytes.NewReader(blob), int64(len(blob)), 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, blob) {
+			t.Fatal("read bytes differ from the body sent")
+		}
+		obs.PutBuffer(b)
+	})
+	if got > 64<<10 {
+		t.Errorf("reading a %d-byte body into recycled buffers allocated %d bytes", len(blob), got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -113,6 +114,46 @@ func TestFormatPinned(t *testing.T) {
 		}
 		if again, _ := profilefmt.MarshalSketch(sk); !bytes.Equal(again, frame) {
 			t.Errorf("%s: re-encoding the decoded sketch changed its bytes", name)
+		}
+	}
+}
+
+// TestDecodersDoNotAlias: servers recycle a push body once its profile is
+// stored, which is safe only because Unmarshal and UnmarshalSketch copy
+// everything they keep. Each decodes a u3 input that is then overwritten,
+// and must still equal a decode of a pristine copy.
+func TestDecodersDoNotAlias(t *testing.T) {
+	p := runProfile(t, "u3", true)
+	blob, err := profilefmt.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := profilefmt.MarshalSketch(sketch.FromProfile(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		in     []byte
+		decode func([]byte) (any, error)
+	}{
+		{"bundle", blob, func(b []byte) (any, error) { return profilefmt.Unmarshal(b) }},
+		{"sketch", frame, func(b []byte) (any, error) { return profilefmt.UnmarshalSketch(b) }},
+	} {
+		pristine := bytes.Clone(c.in)
+		got, err := c.decode(c.in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range c.in {
+			c.in[i] = ^c.in[i]
+		}
+		want, err := c.decode(pristine)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the decoded value changed when its input was overwritten", c.name)
 		}
 	}
 }

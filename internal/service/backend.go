@@ -12,6 +12,9 @@ import (
 // satisfies it structurally (the sharded, replicated deployment), which
 // keeps the service package free of a cluster dependency.
 type Backend interface {
+	// PutBlob stores one encoded profile. Neither it nor anything it
+	// starts may read blob after it returns: the server recycles the
+	// push body then.
 	PutBlob(workload string, label store.Label, run string, blob []byte) (*store.Entry, bool, error)
 	Get(id string) (*sampler.Profile, error)
 	GetSketch(id string) (*sketch.Profile, error)

@@ -3,9 +3,9 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
+	"vprof/internal/obs"
 	"vprof/internal/store"
 )
 
@@ -41,8 +41,19 @@ type BatchResponse struct {
 // seconds. One worker slot covers the whole batch (items are stored
 // sequentially — ingest cost is dominated by fsync, which batches well).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	body, err := obs.ReadBody(r.Body, r.ContentLength, MaxUploadBytes)
+	if errors.Is(err, obs.ErrBodyTooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, CodeBadRequest, "batch exceeds %d bytes", MaxUploadBytes)
+		return
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "read body: %v", err)
+		return
+	}
 	var req BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, MaxUploadBytes)).Decode(&req); err != nil {
+	err = json.Unmarshal(body, &req) // decodes each blob into bytes of its own
+	obs.PutBuffer(body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "decode batch: %v", err)
 		return
 	}

@@ -541,6 +541,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "read body: %v", err)
 		return
 	}
+	// PutBlob keeps no reference to the blob once it returns, and neither
+	// does anything after it here.
+	defer obs.PutBuffer(blob)
 	release, err := s.acquireCtx(r.Context())
 	if err != nil {
 		status := statusFor(err)

@@ -616,12 +616,16 @@ func (s *Store) appendBlobLocked(blob []byte) (blobRef, error) {
 			return blobRef{}, err
 		}
 	}
-	frame := make([]byte, frameHeaderSize+len(blob))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(blob)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(blob, castagnoli))
-	copy(frame[frameHeaderSize:], blob)
+	// One Write per frame: a header written apart from its blob would add
+	// a point for a crash to fall between the two.
+	frame := obs.GetBuffer(frameHeaderSize + len(blob))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(blob)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(blob, castagnoli))
+	frame = append(frame, blob...)
 	start := s.segSize
-	if n, err := s.seg.Write(frame); err != nil || n != len(frame) {
+	n, err := s.seg.Write(frame)
+	obs.PutBuffer(frame)
+	if err != nil || n != len(frame) {
 		s.truncateSegmentLocked(start)
 		if err == nil {
 			err = io.ErrShortWrite
