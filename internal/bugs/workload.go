@@ -184,17 +184,26 @@ func (w *Workload) BuggyConfig(run int) vm.Config {
 	}
 }
 
-// ProfileNormal profiles one normal execution (run index selects phase/seed)
-// and returns the merged multi-process profile plus the raw result.
+// ProfileNormal profiles one normal execution (run index selects phase/seed),
+// like ProfileMerged.
 func (b *Built) ProfileNormal(run int) (*sampler.Profile, *sampler.RunResult) {
-	res := sampler.ProfileRun(b.NormalProg, b.NormalMeta, b.W.NormalConfig(run), sampler.Options{Interval: DefaultInterval})
-	return sampler.MergeProfiles(res.Profiles), res
+	return ProfileMerged(b.NormalProg, b.NormalMeta, b.W.NormalConfig(run))
 }
 
-// ProfileBuggy profiles one buggy execution.
+// ProfileBuggy profiles one buggy execution, like ProfileMerged.
 func (b *Built) ProfileBuggy(run int) (*sampler.Profile, *sampler.RunResult) {
-	res := sampler.ProfileRun(b.Prog, b.Meta, b.W.BuggyConfig(run), sampler.Options{Interval: DefaultInterval})
-	return sampler.MergeProfiles(res.Profiles), res
+	return ProfileMerged(b.Prog, b.Meta, b.W.BuggyConfig(run))
+}
+
+// ProfileMerged profiles one run of prog monitoring meta at DefaultInterval
+// and returns the merged multi-process profile plus the raw result, already
+// recycled: its TotalTicks, WallTime and scalar process state stay
+// readable, its per-process profiles no longer hold samples.
+func ProfileMerged(prog *compiler.Program, meta []debuginfo.VarLoc, cfg vm.Config) (*sampler.Profile, *sampler.RunResult) {
+	res := sampler.ProfileRun(prog, meta, cfg, sampler.Options{Interval: DefaultInterval})
+	merged := sampler.MergeProfiles(res.Profiles)
+	res.Recycle()
+	return merged, res
 }
 
 // Analyze runs the full vProf pipeline: `runs` normal and buggy profiling

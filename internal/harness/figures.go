@@ -134,12 +134,10 @@ func Figure7(reps int) ([]Figure7Row, error) {
 		})
 		var lastProf *sampler.Profile
 		gprof := measureWall(reps, func() {
-			res := sampler.ProfileRun(b.Prog, nil, w.BuggyConfig(0), sampler.Options{Interval: bugs.DefaultInterval})
-			lastProf = res.Profiles[0]
+			sampler.ProfileRun(b.Prog, nil, w.BuggyConfig(0), sampler.Options{Interval: bugs.DefaultInterval}).Recycle()
 		})
 		vprof := measureWall(reps, func() {
-			res := sampler.ProfileRun(b.Prog, b.Meta, w.BuggyConfig(0), sampler.Options{Interval: bugs.DefaultInterval})
-			lastProf = sampler.MergeProfiles(res.Profiles)
+			lastProf, _ = bugs.ProfileMerged(b.Prog, b.Meta, w.BuggyConfig(0))
 		})
 		row := Figure7Row{ID: w.ID, BaseMs: base}
 		if base > 0 {

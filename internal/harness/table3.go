@@ -94,8 +94,8 @@ func profileNoVars(b *bugs.Built, run int, buggy bool) *sampler.Profile {
 		prog = b.Prog
 		cfg = b.W.BuggyConfig(run)
 	}
-	res := sampler.ProfileRun(prog, nil, cfg, sampler.Options{Interval: bugs.DefaultInterval})
-	return sampler.MergeProfiles(res.Profiles)
+	p, _ := bugs.ProfileMerged(prog, nil, cfg)
+	return p
 }
 
 // FalsePositiveRatio computes the paper's §6.1 metric for one diagnosis:

@@ -144,9 +144,9 @@ func analyzeComponent(b *bugs.Built, funcs []string, workers int) (*analysis.Rep
 
 	type pair struct{ normal, buggy *sampler.Profile }
 	pairs := parallel.Map(parallel.Workers(workers), Runs, func(i int) pair {
-		nres := sampler.ProfileRun(b.NormalProg, normalMeta, b.W.NormalConfig(i), sampler.Options{Interval: bugs.DefaultInterval})
-		bres := sampler.ProfileRun(b.Prog, buggyMeta, b.W.BuggyConfig(i), sampler.Options{Interval: bugs.DefaultInterval})
-		return pair{sampler.MergeProfiles(nres.Profiles), sampler.MergeProfiles(bres.Profiles)}
+		np, _ := bugs.ProfileMerged(b.NormalProg, normalMeta, b.W.NormalConfig(i))
+		bp, _ := bugs.ProfileMerged(b.Prog, buggyMeta, b.W.BuggyConfig(i))
+		return pair{np, bp}
 	})
 	in := analysis.Input{Debug: b.Prog.Debug, Schema: buggySch}
 	for _, pr := range pairs {

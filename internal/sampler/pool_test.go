@@ -1,8 +1,11 @@
 package sampler_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"unsafe"
@@ -10,6 +13,7 @@ import (
 	"vprof/internal/bugs"
 	"vprof/internal/parallel"
 	"vprof/internal/sampler"
+	"vprof/internal/vm"
 )
 
 func TestSampleIs40Bytes(t *testing.T) {
@@ -56,40 +60,55 @@ func requireExactSamples(t *testing.T, what string, ps ...*sampler.Profile) {
 	}
 }
 
+// profileRun profiles run 0 of b, normal or buggy, without recycling it.
+func profileRun(b *bugs.Built, buggy bool) *sampler.RunResult {
+	if buggy {
+		return sampler.ProfileRun(b.Prog, b.Meta, b.W.BuggyConfig(0), sampler.Options{Interval: bugs.DefaultInterval})
+	}
+	return sampler.ProfileRun(b.NormalProg, b.NormalMeta, b.W.NormalConfig(0), sampler.Options{Interval: bugs.DefaultInterval})
+}
+
+// mergeAndRecycle merges a run's processes, snapshots its per-process
+// profiles, recycles the run and checks that Recycle emptied them.
+func mergeAndRecycle(t *testing.T, what string, res *sampler.RunResult) (merged *sampler.Profile, procs []*sampler.Profile) {
+	t.Helper()
+	requireExactSamples(t, what+" per-process", res.Profiles...)
+	for _, p := range res.Profiles {
+		procs = append(procs, cloneProfile(p))
+	}
+	merged = sampler.MergeProfiles(res.Profiles)
+	requireExactSamples(t, what+" merged", merged)
+	res.Recycle()
+	for i, p := range res.Profiles {
+		if p.Samples != nil {
+			t.Fatalf("%s[%d]: %d samples left after Recycle", what, i, len(p.Samples))
+		}
+	}
+	return merged, procs
+}
+
 // TestRecordingBufferReuseLeaksNothing profiles a small run, a large one
 // (u3 buggy, 86k samples) that grows the pooled buffers, and the small run
-// again: profiles returned earlier must not change, and the repeat must
-// equal the first run exactly.
+// again: merged profiles returned earlier must not change, and the repeat
+// must equal the first run exactly, per process (Link chains included)
+// and merged.
 func TestRecordingBufferReuseLeaksNothing(t *testing.T) {
 	b13, u3 := build(t, "b13"), build(t, "u3")
 
-	first, firstRes := b13.ProfileNormal(0)
-	firstRes.Recycle()
-	requireExactSamples(t, "b13 merged", first)
-	requireExactSamples(t, "b13 per-process", firstRes.Profiles...)
+	first, firstProcs := mergeAndRecycle(t, "b13", profileRun(b13, false))
 	snapshot := cloneProfile(first)
-	var procSnapshots []*sampler.Profile
-	for _, p := range firstRes.Profiles {
-		procSnapshots = append(procSnapshots, cloneProfile(p))
-	}
 
-	big, bigRes := u3.ProfileBuggy(0)
-	bigRes.Recycle()
+	big, _ := mergeAndRecycle(t, "u3", profileRun(u3, true))
 	if len(big.Samples) < 80000 {
 		t.Fatalf("u3 buggy run 0 recorded %d samples, want a large profile", len(big.Samples))
 	}
-	requireExactSamples(t, "u3 merged", big)
-	requireExactSamples(t, "u3 per-process", bigRes.Profiles...)
 
-	again, againRes := b13.ProfileNormal(0)
-	againRes.Recycle()
-	requireExactSamples(t, "b13 repeat", again)
-	requireSameProfile(t, "b13 repeat vs first", again, first)
-
-	requireSameProfile(t, "b13 merged after later runs", first, snapshot)
-	for i, p := range firstRes.Profiles {
-		requireSameProfile(t, "b13 per-process after later runs", p, procSnapshots[i])
+	again, againProcs := mergeAndRecycle(t, "b13 repeat", profileRun(b13, false))
+	for i, p := range againProcs {
+		requireSameProfile(t, "b13 per-process repeat vs first", p, firstProcs[i])
 	}
+	requireSameProfile(t, "b13 repeat vs first", again, first)
+	requireSameProfile(t, "b13 merged after later runs", first, snapshot)
 }
 
 // TestParallelProfileRunsMatchSequential fans eight runs of differently
@@ -100,13 +119,11 @@ func TestParallelProfileRunsMatchSequential(t *testing.T) {
 	run := func(i int) *sampler.Profile {
 		b := built[i%len(built)]
 		var p *sampler.Profile
-		var res *sampler.RunResult
 		if i%2 == 0 {
-			p, res = b.ProfileNormal(i / len(built))
+			p, _ = b.ProfileNormal(i / len(built))
 		} else {
-			p, res = b.ProfileBuggy(i / len(built))
+			p, _ = b.ProfileBuggy(i / len(built))
 		}
-		res.Recycle()
 		return p
 	}
 	const runs = 8
@@ -118,14 +135,17 @@ func TestParallelProfileRunsMatchSequential(t *testing.T) {
 	}
 }
 
+// b8Samples is the merged sample count of b8's buggy run 0 (3 processes).
+const b8Samples = 44512
+
 // TestMergeProfilesAllocatesOnce bounds the bytes MergeProfiles allocates
 // for a 3-process run: the merged sample array once, at its final size,
 // plus a small constant for the histogram and layout. Growing the array by
 // appending from nil allocates about twice its final size.
 func TestMergeProfilesAllocatesOnce(t *testing.T) {
 	b8 := build(t, "b8")
-	res := sampler.ProfileRun(b8.Prog, b8.Meta, b8.W.BuggyConfig(0), sampler.Options{Interval: bugs.DefaultInterval})
-	res.Recycle()
+	res := profileRun(b8, true)
+	defer res.Recycle()
 	if len(res.Profiles) != 3 {
 		t.Fatalf("b8 run has %d processes, want 3", len(res.Profiles))
 	}
@@ -135,10 +155,91 @@ func TestMergeProfilesAllocatesOnce(t *testing.T) {
 	merged := sampler.MergeProfiles(res.Profiles)
 	runtime.ReadMemStats(&after)
 
+	if len(merged.Samples) != b8Samples {
+		t.Fatalf("b8 merged profile holds %d samples, want %d", len(merged.Samples), b8Samples)
+	}
 	const slack = 32 << 10
 	samplesBytes := uint64(len(merged.Samples)) * uint64(unsafe.Sizeof(sampler.Sample{}))
 	limit := samplesBytes + samplesBytes/10 + slack
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Fatalf("MergeProfiles allocated %d bytes for %d bytes of samples, limit %d", got, samplesBytes, limit)
 	}
+}
+
+// pooling reports whether sync.Pool keeps what it is given: under the race
+// detector it drops a random quarter of its Puts.
+func pooling() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return !ok || !slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestProfileRunAllocation: once the pool holds b8's recording buffers, a
+// profiled run of b8 (3 processes), its merge and its Recycle allocate
+// less than 1.5 times the merged sample bytes. The merge is the one copy
+// of the samples; the per-process profiles record into pooled buffers.
+func TestProfileRunAllocation(t *testing.T) {
+	if !pooling() {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	b8 := build(t, "b8")
+	cycle := func() *sampler.Profile {
+		res := profileRun(b8, true)
+		merged := sampler.MergeProfiles(res.Profiles)
+		res.Recycle()
+		return merged
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := 0
+	for i := 0; i < runs; i++ {
+		n += len(cycle().Samples)
+	}
+	runtime.ReadMemStats(&after)
+	samplesBytes := uint64(n) * uint64(unsafe.Sizeof(sampler.Sample{}))
+	got := after.TotalAlloc - before.TotalAlloc
+	if got*2 > samplesBytes*3 {
+		t.Fatalf("%d profiled runs allocated %d bytes for %d bytes of merged samples (%.2fx), want under 1.5x",
+			runs, got, samplesBytes, float64(got)/float64(samplesBytes))
+	}
+	t.Logf("%.2fx the merged sample bytes", float64(got)/float64(samplesBytes))
+}
+
+// TestCanceledRunMergesBeforeRecycle cancels a b8 run midway: the partial
+// result's merge, taken before Recycle, equals the merge of its
+// per-process snapshots and does not change when later runs reuse the
+// recording buffers.
+func TestCanceledRunMergesBeforeRecycle(t *testing.T) {
+	b8 := build(t, "b8")
+	cfg := b8.W.BuggyConfig(0)
+	returns := 0
+	cfg.OnReturn = func(int, vm.Value) { returns++ }
+	full := sampler.ProfileRun(b8.Prog, b8.Meta, cfg, sampler.Options{Interval: bugs.DefaultInterval})
+	fullSamples := len(sampler.MergeProfiles(full.Profiles).Samples)
+	full.Recycle()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cutAt, seen := returns/2, 0
+	cfg.OnReturn = func(int, vm.Value) {
+		if seen++; seen == cutAt {
+			cancel()
+		}
+	}
+	res, err := sampler.ProfileRunContext(ctx, b8.Prog, b8.Meta, cfg, sampler.Options{Interval: bugs.DefaultInterval})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: error %v, want context.Canceled", err)
+	}
+	partial, procs := mergeAndRecycle(t, "b8 canceled", res)
+	if len(partial.Samples) == 0 || len(partial.Samples) >= fullSamples {
+		t.Fatalf("canceled run merged %d samples, full run %d: want a partial profile", len(partial.Samples), fullSamples)
+	}
+	snapshot := cloneProfile(partial)
+	requireSameProfile(t, "partial merge vs merge of snapshots", sampler.MergeProfiles(procs), partial)
+
+	mergeAndRecycle(t, "b8 after cancel", profileRun(b8, true))
+	requireSameProfile(t, "partial merge after a later run", partial, snapshot)
 }

@@ -107,8 +107,9 @@ type pcEntry struct {
 
 // samplePool holds SampleArray recording buffers between runs, so a
 // profiler appends into capacity an earlier run already grew instead of
-// regrowing its array from nil. Finish copies the samples out before
-// returning a buffer, so no Profile aliases pooled memory.
+// regrowing its array from nil. A per-process Profile's Samples is a view
+// of its buffer; RunResult.Recycle empties the profiles before it returns
+// the buffers, and merged profiles are never pooled.
 var samplePool = sync.Pool{New: func() any { return new([]Sample) }}
 
 // Profiler records PC and value samples for one process execution.
@@ -125,7 +126,7 @@ type Profiler struct {
 
 	hist []int64
 	// samples is the recording buffer, taken from samplePool in New;
-	// buf is the pool handle Finish returns it through.
+	// buf is its pool handle, which Finish points at the whole buffer.
 	samples   []Sample
 	buf       *[]Sample
 	numAlarms int64
@@ -334,9 +335,10 @@ type Profile struct {
 }
 
 // Finish packages the recorded data into a Profile for process pid that
-// consumed totalTicks. The samples are copied out at exact length (len ==
-// cap) and the recording buffer goes back to the pool, so Finish is called
-// once, after the run.
+// consumed totalTicks; it is called once, after the run. The Profile's
+// Samples is the recording buffer itself, clipped so len == cap, and the
+// buffer stays out of the pool: ProfileRunContext hands its handle to the
+// RunResult, whose Recycle returns it.
 func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 	const (
 		pcEntrySize = 12 // pc + varIndex + next
@@ -344,13 +346,11 @@ func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 		sampleSize  = 40 // fields of a SampleArray record
 	)
 	var samples []Sample
-	if len(p.samples) > 0 {
-		samples = make([]Sample, len(p.samples))
-		copy(samples, p.samples)
+	if n := len(p.samples); n > 0 {
+		samples = p.samples[:n:n]
 	}
 	*p.buf = p.samples[:0]
-	samplePool.Put(p.buf)
-	p.samples, p.buf = nil, nil
+	p.samples = nil
 	return &Profile{
 		Pid:           pid,
 		File:          p.prog.File,

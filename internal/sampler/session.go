@@ -11,22 +11,38 @@ import (
 
 // RunResult is the outcome of one profiled execution of a program's process
 // tree: one Profile per process (pid order, root first), plus the raw
-// processes for callers that need VM state (outputs, branch counts).
+// processes for callers that need VM state (outputs, branch counts). Each
+// per-process Profile's Samples lives in a pooled recording buffer, valid
+// until Recycle.
 type RunResult struct {
 	Profiles []*Profile
 	Procs    []vm.Process
 	// WallTime is the real time spent executing (for overhead reporting).
 	WallTime time.Duration
+	// bufs are the pool handles of the Profiles' recording buffers.
+	bufs []*[]Sample
 }
 
 // Root returns the root process profile.
 func (r *RunResult) Root() *Profile { return r.Profiles[0] }
 
-// Recycle returns every process VM's arenas to the execution pool (see
-// vm.Recycle). Callers that only keep the Profiles — the common case —
-// should call it once done with Procs; scalar VM state (ticks, outputs)
-// stays readable afterwards.
-func (r *RunResult) Recycle() { vm.RecycleProcesses(r.Procs) }
+// Recycle returns the run's pooled memory: each per-process profile's
+// recording buffer (its Samples becomes nil) and every process VM's arenas
+// (see vm.Recycle). Callers merge the Profiles first (MergeProfiles copies
+// the samples into a profile that is never pooled) and then call it once,
+// done with the per-process profiles and Procs. Every other Profile field
+// and scalar VM state (ticks, outputs) stay readable afterwards; a second
+// call does nothing.
+func (r *RunResult) Recycle() {
+	for _, p := range r.Profiles {
+		p.Samples = nil
+	}
+	for _, b := range r.bufs {
+		samplePool.Put(b)
+	}
+	r.bufs = nil
+	vm.RecycleProcesses(r.Procs)
+}
 
 // TotalTicks sums simulated time across processes.
 func (r *RunResult) TotalTicks() int64 {
@@ -101,7 +117,9 @@ func ProfileRunContext(ctx context.Context, prog *compiler.Program, metadata []d
 	})
 	res := &RunResult{Procs: procs}
 	for _, proc := range procs {
-		res.Profiles = append(res.Profiles, profilers[proc.Pid].Finish(proc.Pid, proc.VM.Ticks()))
+		p := profilers[proc.Pid]
+		res.Profiles = append(res.Profiles, p.Finish(proc.Pid, proc.VM.Ticks()))
+		res.bufs = append(res.bufs, p.buf)
 	}
 	res.WallTime = time.Since(start)
 	return res, ctx.Err()

@@ -40,13 +40,17 @@ type BatchResponse struct {
 // connection and admission cost for fleets of agents pushing every few
 // seconds. One worker slot covers the whole batch (items are stored
 // sequentially — ingest cost is dominated by fsync, which batches well).
+// A batch refused as a whole counts as one rejection, a refused item as
+// one more.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := obs.ReadBody(r.Body, r.ContentLength, MaxUploadBytes)
 	if errors.Is(err, obs.ErrBodyTooLarge) {
+		s.rejected.Add(1)
 		writeErr(w, http.StatusRequestEntityTooLarge, CodeBadRequest, "batch exceeds %d bytes", MaxUploadBytes)
 		return
 	}
 	if err != nil {
+		s.rejected.Add(1)
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "read body: %v", err)
 		return
 	}
@@ -54,10 +58,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	err = json.Unmarshal(body, &req) // decodes each blob into bytes of its own
 	obs.PutBuffer(body)
 	if err != nil {
+		s.rejected.Add(1)
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "decode batch: %v", err)
 		return
 	}
 	if len(req.Profiles) == 0 {
+		s.rejected.Add(1)
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "empty batch")
 		return
 	}

@@ -43,7 +43,8 @@ func TestIngestBodyReads(t *testing.T) {
 
 // TestBatchBodyReads: a batch declared over the upload limit gets 413
 // before any read, and so does one that sends more than the limit without
-// declaring a length; short and chunked batches keep their statuses.
+// declaring a length; short and chunked batches keep their statuses. Every
+// batch refused as a whole counts once in the stats' Rejected.
 func TestBatchBodyReads(t *testing.T) {
 	srv := newBodyServer(t)
 	batch, err := json.Marshal(service.BatchRequest{Profiles: []service.BatchItem{
@@ -52,23 +53,43 @@ func TestBatchBodyReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rejected := srv.StatsSnapshot().Rejected
+	requireRejected := func(what string, delta int64) {
+		t.Helper()
+		now := srv.StatsSnapshot().Rejected
+		if now-rejected != delta {
+			t.Errorf("%s: Rejected went up by %d, want %d", what, now-rejected, delta)
+		}
+		rejected = now
+	}
 	sim.CheckBodyReads(t, srv.Handler(), "/v1/profiles:batch", batch)
+	requireRejected("over-limit, short and chunked batches", 2)
 
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	// A JSON prefix, then one byte more of base64 than the limit allows;
 	// the reader's length is unknown, so the client sends it chunked.
 	prefix := `{"profiles":[{"workload":"b3","label":"normal","run":"1","blob":"`
-	body := io.MultiReader(strings.NewReader(prefix),
-		io.LimitReader(repeatByte('A'), service.MaxUploadBytes+1-int64(len(prefix))))
-	resp, err := http.Post(hs.URL+"/v1/profiles:batch", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("chunked batch over the limit: HTTP %d (%s), want 413", resp.StatusCode, bytes.TrimSpace(msg))
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"chunked batch over the limit", io.MultiReader(strings.NewReader(prefix),
+			io.LimitReader(repeatByte('A'), service.MaxUploadBytes+1-int64(len(prefix)))), http.StatusRequestEntityTooLarge},
+		{"undecodable batch", strings.NewReader(`{"profiles":`), http.StatusBadRequest},
+		{"empty batch", strings.NewReader(`{"profiles":[]}`), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/profiles:batch", "application/json", c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", c.name, resp.StatusCode, bytes.TrimSpace(msg), c.want)
+		}
+		requireRejected(c.name, 1)
 	}
 }
 
