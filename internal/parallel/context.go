@@ -8,9 +8,9 @@ import (
 
 // ForEachCtx is ForEach with cooperative cancellation: once ctx is canceled
 // no new index is claimed, in-flight indices drain, and ctx.Err() is
-// returned iff at least one index was never run. A nil or never-canceled
-// context makes ForEachCtx behave exactly like ForEach (including the
-// zero-goroutine sequential path), so the ctx-less wrappers delegate here.
+// returned iff at least one index was never run. ForEach runs here with a
+// context that is never canceled, whose nil Done channel never fires; a
+// nil ctx is taken as one too.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
@@ -19,10 +19,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 		ctx = context.Background()
 	}
 	done := ctx.Done()
-	if done == nil {
-		ForEach(workers, n, fn)
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

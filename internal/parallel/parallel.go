@@ -19,10 +19,10 @@
 package parallel
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -54,53 +54,7 @@ func Workers(requested int) int {
 // any fn is re-raised on the calling goroutine after all workers finish
 // (lowest panicking index wins, so repeated runs fail identically).
 func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	m := poolMetrics.Load()
-	m.pending.Add(float64(n))
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			m.active.Inc()
-			fn(i)
-			m.active.Dec()
-			m.tasks.Inc()
-			m.pending.Dec()
-		}
-		return
-	}
-	panics := make([]any, n)
-	var panicked atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				m.active.Inc()
-				runOne(i, fn, panics, &panicked)
-				m.active.Dec()
-				m.tasks.Inc()
-				m.pending.Dec()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked.Load() {
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
-		}
-	}
+	ForEachCtx(context.Background(), workers, n, fn)
 }
 
 // runOne isolates one index so a panic is captured (by index, for

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"vprof/internal/obs"
-	"vprof/internal/store"
 )
 
 // BatchItem is one profile in a POST /v1/profiles:batch request. Blob is
@@ -69,11 +68,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	release, err := s.acquireCtx(r.Context())
 	if err != nil {
-		status := statusFor(err)
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", retryAfterSeconds)
-		}
-		writeErr(w, status, errCode(err), "%v", err)
+		writeCoded(w, err)
 		return
 	}
 	defer release()
@@ -82,44 +77,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	unavailable := 0
 	for i, item := range req.Profiles {
 		res := &resp.Results[i]
-		label, err := store.ParseLabel(item.Label)
+		label, err := s.checkPush(item.Workload, item.Label, item.Run)
+		switch {
+		case err != nil:
+		case len(item.Blob) == 0:
+			s.rejected.Add(1)
+			err = withCode(CodeInvalidBundle, errors.New("empty blob"))
+		default:
+			res.PushResult, err = s.storePush(item.Workload, label, item.Run, item.Blob)
+		}
 		if err != nil {
-			s.rejected.Add(1)
-			res.Error, res.Code = err.Error(), CodeBadRequest
-			continue
-		}
-		if item.Workload == "" || item.Run == "" {
-			s.rejected.Add(1)
-			res.Error, res.Code = "workload and run are required", CodeBadRequest
-			continue
-		}
-		if len(item.Blob) == 0 {
-			s.rejected.Add(1)
-			res.Error, res.Code = "empty blob", CodeInvalidBundle
-			continue
-		}
-		entry, dup, err := s.store.PutBlob(item.Workload, label, item.Run, item.Blob)
-		if err != nil {
-			switch {
-			case errors.Is(err, store.ErrUnavailable):
+			res.Error, res.Code = err.Error(), errCode(err)
+			if res.Code == CodeUnavailable {
 				unavailable++
-				res.Error, res.Code = err.Error(), CodeUnavailable
-			case errors.Is(err, store.ErrInvalidProfile):
-				s.rejected.Add(1)
-				res.Error, res.Code = err.Error(), CodeInvalidBundle
-			default:
-				s.rejected.Add(1)
-				res.Error, res.Code = err.Error(), CodeBadRequest
 			}
-			continue
-		}
-		if dup {
-			s.deduped.Add(1)
-		} else {
-			s.ingested.Add(1)
-		}
-		res.PushResult = PushResult{
-			ID: entry.ID, Workload: entry.Workload, Label: string(entry.Label), Run: entry.Run, Dup: dup,
 		}
 	}
 	// If every item failed on backend unavailability, surface it as a

@@ -474,6 +474,8 @@ func cancelErr(err error) error {
 // statusFor maps a coded error to its HTTP status.
 func statusFor(err error) int {
 	switch errCode(err) {
+	case CodeBadRequest, CodeInvalidBundle:
+		return http.StatusBadRequest
 	case CodeOverloaded:
 		return http.StatusTooManyRequests
 	case CodeTimeout:
@@ -485,6 +487,16 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// writeCoded answers with a coded error, and tells the client when to
+// retry a 429 or a 503.
+func writeCoded(w http.ResponseWriter, err error) {
+	status := statusFor(err)
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	}
+	writeErr(w, status, errCode(err), "%v", err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -517,17 +529,10 @@ type PushResult struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	workload := q.Get("workload")
-	run := q.Get("run")
-	label, err := store.ParseLabel(q.Get("label"))
+	workload, run := q.Get("workload"), q.Get("run")
+	label, err := s.checkPush(workload, q.Get("label"), run)
 	if err != nil {
-		s.rejected.Add(1)
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if workload == "" || run == "" {
-		s.rejected.Add(1)
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "workload and run query parameters are required")
+		writeCoded(w, err)
 		return
 	}
 	blob, err := obs.ReadBody(r.Body, r.ContentLength, MaxUploadBytes)
@@ -546,42 +551,58 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer obs.PutBuffer(blob)
 	release, err := s.acquireCtx(r.Context())
 	if err != nil {
-		status := statusFor(err)
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", retryAfterSeconds)
-		}
-		writeErr(w, status, errCode(err), "%v", err)
+		writeCoded(w, err)
 		return
 	}
-	entry, dup, err := s.store.PutBlob(workload, label, run, blob)
+	res, err := s.storePush(workload, label, run, blob)
 	release()
 	if err != nil {
-		if errors.Is(err, store.ErrUnavailable) {
-			// Cluster write quorum not reached: a retryable infrastructure
-			// fault, not a client error — don't count it as a rejection.
-			s.log.Warn("ingest unavailable", "workload", workload, "run", run, "err", err)
-			w.Header().Set("Retry-After", retryAfterSeconds)
-			writeErr(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
-			return
-		}
+		writeCoded(w, err)
+		return
+	}
+	s.log.Debug("ingest", "workload", workload, "label", label, "run", run, "bytes", len(blob), "dup", res.Dup)
+	writeJSON(w, http.StatusOK, res)
+}
+
+// checkPush validates the key of one push; a refusal counts as rejected.
+// Both ingest handlers call it and then storePush; the single-push handler
+// reads the body in between.
+func (s *Server) checkPush(workload, label, run string) (store.Label, error) {
+	l, err := store.ParseLabel(label)
+	if err == nil && (workload == "" || run == "") {
+		err = errors.New("workload and run are required")
+	}
+	if err != nil {
 		s.rejected.Add(1)
+		return "", withCode(CodeBadRequest, err)
+	}
+	return l, nil
+}
+
+// storePush stores one checked push and counts it as ingested, deduped or
+// rejected. A push the backend is unavailable for (a cluster write that
+// missed its quorum) is not counted: it is a retryable infrastructure
+// fault, not a client error.
+func (s *Server) storePush(workload string, label store.Label, run string, blob []byte) (PushResult, error) {
+	entry, dup, err := s.store.PutBlob(workload, label, run, blob)
+	switch {
+	case errors.Is(err, store.ErrUnavailable):
+		s.log.Warn("ingest unavailable", "workload", workload, "run", run, "err", err)
+		return PushResult{}, withCode(CodeUnavailable, err)
+	case err != nil:
 		code := CodeBadRequest
 		if errors.Is(err, store.ErrInvalidProfile) {
 			code = CodeInvalidBundle
 		}
+		s.rejected.Add(1)
 		s.log.Warn("ingest rejected", "workload", workload, "run", run, "err", err)
-		writeErr(w, http.StatusBadRequest, code, "%v", err)
-		return
-	}
-	if dup {
+		return PushResult{}, withCode(code, err)
+	case dup:
 		s.deduped.Add(1)
-	} else {
+	default:
 		s.ingested.Add(1)
 	}
-	s.log.Debug("ingest", "workload", workload, "label", label, "run", run, "bytes", len(blob), "dup", dup)
-	writeJSON(w, http.StatusOK, PushResult{
-		ID: entry.ID, Workload: entry.Workload, Label: string(entry.Label), Run: entry.Run, Dup: dup,
-	})
+	return PushResult{ID: entry.ID, Workload: entry.Workload, Label: string(entry.Label), Run: entry.Run, Dup: dup}, nil
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {

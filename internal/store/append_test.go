@@ -1,0 +1,271 @@
+package store_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"vprof/internal/faultfs"
+	"vprof/internal/store"
+)
+
+// storeFiles are the three append-only files of a store with one segment.
+var storeFiles = []string{"MANIFEST", "segment-000000.seg", "sketches.log"}
+
+// fileSizes returns the length of each of storeFiles in dir.
+func fileSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	sizes := map[string]int64{}
+	for _, name := range storeFiles {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[name] = fi.Size()
+	}
+	return sizes
+}
+
+// appendFault is one fault planted on the second push of a fresh store.
+// Opening writes and syncs the segment header (#1) and the sketch log
+// header (#2); the first push writes and syncs its blob frame (#3), its
+// manifest record (#4) and its sketch frame (#5); so the second push's
+// segment, manifest and sketch appends are writes and syncs #6, #7 and #8.
+type appendFault struct {
+	name  string
+	plant func(inj *faultfs.Injector, nth int, err error)
+}
+
+var appendFaults = []appendFault{
+	{"write-error", func(inj *faultfs.Injector, nth int, err error) { inj.FailNth(faultfs.OpWrite, nth, err) }},
+	{"short-write", func(inj *faultfs.Injector, nth int, _ error) { inj.ShortWriteNth(nth, 5) }},
+	{"sync-error", func(inj *faultfs.Injector, nth int, err error) { inj.FailNth(faultfs.OpSync, nth, err) }},
+}
+
+// TestAppendFailureRollsBack: a segment frame or manifest record whose
+// write fails, tears short or does not sync leaves the push unacked and
+// every file at its pre-push length; a retry then acks, and a reopen finds
+// nothing to repair.
+func TestAppendFailureRollsBack(t *testing.T) {
+	for _, file := range []struct {
+		name string
+		nth  int
+	}{{"segment", 6}, {"manifest", 7}} {
+		for _, fault := range appendFaults {
+			t.Run(file.name+"/"+fault.name, func(t *testing.T) {
+				dir := t.TempDir()
+				inj := faultfs.NewInjector(nil)
+				boom := errors.New("injected fault")
+				fault.plant(inj, file.nth, boom)
+				s, err := store.Open(dir, store.Options{FS: inj})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := s.PutBlob("w", store.LabelNormal, "0", mustBlob(t, 1)); err != nil {
+					t.Fatal(err)
+				}
+				before := fileSizes(t, dir)
+				blob := mustBlob(t, 2)
+				if _, _, err := s.PutBlob("w", store.LabelNormal, "1", blob); err == nil {
+					t.Fatal("push acked despite the fault")
+				}
+				if _, ok := s.Lookup("w", store.LabelNormal, "1"); ok {
+					t.Fatal("unacked push is visible")
+				}
+				for name, size := range fileSizes(t, dir) {
+					if size != before[name] {
+						t.Errorf("%s: %d bytes after the failed push, %d before", name, size, before[name])
+					}
+				}
+				if e, dup, err := s.PutBlob("w", store.LabelNormal, "1", blob); err != nil || dup {
+					t.Fatalf("retry = %v, dup=%v", err, dup)
+				} else if _, err := s.Get(e.ID); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				s2, err := store.Open(dir, store.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s2.Close()
+				if !s2.Recovery().Clean() {
+					t.Fatalf("rollback left debris:\n%s", s2.Recovery().Render())
+				}
+				if got := len(s2.Baselines("w")); got != 2 {
+					t.Fatalf("%d baselines after reopen, want 2", got)
+				}
+			})
+		}
+	}
+}
+
+// TestSketchAppendFailureAcks: a sketch frame whose write fails, tears short
+// or does not sync never fails the push. The log goes back to its length
+// before the append, GetSketch rebuilds the sketch once from its blob, and
+// a reopen is clean.
+func TestSketchAppendFailureAcks(t *testing.T) {
+	for _, fault := range appendFaults {
+		t.Run(fault.name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := faultfs.NewInjector(nil)
+			fault.plant(inj, 8, errors.New("injected fault"))
+			s, err := store.Open(dir, store.Options{FS: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.PutBlob("w", store.LabelNormal, "0", mustBlob(t, 1)); err != nil {
+				t.Fatal(err)
+			}
+			logBefore := fileSizes(t, dir)["sketches.log"]
+			e, _, err := s.PutBlob("w", store.LabelNormal, "1", mustBlob(t, 2))
+			if err != nil {
+				t.Fatalf("a failed sketch append failed the push: %v", err)
+			}
+			if got := fileSizes(t, dir)["sketches.log"]; got != logBefore {
+				t.Fatalf("sketches.log: %d bytes after the failed append, %d before", got, logBefore)
+			}
+			sk, err := s.GetSketch(e.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sk.BlobID != e.ID {
+				t.Fatalf("GetSketch(%s) returned the sketch of %s", e.ID[:8], sk.BlobID)
+			}
+			if _, err := s.GetSketch(e.ID); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.SketchStats(); st.Rebuilds != 1 || st.Indexed != 2 {
+				t.Fatalf("sketch stats %+v, want one rebuild and both sketches indexed", st)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if !s2.Recovery().Clean() {
+				t.Fatalf("unclean reopen:\n%s", s2.Recovery().Render())
+			}
+		})
+	}
+}
+
+// TestFailedRollback: when the truncate that rolls back a failed append
+// fails too, a segment or manifest leaves the store refusing writes and
+// reporting itself unhealthy until a reopen repairs it, while a sketch log
+// still never fails a push. Either way a reopen keeps every acked push and
+// leaves the store clean.
+func TestFailedRollback(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		nth   int
+		wedge bool
+	}{{"segment", 6, true}, {"manifest", 7, true}, {"sketch", 8, false}} {
+		t.Run(c.file, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := faultfs.NewInjector(nil)
+			inj.ShortWriteNth(c.nth, 5)
+			inj.FailNth(faultfs.OpTruncate, 1, errors.New("truncate failed"))
+			s, err := store.Open(dir, store.Options{FS: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []string
+			for i, run := range []string{"0", "1", "2"} {
+				e, _, err := s.PutBlob("w", store.LabelNormal, run, mustBlob(t, int64(i)))
+				if err == nil {
+					acked = append(acked, e.ID)
+				}
+				if wantErr := c.wedge && i >= 1; (err != nil) != wantErr {
+					t.Fatalf("push %d = %v, want failure %v", i, err, wantErr)
+				}
+			}
+			if err := s.Health(); (err != nil) != c.wedge {
+				t.Fatalf("Health() = %v, want failure %v", err, c.wedge)
+			}
+			for _, id := range acked {
+				if sk, err := s.GetSketch(id); err != nil || sk.BlobID != id {
+					t.Fatalf("GetSketch(%s) = %v, %v", id[:8], sk, err)
+				}
+			}
+			s.Close()
+
+			s2, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range acked {
+				if _, err := s2.Get(id); err != nil {
+					t.Fatalf("acked blob %s lost: %v", id[:8], err)
+				}
+			}
+			if _, _, err := s2.PutBlob("w", store.LabelNormal, "3", mustBlob(t, 3)); err != nil {
+				t.Fatalf("push after reopen: %v", err)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := store.Fsck(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Fatalf("store not clean after reopen:\n%s", rep.Render())
+			}
+		})
+	}
+}
+
+// TestStoreFilesPinned pins the bytes of all three store files after a
+// fixed three-push ingest: the segment and sketch-log headers and frames,
+// and the manifest's records.
+func TestStoreFilesPinned(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, push := range []struct {
+		workload string
+		label    store.Label
+		run      string
+	}{
+		{"redis get/set", store.LabelNormal, "0"},
+		{"redis get/set", store.LabelNormal, "1"},
+		{"mysql", store.LabelCandidate, "run 7"},
+	} {
+		if _, _, err := s.PutBlob(push.workload, push.label, push.run, mustBlob(t, int64(i+20))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"MANIFEST":           "c236096d28380f1c183f81487952b7bf7098c2e01e9735c7463a383b11d49121",
+		"segment-000000.seg": "e2a7a1abc91619208169dc350d185b05ad2ff8aa2ec5ca58523de136124f05ed",
+		"sketches.log":       "ae9f2db130e6b69ace2cc7366e02944a4f4ec7f3b5b2ea23474a62fdcd4fe834",
+	}
+	var got []string
+	for _, name := range storeFiles {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		if h := hex.EncodeToString(sum[:]); h != want[name] {
+			got = append(got, name+" "+h)
+		}
+	}
+	if len(got) > 0 {
+		t.Fatalf("store file bytes changed:\n%s", strings.Join(got, "\n"))
+	}
+}

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -73,7 +71,7 @@ func (r *FsckReport) Render() string {
 // damage a Repair (or Open) would fix. The returned error means the store
 // is unrecoverable — the directory or manifest cannot even be read.
 func Fsck(dir string) (*FsckReport, error) {
-	rep, _, err := recoverDir(faultfs.NewOS(), dir, recoverOpts{verify: true})
+	rep, _, err := recoverDir(faultfs.NewOS(), dir, false)
 	return rep, err
 }
 
@@ -81,15 +79,8 @@ func Fsck(dir string) (*FsckReport, error) {
 // tails, removes temp debris, quarantines corrupt segments, and rewrites
 // the manifest without records that pointed into them.
 func Repair(dir string) (*FsckReport, error) {
-	rep, _, err := recoverDir(faultfs.NewOS(), dir, recoverOpts{apply: true, verify: true})
+	rep, _, err := recoverDir(faultfs.NewOS(), dir, true)
 	return rep, err
-}
-
-// recoverOpts: apply=false is a dry run (Fsck); verify=false skips the
-// per-blob checksum pass (structural checks still run).
-type recoverOpts struct {
-	apply  bool
-	verify bool
 }
 
 // recoveredRecord is one manifest record that survived recovery.
@@ -98,33 +89,42 @@ type recoveredRecord struct {
 	ref   blobRef
 }
 
+// recovered is what a recovery pass leaves for Open to load.
+type recovered struct {
+	records  []recoveredRecord
+	sketches map[string]sketchRef // blob id → its last whole frame in sketches.log
+}
+
 // recoverDir is the single recovery path shared by Open, Fsck and Repair:
 //
-//  1. remove stray *.tmp files (a crash mid segment-creation);
+//  1. remove stray *.tmp files (a crash mid file birth);
 //  2. replay the manifest up to its first corrupt record and truncate the
 //     rest — records are CRC-framed, so a torn or flipped line is caught;
-//  3. verify every referenced segment: magic header, every referenced
-//     frame in bounds with a matching size field (and, with verify, a
-//     matching payload CRC32C). A segment that fails is quarantined and
-//     its records dropped; a segment with bytes past its last referenced
-//     frame (an append whose manifest record never landed) is truncated;
-//  4. truncate unreferenced segments back to their header, or quarantine
+//  3. validate the sketch log: a bad header quarantines it, a torn or
+//     corrupt tail is truncated, and its whole frames are kept for Open;
+//  4. verify every referenced segment: magic header, and every referenced
+//     frame in bounds with a matching size field and payload CRC32C. A
+//     segment that fails is quarantined and its records dropped; a segment
+//     with bytes past its last referenced frame (an append whose manifest
+//     record never landed) is truncated;
+//  5. truncate unreferenced segments back to their header, or quarantine
 //     them if even the header is bad;
-//  5. if step 3 dropped records, rewrite the manifest (temp + rename) so
+//  6. if step 4 dropped records, rewrite the manifest (temp + rename) so
 //     the next replay is clean.
 //
-// A non-nil error means unrecoverable: the directory, manifest or a
-// segment could not even be read/moved, so no consistent state can be
-// produced.
-func recoverDir(fsys faultfs.FS, dir string, o recoverOpts) (*FsckReport, []recoveredRecord, error) {
+// apply=false is a dry run (Fsck): the report says what would be done. A
+// non-nil error means unrecoverable: the directory, manifest or a segment
+// could not even be read/moved, so no consistent state can be produced.
+func recoverDir(fsys faultfs.FS, dir string, apply bool) (*FsckReport, recovered, error) {
 	rep := &FsckReport{Dir: dir}
+	var found recovered
 	if _, err := fsys.Stat(dir); err != nil {
-		return rep, nil, fmt.Errorf("store: unrecoverable: %w", err)
+		return rep, found, fmt.Errorf("store: unrecoverable: %w", err)
 	}
 
 	des, err := fsys.ReadDir(dir)
 	if err != nil {
-		return rep, nil, fmt.Errorf("store: unrecoverable: %w", err)
+		return rep, found, fmt.Errorf("store: unrecoverable: %w", err)
 	}
 	onDisk := map[string]bool{} // segment files present in the directory
 	for _, de := range des {
@@ -132,9 +132,9 @@ func recoverDir(fsys faultfs.FS, dir string, o recoverOpts) (*FsckReport, []reco
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
 			rep.Issues = append(rep.Issues, fmt.Sprintf("stray temp file %s", name))
-			if o.apply {
+			if apply {
 				if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-					return rep, nil, fmt.Errorf("store: unrecoverable: remove %s: %w", name, err)
+					return rep, found, fmt.Errorf("store: unrecoverable: remove %s: %w", name, err)
 				}
 				rep.Repaired = append(rep.Repaired, fmt.Sprintf("removed %s", name))
 			}
@@ -143,15 +143,15 @@ func recoverDir(fsys faultfs.FS, dir string, o recoverOpts) (*FsckReport, []reco
 		}
 	}
 
-	records, err := replayManifest(fsys, dir, rep, o)
+	records, err := replayManifest(fsys, dir, rep, apply)
 	if err != nil {
-		return rep, nil, err
+		return rep, found, err
 	}
 
 	// The sketch log is derived data: recover it independently (truncate a
 	// torn tail, quarantine on a bad header) without affecting any record.
-	if err := recoverSketchLog(fsys, dir, rep, o); err != nil {
-		return rep, nil, err
+	if found.sketches, err = recoverSketchLog(fsys, dir, rep, apply); err != nil {
+		return rep, found, err
 	}
 
 	// Group surviving records by the segment they point into.
@@ -167,9 +167,9 @@ func recoverDir(fsys faultfs.FS, dir string, o recoverOpts) (*FsckReport, []reco
 
 	badSeg := map[int]bool{}
 	for _, id := range segIDs {
-		ok, err := checkSegment(fsys, dir, id, bySeg[id], rep, o)
+		ok, err := checkSegment(fsys, dir, segmentName(id), bySeg[id], rep, apply)
 		if err != nil {
-			return rep, nil, err
+			return rep, found, err
 		}
 		if !ok {
 			badSeg[id] = true
@@ -186,8 +186,8 @@ func recoverDir(fsys faultfs.FS, dir string, o recoverOpts) (*FsckReport, []reco
 	}
 	sort.Strings(unref)
 	for _, name := range unref {
-		if err := checkUnreferencedSegment(fsys, dir, name, rep, o); err != nil {
-			return rep, nil, err
+		if _, err := checkSegment(fsys, dir, name, nil, rep, apply); err != nil {
+			return rep, found, err
 		}
 	}
 
@@ -201,16 +201,21 @@ func recoverDir(fsys faultfs.FS, dir string, o recoverOpts) (*FsckReport, []reco
 			}
 		}
 		records = kept
-		if o.apply {
-			if err := rewriteManifest(fsys, dir, records); err != nil {
-				return rep, nil, fmt.Errorf("store: unrecoverable: rewrite manifest: %w", err)
+		if apply {
+			var content []byte
+			for _, rec := range records {
+				content = append(content, formatManifestLine(rec.entry, rec.ref)...)
+			}
+			if err := createFile(fsys, filepath.Join(dir, manifestName), content); err != nil {
+				return rep, found, fmt.Errorf("store: unrecoverable: rewrite manifest: %w", err)
 			}
 			rep.Repaired = append(rep.Repaired,
 				fmt.Sprintf("rewrote manifest without %d dropped record(s)", rep.DroppedRecords))
 		}
 	}
 	rep.Records = len(records)
-	return rep, records, nil
+	found.records = records
+	return rep, found, nil
 }
 
 // readFileVia reads a whole file through the faultfs seam (nil, nil when it
@@ -238,8 +243,8 @@ func readFileVia(fsys faultfs.FS, path string) ([]byte, error) {
 // replayManifest parses the manifest up to its first invalid record. Any
 // bytes past that point — a torn final line after a crash, or a flipped
 // record and everything behind it — are truncated away (when applying).
-func replayManifest(fsys faultfs.FS, dir string, rep *FsckReport, o recoverOpts) ([]recoveredRecord, error) {
-	path := filepath.Join(dir, "MANIFEST")
+func replayManifest(fsys faultfs.FS, dir string, rep *FsckReport, apply bool) ([]recoveredRecord, error) {
+	path := filepath.Join(dir, manifestName)
 	data, err := readFileVia(fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("store: unrecoverable: read manifest: %w", err)
@@ -278,7 +283,7 @@ func replayManifest(fsys faultfs.FS, dir string, rep *FsckReport, o recoverOpts)
 		rep.TruncatedBytes += torn
 		rep.Issues = append(rep.Issues,
 			fmt.Sprintf("manifest: %d corrupt/torn byte(s) after %d valid record(s)", torn, len(records)))
-		if o.apply {
+		if apply {
 			if err := fsys.Truncate(path, validLen); err != nil {
 				return nil, fmt.Errorf("store: unrecoverable: truncate manifest: %w", err)
 			}
@@ -288,13 +293,14 @@ func replayManifest(fsys faultfs.FS, dir string, rep *FsckReport, o recoverOpts)
 	return records, nil
 }
 
-// checkSegment verifies one referenced segment. Returns ok=false when the
-// segment cannot be trusted (missing, bad header, frame mismatch, payload
-// checksum failure) — the caller drops its records; the file itself is
-// quarantined. A trustworthy segment with torn bytes past its last
-// referenced frame is truncated back to that frame's end.
-func checkSegment(fsys faultfs.FS, dir string, id int, recs []recoveredRecord, rep *FsckReport, o recoverOpts) (bool, error) {
-	name := segmentName(id)
+// checkSegment verifies one segment file against the records that point
+// into it (none for a segment the manifest does not reference). It returns
+// ok=false when the segment cannot be trusted — missing, bad header, or a
+// referenced frame out of bounds, sized unlike its record or failing its
+// CRC32C — and the file is quarantined; the caller drops its records. A
+// trusted segment with bytes past its last referenced frame (or past its
+// header, when none is referenced) is truncated back to that point.
+func checkSegment(fsys faultfs.FS, dir, name string, recs []recoveredRecord, rep *FsckReport, apply bool) (bool, error) {
 	path := filepath.Join(dir, name)
 	fi, err := fsys.Stat(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -311,47 +317,42 @@ func checkSegment(fsys faultfs.FS, dir string, id int, recs []recoveredRecord, r
 	bad := func(format string, args ...any) (bool, error) {
 		f.Close()
 		rep.Issues = append(rep.Issues, fmt.Sprintf("%s: ", name)+fmt.Sprintf(format, args...))
-		if err := quarantine(fsys, dir, name, rep, o); err != nil {
+		if err := quarantine(fsys, dir, name, rep, apply); err != nil {
 			return false, err
 		}
 		return false, nil
 	}
 
-	hdr := make([]byte, segHeaderSize)
+	hdr := make([]byte, headerSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return bad("unreadable header: %v", err)
 	}
-	if string(hdr[:4]) != segMagic || binary.LittleEndian.Uint32(hdr[4:]) != segVersion {
+	if !segHeader.matches(hdr) {
 		return bad("bad header %q", hdr)
 	}
 
-	maxEnd := int64(segHeaderSize)
+	maxEnd := int64(headerSize)
 	for _, rec := range recs {
-		end := rec.ref.offset + rec.ref.size
+		start, end := rec.ref.offset-frameHeaderSize, rec.ref.offset+rec.ref.size
 		if end > maxEnd {
 			maxEnd = end
 		}
-		if rec.ref.offset < segHeaderSize+frameHeaderSize {
+		if start < headerSize {
 			return bad("record %s points into the header", rec.entry.ID[:8])
 		}
 		if end > fi.Size() {
 			return bad("record %s reaches byte %d but the file has %d", rec.entry.ID[:8], end, fi.Size())
 		}
-		fh := make([]byte, frameHeaderSize)
-		if _, err := f.ReadAt(fh, rec.ref.offset-frameHeaderSize); err != nil {
-			return bad("unreadable frame header at %d: %v", rec.ref.offset-frameHeaderSize, err)
+		frame := make([]byte, end-start)
+		if _, err := f.ReadAt(frame, start); err != nil {
+			return bad("unreadable frame at %d: %v", start, err)
 		}
-		if got := int64(binary.LittleEndian.Uint32(fh[0:4])); got != rec.ref.size {
-			return bad("frame at %d sized %d, manifest says %d", rec.ref.offset-frameHeaderSize, got, rec.ref.size)
+		payload, err := readFrame(frame)
+		if err == nil && int64(len(payload)) != rec.ref.size {
+			err = fmt.Errorf("frame sized %d, manifest says %d", len(payload), rec.ref.size)
 		}
-		if o.verify {
-			payload := make([]byte, rec.ref.size)
-			if _, err := f.ReadAt(payload, rec.ref.offset); err != nil {
-				return bad("unreadable blob at %d: %v", rec.ref.offset, err)
-			}
-			if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(fh[4:8]); got != want {
-				return bad("blob at %d fails CRC32C (%08x != %08x)", rec.ref.offset, got, want)
-			}
+		if err != nil {
+			return bad("frame at %d: %v", start, err)
 		}
 	}
 	f.Close()
@@ -361,7 +362,7 @@ func checkSegment(fsys faultfs.FS, dir string, id int, recs []recoveredRecord, r
 		rep.TruncatedBytes += torn
 		rep.Issues = append(rep.Issues,
 			fmt.Sprintf("%s: %d unreferenced byte(s) past the last acked frame", name, torn))
-		if o.apply {
+		if apply {
 			if err := fsys.Truncate(path, maxEnd); err != nil {
 				return false, fmt.Errorf("store: unrecoverable: truncate %s: %w", name, err)
 			}
@@ -371,52 +372,12 @@ func checkSegment(fsys faultfs.FS, dir string, id int, recs []recoveredRecord, r
 	return true, nil
 }
 
-// checkUnreferencedSegment handles a segment file no manifest record points
-// into: keep it if its header is sound (trimming unacked bytes), otherwise
-// quarantine it.
-func checkUnreferencedSegment(fsys faultfs.FS, dir, name string, rep *FsckReport, o recoverOpts) error {
-	path := filepath.Join(dir, name)
-	fi, err := fsys.Stat(path)
-	if err != nil {
-		return fmt.Errorf("store: unrecoverable: stat %s: %w", name, err)
-	}
-	headerOK := false
-	if fi.Size() >= segHeaderSize {
-		f, err := fsys.Open(path)
-		if err != nil {
-			return fmt.Errorf("store: unrecoverable: open %s: %w", name, err)
-		}
-		hdr := make([]byte, segHeaderSize)
-		if _, rerr := f.ReadAt(hdr, 0); rerr == nil &&
-			string(hdr[:4]) == segMagic && binary.LittleEndian.Uint32(hdr[4:]) == segVersion {
-			headerOK = true
-		}
-		f.Close()
-	}
-	if !headerOK {
-		rep.Issues = append(rep.Issues, fmt.Sprintf("%s: unreferenced with a bad header", name))
-		return quarantine(fsys, dir, name, rep, o)
-	}
-	if fi.Size() > segHeaderSize {
-		torn := fi.Size() - segHeaderSize
-		rep.TruncatedBytes += torn
-		rep.Issues = append(rep.Issues,
-			fmt.Sprintf("%s: %d unacked byte(s) in an unreferenced segment", name, torn))
-		if o.apply {
-			if err := fsys.Truncate(path, segHeaderSize); err != nil {
-				return fmt.Errorf("store: unrecoverable: truncate %s: %w", name, err)
-			}
-			rep.Repaired = append(rep.Repaired, fmt.Sprintf("truncated %s to its header", name))
-		}
-	}
-	return nil
-}
-
-// quarantine moves a condemned segment into <dir>/quarantine/, picking a
-// fresh name if a previous incarnation is already there.
-func quarantine(fsys faultfs.FS, dir, name string, rep *FsckReport, o recoverOpts) error {
+// quarantine moves a condemned segment or sketch log into
+// <dir>/quarantine/, picking a fresh name if a previous incarnation is
+// already there.
+func quarantine(fsys faultfs.FS, dir, name string, rep *FsckReport, apply bool) error {
 	rep.Quarantined = append(rep.Quarantined, name)
-	if !o.apply {
+	if !apply {
 		return nil
 	}
 	qdir := filepath.Join(dir, "quarantine")
@@ -435,32 +396,4 @@ func quarantine(fsys faultfs.FS, dir, name string, rep *FsckReport, o recoverOpt
 	}
 	rep.Repaired = append(rep.Repaired, fmt.Sprintf("moved %s to %s", name, dst))
 	return nil
-}
-
-// rewriteManifest persists the surviving records as a fresh manifest via
-// temp-file + rename, so a crash mid-rewrite leaves the old file intact.
-func rewriteManifest(fsys faultfs.FS, dir string, records []recoveredRecord) error {
-	path := filepath.Join(dir, "MANIFEST")
-	tmp := path + ".rewrite.tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	for _, rec := range records {
-		if _, err := io.WriteString(f, formatManifestLine(rec.entry, rec.ref)); err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.Rename(tmp, path)
 }

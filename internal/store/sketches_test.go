@@ -17,20 +17,26 @@ import (
 	"vprof/internal/store"
 )
 
+// sketchFrame frames payload as the sketch log does: its size and CRC32C,
+// both little-endian uint32, then the payload.
+func sketchFrame(payload []byte) []byte {
+	frame := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	copy(frame[8:], payload)
+	return frame
+}
+
 // appendSketchFrame appends a CRC-valid frame with an arbitrary payload to a
 // closed store's sketches.log — the shape of corruption that flips payload
 // bytes and fixes up the checksum, or of a frame written by a future encoder.
 func appendSketchFrame(t *testing.T, dir string, payload []byte) {
 	t.Helper()
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	copy(frame[8:], payload)
 	f, err := os.OpenFile(filepath.Join(dir, "sketches.log"), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(sketchFrame(payload)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -301,11 +307,11 @@ func TestSketchLogUndecodableFrameFsck(t *testing.T) {
 	}
 }
 
-// TestSketchLogUndecodableFrameFastOpen: with SkipOpenVerify a store opens
-// right past an undecodable frame (replay skips it) and keeps appending good
-// frames after it. Fsck distrusts the bad frame and everything behind it;
-// after repair the sketches that rode behind it rebuild from their blobs.
-func TestSketchLogUndecodableFrameFastOpen(t *testing.T) {
+// TestSketchLogFrameBehindUndecodableRebuilds: a healthy frame behind an
+// undecodable one is distrusted with it. Fsck counts only the frame before
+// the corruption, repair truncates the rest, and the sketch whose frame
+// rode behind it rebuilds from its blob.
+func TestSketchLogFrameBehindUndecodableRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -315,24 +321,23 @@ func TestSketchLogUndecodableFrameFastOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e1, _, err := s.Put("w", store.LabelNormal, "1", testProfile(14))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	appendSketchFrame(t, dir, []byte("wedged between two healthy frames"))
-
-	// The fast open tolerates the frame and appends a good one after it.
-	s2, err := store.Open(dir, store.Options{SkipOpenVerify: true})
+	// Wedge an undecodable frame between the two healthy ones.
+	path := filepath.Join(dir, "sketches.log")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, _, err := s2.Put("w", store.LabelNormal, "1", testProfile(14))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.GetSketch(e1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
+	second := 8 + 8 + int(binary.LittleEndian.Uint32(raw[8:12]))
+	wedged := append(append(append([]byte(nil), raw[:second]...),
+		sketchFrame([]byte("wedged between two healthy frames"))...), raw[second:]...)
+	if err := os.WriteFile(path, wedged, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,7 +346,7 @@ func TestSketchLogUndecodableFrameFastOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Clean() || rep.SketchRecords != 1 {
-		t.Fatalf("fsck after fast open: %d frames, clean=%v:\n%s",
+		t.Fatalf("fsck of the wedged log: %d frames, clean=%v:\n%s",
 			rep.SketchRecords, rep.Clean(), rep.Render())
 	}
 	if _, err := store.Repair(dir); err != nil {

@@ -10,24 +10,27 @@
 //	                            + segment offset
 //	<dir>/segment-000000.seg  — 8-byte header, then framed bundle blobs
 //	<dir>/segment-000001.seg  — next segment after rollover, …
-//	<dir>/quarantine/         — segments recovery refused to trust
+//	<dir>/sketches.log        — 8-byte header, then one framed sketch per blob
+//	<dir>/quarantine/         — files recovery refused to trust
 //
 // Blobs are keyed by their SHA-256: pushing the same profile twice stores
 // one copy, and a re-read blob is verified against its hash before being
 // decoded. Entries (the (workload, label, run) → hash links) are what the
 // manifest accumulates; a duplicate entry is a no-op.
 //
-// Crash safety. Every append follows the same discipline: the blob frame is
-// written and fsynced to its segment, then the manifest record is written
-// and fsynced, and only then is the push acknowledged. A crash at any point
-// therefore loses at most unacknowledged work: recovery (run inside Open,
-// or explicitly via Fsck/Repair) replays the manifest, stops at the first
-// record that fails its CRC, truncates the torn tail of both the manifest
-// and the active segment, and quarantines — never loads — any segment whose
-// framed blobs fail their checksums. New segment files are born via
-// temp-file + rename so a half-created segment can never be mistaken for a
-// real one. All file operations go through a faultfs.FS, so the
-// crash-replay test matrix can cut the power at every single write.
+// Crash safety. The three kinds of file share one append-only discipline
+// (applog.go): a file is born via temp-file + rename, so a half-created
+// file can never be mistaken for a real one; every append is one Write,
+// fsynced before it returns; and a failed append is truncated away. A push
+// appends its blob frame to the active segment, then its manifest record,
+// and only then is acknowledged; its sketch frame follows, and failing to
+// log it never fails the push. A crash at any point therefore loses at
+// most unacknowledged work: recovery (run inside Open, or explicitly via
+// Fsck/Repair) replays the manifest, stops at the first record that fails
+// its CRC, truncates the torn tails of the manifest, the segments and the
+// sketch log, and quarantines — never loads — any segment whose framed
+// blobs fail their checksums. All file operations go through a faultfs.FS,
+// so the crash-replay test matrix can cut the power at every single write.
 //
 // The store also keeps
 //   - a rolling baseline corpus per workload: the most recent BaselineCap
@@ -38,14 +41,11 @@ package store
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net/url"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -68,20 +68,6 @@ var ErrInvalidProfile = errors.New("store: invalid profile bundle")
 // shard unreachable. API layers map it to 503 with a Retry-After so
 // idempotent clients retry instead of surfacing a hard failure.
 var ErrUnavailable = errors.New("store: backend unavailable")
-
-// castagnoli is the CRC32C table shared by manifest records and blob frames.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-const (
-	// segHeaderSize bytes open every segment file: the magic "VSEG" plus a
-	// little-endian format version.
-	segHeaderSize = 8
-	segMagic      = "VSEG"
-	segVersion    = 1
-	// frameHeaderSize bytes precede every blob in a segment: payload size
-	// and CRC32C, both little-endian uint32.
-	frameHeaderSize = 8
-)
 
 // Label classifies an entry: part of the normal baseline corpus, or a
 // candidate (suspected-buggy) run to diagnose against it.
@@ -137,10 +123,6 @@ type Options struct {
 	// NoSync skips the per-append fsyncs. Acknowledged pushes are then no
 	// longer crash-durable; only benchmarks should set this.
 	NoSync bool
-	// SkipOpenVerify skips the blob checksum pass during Open's recovery
-	// (structural checks — torn tails, frame sizes — still run). Get still
-	// verifies every blob's SHA-256 on read.
-	SkipOpenVerify bool
 	// Metrics, when non-nil, receives the store's instrumentation
 	// (segments written, ingest bytes, dedup hits, decoded-cache
 	// hits/misses, recovery counters). A nil registry costs nil-receiver
@@ -176,18 +158,15 @@ type Store struct {
 	opts Options
 	fsys faultfs.FS
 
-	mu           sync.RWMutex
-	blobs        map[string]blobRef  // content hash → location
-	entries      map[string]*Entry   // entry key (workload|label|run) → entry
-	byWl         map[string][]*Entry // workload → entries in Seq order
-	seq          int
-	manifest     faultfs.File
-	manifestSize int64
-	segID        int
-	seg          faultfs.File // current segment, append handle
-	segSize      int64
-	readers      map[int]faultfs.File // read handles per segment
-	broken       error                // sticky: set when a failed rollback leaves disk state untracked
+	mu       sync.RWMutex
+	blobs    map[string]blobRef  // content hash → location
+	entries  map[string]*Entry   // entry key (workload|label|run) → entry
+	byWl     map[string][]*Entry // workload → entries in Seq order
+	seq      int
+	manifest *appendLog
+	segID    int
+	seg      *appendLog              // current segment
+	readers  map[string]faultfs.File // shared read handles by file name
 
 	recovery *FsckReport // what Open's recovery found and fixed
 
@@ -195,9 +174,7 @@ type Store struct {
 
 	// Sketch log state (sketches.go): per-blob variable sketches the
 	// incremental diagnosis path reads instead of the raw blobs.
-	sketchLog     faultfs.File // append handle
-	sketchReader  faultfs.File // shared read handle, opened on the first log read
-	sketchLogSize int64
+	sketchLog     *appendLog
 	sketchIdx     map[string]sketchRef
 	sketches      *Cache[*sketch.Profile]
 	sketchRebuilt int64
@@ -267,51 +244,52 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	rep, records, err := recoverDir(fsys, dir, recoverOpts{apply: true, verify: !opts.SkipOpenVerify})
+	rep, found, err := recoverDir(fsys, dir, true)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		fsys:     fsys,
-		blobs:    map[string]blobRef{},
-		entries:  map[string]*Entry{},
-		byWl:     map[string][]*Entry{},
-		readers:  map[int]faultfs.File{},
-		decoded:  NewCache[*sampler.Profile](opts.CacheCap),
-		sketches: NewCache[*sketch.Profile](sketchCacheSize),
-		recovery: rep,
-		m:        newStoreMetrics(opts.Metrics),
+		dir:       dir,
+		opts:      opts,
+		fsys:      fsys,
+		blobs:     map[string]blobRef{},
+		entries:   map[string]*Entry{},
+		byWl:      map[string][]*Entry{},
+		readers:   map[string]faultfs.File{},
+		decoded:   NewCache[*sampler.Profile](opts.CacheCap),
+		sketchIdx: map[string]sketchRef{},
+		sketches:  NewCache[*sketch.Profile](sketchCacheSize),
+		recovery:  rep,
+		m:         newStoreMetrics(opts.Metrics),
 	}
 	s.m.quarantined.Add(float64(len(rep.Quarantined)))
 	s.m.recoveredDrops.Add(float64(rep.DroppedRecords))
 	s.m.recoveredBytes.Add(float64(rep.TruncatedBytes))
-	for _, rec := range records {
+	for _, rec := range found.records {
 		s.indexLocked(rec.entry, rec.ref)
 		if rec.ref.segment > s.segID {
 			s.segID = rec.ref.segment
 		}
 	}
+	// Recovery validated and decoded every sketch frame it kept; frames of
+	// blobs the manifest does not know are ignored.
+	for id, ref := range found.sketches {
+		if _, known := s.blobs[id]; known {
+			s.sketchIdx[id] = ref
+		}
+	}
 	if onDisk := maxSegmentID(fsys, dir); onDisk > s.segID {
 		s.segID = onDisk
 	}
-	mf, err := fsys.OpenFile(s.manifestPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if s.manifest, err = s.openLog(manifestName, nil); err != nil {
 		return nil, err
 	}
-	if fi, err := mf.Stat(); err == nil {
-		s.manifestSize = fi.Size()
-	}
-	s.manifest = mf
-	seg, size, err := s.openSegment(s.segID)
-	if err != nil {
-		mf.Close()
+	if s.seg, err = s.openLog(segmentName(s.segID), &segHeader); err != nil {
+		s.Close()
 		return nil, err
 	}
-	s.seg, s.segSize = seg, size
 	s.m.segments.Inc()
-	if err := s.openSketchLog(); err != nil {
+	if s.sketchLog, err = s.openLog(sketchLogName, &sketchHeader); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -322,19 +300,9 @@ func Open(dir string, opts Options) (*Store, error) {
 // shut down store yields a clean report.
 func (s *Store) Recovery() *FsckReport { return s.recovery }
 
-func (s *Store) manifestPath() string { return filepath.Join(s.dir, "MANIFEST") }
-
-func (s *Store) segmentPath(id int) string { return filepath.Join(s.dir, segmentName(id)) }
+const manifestName = "MANIFEST"
 
 func segmentName(id int) string { return fmt.Sprintf("segment-%06d.seg", id) }
-
-// segmentHeader is the 8 bytes opening every segment file.
-func segmentHeader() []byte {
-	h := make([]byte, segHeaderSize)
-	copy(h, segMagic)
-	binary.LittleEndian.PutUint32(h[4:], segVersion)
-	return h
-}
 
 // maxSegmentID scans dir for the highest-numbered segment file, so a
 // rollover that crashed between creating the file and referencing it does
@@ -353,58 +321,6 @@ func maxSegmentID(fsys faultfs.FS, dir string) int {
 		}
 	}
 	return max
-}
-
-// openSegment opens segment id for append, creating it if necessary, and
-// returns the handle plus its current size.
-func (s *Store) openSegment(id int) (faultfs.File, int64, error) {
-	path := s.segmentPath(id)
-	if _, err := s.fsys.Stat(path); err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, 0, err
-		}
-		if err := s.createSegment(path); err != nil {
-			return nil, 0, err
-		}
-	}
-	f, err := s.fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return f, st.Size(), nil
-}
-
-// createSegment births a segment file via temp-file + rename: the header is
-// written and fsynced under a .tmp name first, so a crash can never leave a
-// half-created file that looks like a segment.
-func (s *Store) createSegment(path string) (err error) {
-	tmp := path + ".tmp"
-	defer func() {
-		if err != nil {
-			s.fsys.Remove(tmp) // best effort: do not leave temp debris
-		}
-	}()
-	f, err := s.fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(segmentHeader()); err != nil {
-		f.Close()
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return s.fsys.Rename(tmp, path)
 }
 
 // Manifest record (one line):
@@ -513,8 +429,8 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken != nil {
-		return nil, false, fmt.Errorf("store: refusing writes after unrecoverable rollback failure: %w", s.broken)
+	if err := s.wedgedLocked(); err != nil {
+		return nil, false, fmt.Errorf("store: refusing writes after unrecoverable rollback failure: %w", err)
 	}
 	key := entryKey(workload, label, run)
 	if old, ok := s.entries[key]; ok && old.ID == id {
@@ -548,53 +464,28 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	return &cp, false, nil
 }
 
-// appendManifestLocked writes and fsyncs one manifest record. On any
-// failure the partial record — and, when the blob was freshly appended for
-// this push, the blob frame itself — is rolled back, so an error leaves the
-// files byte-identical to before the call.
+// appendManifestLocked appends one manifest record. If the append fails
+// and the blob was freshly appended for this push, the blob frame is
+// rolled back too, so an error leaves both files as they were before the
+// push.
 func (s *Store) appendManifestLocked(e *Entry, ref blobRef, freshBlob bool) error {
-	rollback := func() {
-		s.truncateManifestLocked(s.manifestSize)
+	if _, err := s.manifest.append([]byte(formatManifestLine(e, ref))); err != nil {
 		if freshBlob {
-			s.truncateSegmentLocked(ref.offset - frameHeaderSize)
-			delete(s.blobs, e.ID)
-		}
-	}
-	line := formatManifestLine(e, ref)
-	if n, err := io.WriteString(s.manifest, line); err != nil || n != len(line) {
-		rollback()
-		if err == nil {
-			err = io.ErrShortWrite
+			s.seg.truncate(ref.offset - frameHeaderSize)
 		}
 		return fmt.Errorf("store: append manifest record: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := s.manifest.Sync(); err != nil {
-			rollback()
-			return fmt.Errorf("store: sync manifest: %w", err)
-		}
-	}
-	s.manifestSize += int64(len(line))
 	return nil
 }
 
-// truncateManifestLocked rolls the manifest back to size; if even that
-// fails the in-memory offset no longer matches the file and the store
-// refuses further writes rather than corrupt silently.
-func (s *Store) truncateManifestLocked(size int64) {
-	if err := s.manifest.Truncate(size); err != nil && s.broken == nil {
-		s.broken = fmt.Errorf("manifest rollback to %d: %w", size, err)
+// wedgedLocked is why the store refuses writes, if it does: a segment or
+// the manifest whose rollback failed, so the file's tail no longer
+// matches what the store tracks.
+func (s *Store) wedgedLocked() error {
+	if s.seg.wedged != nil {
+		return s.seg.wedged
 	}
-}
-
-func (s *Store) truncateSegmentLocked(size int64) {
-	if err := s.seg.Truncate(size); err != nil {
-		if s.broken == nil {
-			s.broken = fmt.Errorf("segment rollback to %d: %w", size, err)
-		}
-		return
-	}
-	s.segSize = size
+	return s.manifest.wedged
 }
 
 // Put encodes and stores a profile (convenience over PutBlob).
@@ -606,40 +497,19 @@ func (s *Store) Put(workload string, label Label, run string, p *sampler.Profile
 	return s.PutBlob(workload, label, run, blob)
 }
 
-// appendBlobLocked frames a blob (size + CRC32C header) onto the active
-// segment and fsyncs it before the manifest may reference it. Every error
-// path truncates the partial frame away, so a failed append leaves no
-// garbage behind.
+// appendBlobLocked appends a blob as one frame of the active segment,
+// rolling over to a new segment first once the active one is full.
 func (s *Store) appendBlobLocked(blob []byte) (blobRef, error) {
-	if s.segSize >= s.opts.SegmentSize {
+	if s.seg.size >= s.opts.SegmentSize {
 		if err := s.rolloverLocked(); err != nil {
 			return blobRef{}, err
 		}
 	}
-	// One Write per frame: a header written apart from its blob would add
-	// a point for a crash to fall between the two.
-	frame := obs.GetBuffer(frameHeaderSize + len(blob))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(blob)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(blob, castagnoli))
-	frame = append(frame, blob...)
-	start := s.segSize
-	n, err := s.seg.Write(frame)
-	obs.PutBuffer(frame)
-	if err != nil || n != len(frame) {
-		s.truncateSegmentLocked(start)
-		if err == nil {
-			err = io.ErrShortWrite
-		}
+	off, err := s.seg.appendFrame(blob)
+	if err != nil {
 		return blobRef{}, fmt.Errorf("store: append blob: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := s.seg.Sync(); err != nil {
-			s.truncateSegmentLocked(start)
-			return blobRef{}, fmt.Errorf("store: sync segment: %w", err)
-		}
-	}
-	s.segSize = start + int64(len(frame))
-	return blobRef{segment: s.segID, offset: start + frameHeaderSize, size: int64(len(blob))}, nil
+	return blobRef{segment: s.segID, offset: off, size: int64(len(blob))}, nil
 }
 
 // rolloverLocked seals the active segment and starts the next one. The
@@ -647,25 +517,23 @@ func (s *Store) appendBlobLocked(blob []byte) (blobRef, error) {
 // failure at any step leaves the old segment active and the store
 // consistent — the rollover simply retries on the next append.
 func (s *Store) rolloverLocked() error {
-	next, size, err := s.openSegment(s.segID + 1)
+	next, err := s.openLog(segmentName(s.segID+1), &segHeader)
 	if err != nil {
 		return fmt.Errorf("store: rollover: %w", err)
 	}
-	if err := s.seg.Sync(); err != nil {
-		next.Close()
+	if err := s.seg.f.Sync(); err != nil {
+		next.f.Close()
 		return fmt.Errorf("store: rollover: seal segment: %w", err)
 	}
-	if err := s.seg.Close(); err != nil {
-		next.Close()
+	if err := s.seg.f.Close(); err != nil {
+		next.f.Close()
 		// The old handle is gone either way; without a usable append
 		// handle the store cannot safely continue.
-		if s.broken == nil {
-			s.broken = fmt.Errorf("close sealed segment: %w", err)
-		}
+		s.seg.wedged = fmt.Errorf("close sealed segment: %w", err)
 		return fmt.Errorf("store: rollover: %w", err)
 	}
 	s.segID++
-	s.seg, s.segSize = next, size
+	s.seg = next
 	s.m.segments.Inc()
 	return nil
 }
@@ -700,7 +568,7 @@ func (s *Store) GetBlob(id string) ([]byte, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("store: no blob %s", id)
 	}
-	r, err := s.readerLocked(ref.segment)
+	r, err := s.readerLocked(segmentName(ref.segment))
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -716,17 +584,18 @@ func (s *Store) GetBlob(id string) ([]byte, error) {
 	return blob, nil
 }
 
-// readerLocked returns a shared read handle for a segment; ReadAt is safe
-// for concurrent readers.
-func (s *Store) readerLocked(segment int) (faultfs.File, error) {
-	if r, ok := s.readers[segment]; ok {
+// readerLocked returns the shared read handle of a store file, opening it
+// on first use; ReadAt is safe for concurrent readers, and Close releases
+// it.
+func (s *Store) readerLocked(name string) (faultfs.File, error) {
+	if r, ok := s.readers[name]; ok {
 		return r, nil
 	}
-	r, err := s.fsys.Open(s.segmentPath(segment))
+	r, err := s.fsys.Open(filepath.Join(s.dir, name))
 	if err != nil {
 		return nil, err
 	}
-	s.readers[segment] = r
+	s.readers[name] = r
 	return r, nil
 }
 
@@ -858,7 +727,7 @@ func (s *Store) Workloads() []WorkloadInfo {
 // CacheStats reports decoded-cache hit/miss counters.
 func (s *Store) CacheStats() CacheStats { return s.decoded.Stats() }
 
-// Flush forces both append handles to stable storage — the final step of a
+// Flush forces the append handles to stable storage — the final step of a
 // graceful shutdown. With the default options every acknowledged push is
 // already durable; Flush covers NoSync stores and belt-and-braces drains.
 func (s *Store) Flush() error {
@@ -867,16 +736,14 @@ func (s *Store) Flush() error {
 	if s.manifest == nil || s.seg == nil {
 		return errors.New("store: closed")
 	}
-	if err := s.seg.Sync(); err != nil {
+	if err := s.seg.f.Sync(); err != nil {
 		return fmt.Errorf("store: flush segment: %w", err)
 	}
-	if err := s.manifest.Sync(); err != nil {
+	if err := s.manifest.f.Sync(); err != nil {
 		return fmt.Errorf("store: flush manifest: %w", err)
 	}
-	if s.sketchLog != nil {
-		if err := s.sketchLog.Sync(); err != nil {
-			return fmt.Errorf("store: flush sketch log: %w", err)
-		}
+	if err := s.sketchLog.f.Sync(); err != nil {
+		return fmt.Errorf("store: flush sketch log: %w", err)
 	}
 	return nil
 }
@@ -890,10 +757,10 @@ func (s *Store) Health() error {
 	if s.manifest == nil || s.seg == nil {
 		return errors.New("store: closed")
 	}
-	if s.broken != nil {
-		return fmt.Errorf("store: wedged by failed rollback: %w", s.broken)
+	if err := s.wedgedLocked(); err != nil {
+		return fmt.Errorf("store: wedged by failed rollback: %w", err)
 	}
-	if err := s.manifest.Sync(); err != nil {
+	if err := s.manifest.f.Sync(); err != nil {
 		return fmt.Errorf("store: manifest not writable: %w", err)
 	}
 	if _, err := s.fsys.Stat(s.dir); err != nil {
@@ -930,25 +797,15 @@ func (s *Store) Close() error {
 			first = err
 		}
 	}
-	if s.manifest != nil {
-		keep(s.manifest.Close())
-		s.manifest = nil
+	for _, l := range []*appendLog{s.manifest, s.seg, s.sketchLog} {
+		if l != nil {
+			keep(l.f.Close())
+		}
 	}
-	if s.seg != nil {
-		keep(s.seg.Close())
-		s.seg = nil
-	}
-	if s.sketchLog != nil {
-		keep(s.sketchLog.Close())
-		s.sketchLog = nil
-	}
-	if s.sketchReader != nil {
-		keep(s.sketchReader.Close())
-		s.sketchReader = nil
-	}
+	s.manifest, s.seg, s.sketchLog = nil, nil, nil
 	for _, r := range s.readers {
 		keep(r.Close())
 	}
-	s.readers = map[int]faultfs.File{}
+	s.readers = map[string]faultfs.File{}
 	return first
 }
