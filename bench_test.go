@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"vprof/internal/analysis"
@@ -25,6 +26,7 @@ import (
 	"vprof/internal/sketch"
 	"vprof/internal/stats"
 	"vprof/internal/store"
+	"vprof/internal/vm"
 )
 
 // --- Tables ---
@@ -189,9 +191,11 @@ func benchDiagnoseAll(b *testing.B, params analysis.Params, opts sampler.Options
 			in := analysis.Input{Debug: built.Prog.Debug, Schema: built.Schema}
 			for run := 0; run < 5; run++ {
 				nres := sampler.ProfileRun(built.NormalProg, built.NormalMeta, w.NormalConfig(run), opts)
-				bres := sampler.ProfileRun(built.Prog, built.Meta, w.BuggyConfig(run), opts)
 				in.Normal = append(in.Normal, sampler.MergeProfiles(nres.Profiles))
+				nres.Recycle()
+				bres := sampler.ProfileRun(built.Prog, built.Meta, w.BuggyConfig(run), opts)
 				in.Buggy = append(in.Buggy, sampler.MergeProfiles(bres.Profiles))
+				bres.Recycle()
 			}
 			rep, err := analysis.Analyze(in, params)
 			if err != nil {
@@ -332,34 +336,64 @@ var profiledCases = []struct {
 	buggy    bool
 }{{"b1", "b1", false}, {"u3-buggy", "u3", true}, {"b8-buggy", "b8", true}}
 
-// BenchmarkProfiledExecution times one profiled execution and the merge of
-// its per-process profiles, the profile path of every diagnosis run.
+// BenchmarkProfiledExecution times one profiled execution, the merge of
+// its per-process profiles and their Recycle, the profile path of every
+// diagnosis run. Each named case profiles one program over and over, so
+// its recording buffers always fit; mixed profiles the three in turn and
+// drains the pools every mixedGCEvery ops, as the collections of a long
+// diagnosis drain them, so a draw can be empty or smaller than what it
+// records.
 func BenchmarkProfiledExecution(b *testing.B) {
+	type run struct {
+		built *bugs.Built
+		cfg   vm.Config
+	}
+	var runs []run
 	for _, c := range profiledCases {
 		built, err := bugs.ByID(c.id).Build()
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := built.W.NormalConfig(0)
+		r := run{built, built.W.NormalConfig(0)}
 		if c.buggy {
-			cfg = built.W.BuggyConfig(0)
+			r.cfg = built.W.BuggyConfig(0)
 		}
+		runs = append(runs, r)
+	}
+	profile := func(b *testing.B, r run) {
+		res := sampler.ProfileRun(r.built.Prog, r.built.Meta, r.cfg,
+			sampler.Options{Interval: bugs.DefaultInterval})
+		if len(sampler.MergeProfiles(res.Profiles).Samples) == 0 {
+			b.Fatal("no value samples")
+		}
+		res.Recycle()
+	}
+	for i, c := range profiledCases {
+		r := runs[i]
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := sampler.ProfileRun(built.Prog, built.Meta, cfg,
-					sampler.Options{Interval: bugs.DefaultInterval})
-				if len(sampler.MergeProfiles(res.Profiles).Samples) == 0 {
-					b.Fatal("no value samples")
-				}
-				res.Recycle()
+				profile(b, r)
 			}
 		})
 	}
+	const mixedGCEvery = 4
+	b.Run("mixed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%mixedGCEvery == 0 {
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
+			}
+			profile(b, runs[i%len(runs)])
+		}
+	})
 }
 
-// caseProfile profiles run 0 of a profiledCases entry and merges its
-// processes.
+// caseProfile profiles run 0 of a profiledCases entry, merges its
+// processes and recycles the run.
 func caseProfile(b *testing.B, id string, buggy bool) *sampler.Profile {
 	built, err := bugs.ByID(id).Build()
 	if err != nil {
@@ -369,8 +403,9 @@ func caseProfile(b *testing.B, id string, buggy bool) *sampler.Profile {
 	if buggy {
 		cfg = built.W.BuggyConfig(0)
 	}
-	return sampler.MergeProfiles(sampler.ProfileRun(built.Prog, built.Meta, cfg,
-		sampler.Options{Interval: bugs.DefaultInterval}).Profiles)
+	res := sampler.ProfileRun(built.Prog, built.Meta, cfg, sampler.Options{Interval: bugs.DefaultInterval})
+	defer res.Recycle()
+	return sampler.MergeProfiles(res.Profiles)
 }
 
 // benchOp is one timed operation of a layer benchmark.
@@ -476,6 +511,11 @@ func BenchmarkPush(b *testing.B) {
 	}
 }
 
+// BenchmarkProfilerInit times sampler.New on b1. New also draws a
+// recording buffer with room for the largest recording the process has
+// seen; nothing here returns it to the pool, so after the profiling
+// benchmarks have run u3 each op allocates that buffer too. Table 5's
+// InitDuration excludes the draw.
 func BenchmarkProfilerInit(b *testing.B) {
 	built, err := bugs.ByID("b1").Build()
 	if err != nil {

@@ -107,6 +107,7 @@ func (tb *testBench) profileRuns(t *testing.T, runs int, inputs ...int64) []*sam
 			vm.Config{Inputs: inputs, AlarmPhase: int64(7 * i), Seed: uint64(i + 1), MaxTicks: 150000},
 			sampler.Options{Interval: 37})
 		out = append(out, sampler.MergeProfiles(res.Profiles))
+		res.Recycle()
 	}
 	return out
 }
@@ -336,6 +337,7 @@ func main() {
 				vm.Config{Inputs: inputs, AlarmPhase: int64(11 * i)},
 				sampler.Options{Interval: 37})
 			out = append(out, sampler.MergeProfiles(res.Profiles))
+			res.Recycle()
 		}
 		return out
 	}

@@ -243,3 +243,100 @@ func TestCanceledRunMergesBeforeRecycle(t *testing.T) {
 	mergeAndRecycle(t, "b8 after cancel", profileRun(b8, true))
 	requireSameProfile(t, "partial merge after a later run", partial, snapshot)
 }
+
+// u3Samples is the sample count of u3's buggy run 0 (1 process).
+const u3Samples = 86133
+
+// drainPools empties every sync.Pool: a pooled item survives one GC in the
+// victim cache and is dropped at the second.
+func drainPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// draw builds a profiler for b's buggy build, which draws a recording
+// buffer.
+func draw(b *bugs.Built) *sampler.Profiler {
+	return sampler.New(b.Prog, b.Meta, sampler.Options{Interval: bugs.DefaultInterval})
+}
+
+// TestMarkSizesDraws: after a u3 buggy recording, every profiler draws a
+// recording buffer with room for it, whether the pool is empty or holds a
+// smaller buffer, so a later large recording never regrows.
+func TestMarkSizesDraws(t *testing.T) {
+	b1, u3 := build(t, "b1"), build(t, "u3")
+	mergeAndRecycle(t, "u3", profileRun(u3, true))
+	mark := sampler.SampleMark()
+	if mark < u3Samples {
+		t.Fatalf("mark %d after a %d-sample recording", mark, u3Samples)
+	}
+	drainPools()
+	if c := draw(b1).RecordingCap(); c < mark {
+		t.Fatalf("draw from an empty pool: capacity %d, mark %d", c, mark)
+	}
+
+	drainPools()
+	draw(b1).FinishRecording(make([]sampler.Sample, 10, 1000)).Recycle()
+	if got := sampler.SampleMark(); got != mark {
+		t.Fatalf("a 10-sample recording moved the mark from %d to %d", mark, got)
+	}
+	if c := draw(b1).RecordingCap(); c < mark {
+		t.Fatalf("draw from a pool holding a 1000-sample buffer: capacity %d, mark %d", c, mark)
+	}
+}
+
+// TestMarkIgnoresRecordingOverCeiling: a recording over the ceiling
+// neither raises the mark nor goes back to the pool.
+func TestMarkIgnoresRecordingOverCeiling(t *testing.T) {
+	b1 := build(t, "b1")
+	before := sampler.SampleMark()
+	drainPools()
+	huge := draw(b1).FinishRecording(make([]sampler.Sample, sampler.MaxPooledSamples+1))
+	if got := sampler.SampleMark(); got != before {
+		t.Fatalf("a recording over the ceiling moved the mark from %d to %d", before, got)
+	}
+	huge.Recycle()
+	if c := draw(b1).RecordingCap(); c > sampler.MaxPooledSamples {
+		t.Fatalf("draw after recycling a recording over the ceiling: capacity %d, ceiling %d", c, sampler.MaxPooledSamples)
+	}
+}
+
+// TestMixedProfileRunAllocation alternates b1 (20k samples) and u3 buggy
+// (86k) runs with the pools drained before each, as the collections of a
+// long diagnosis drain them. Each draw allocates the mark once instead of
+// regrowing from nil: the runs, merges and Recycles allocate under 3.2
+// times the merged sample bytes (2.64x, against 6.12x when every draw
+// regrew).
+func TestMixedProfileRunAllocation(t *testing.T) {
+	if !pooling() {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	b1, u3 := build(t, "b1"), build(t, "u3")
+	cycle := func(b *bugs.Built, buggy bool) (alloc uint64, samples int) {
+		drainPools()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := profileRun(b, buggy)
+		merged := sampler.MergeProfiles(res.Profiles)
+		res.Recycle()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, len(merged.Samples)
+	}
+	cycle(u3, true)
+	var got uint64
+	n := 0
+	for i := 0; i < 3; i++ {
+		for _, b := range []*bugs.Built{b1, u3} {
+			a, s := cycle(b, b == u3)
+			got += a
+			n += s
+		}
+	}
+	samplesBytes := uint64(n) * uint64(unsafe.Sizeof(sampler.Sample{}))
+	ratio := float64(got) / float64(samplesBytes)
+	if ratio > 3.2 {
+		t.Fatalf("alternating runs allocated %d bytes for %d bytes of merged samples (%.2fx), want under 3.2x",
+			got, samplesBytes, ratio)
+	}
+	t.Logf("%.2fx the merged sample bytes", ratio)
+}

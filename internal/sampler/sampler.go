@@ -25,6 +25,7 @@ package sampler
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vprof/internal/compiler"
@@ -105,12 +106,35 @@ type pcEntry struct {
 	next     int32
 }
 
-// samplePool holds SampleArray recording buffers between runs, so a
-// profiler appends into capacity an earlier run already grew instead of
-// regrowing its array from nil. A per-process Profile's Samples is a view
-// of its buffer; RunResult.Recycle empties the profiles before it returns
-// the buffers, and merged profiles are never pooled.
+// samplePool holds SampleArray recording buffers between runs. A
+// per-process Profile's Samples is a view of its buffer; RunResult.Recycle
+// empties the profiles before it returns the buffers, and merged profiles
+// are never pooled.
 var samplePool = sync.Pool{New: func() any { return new([]Sample) }}
+
+// sampleMark is the most samples any one process has recorded so far, up
+// to maxPooledSamples. New gives every recording at least that capacity, so
+// a draw from a pool a GC emptied, or one that returns a smaller program's
+// buffer, allocates once instead of regrowing by append.
+var sampleMark atomic.Int64
+
+// maxPooledSamples bounds the mark and the buffers the pool keeps: 64 MiB
+// of 40-byte samples, the limit obs puts on its body pool. A recording over
+// it is neither marked nor pooled, so one huge run does not pin its size in
+// a long-lived agent.
+const maxPooledSamples = 64 << 20 / 40
+
+// raiseMark lifts sampleMark to n samples unless n is over the ceiling.
+func raiseMark(n int) {
+	if n > maxPooledSamples {
+		return
+	}
+	for m := sampleMark.Load(); int64(n) > m; m = sampleMark.Load() {
+		if sampleMark.CompareAndSwap(m, int64(n)) {
+			return
+		}
+	}
+}
 
 // Profiler records PC and value samples for one process execution.
 type Profiler struct {
@@ -135,8 +159,13 @@ type Profiler struct {
 
 // New builds a Profiler for prog monitoring the given variable metadata
 // (typically schema.Translate output). Initialization cost is measured and
-// reported via InitDuration, mirroring the paper's Table 5.
+// reported via InitDuration, mirroring the paper's Table 5; it excludes
+// drawing the recording buffer, which holds at least the mark.
 func New(prog *compiler.Program, metadata []debuginfo.VarLoc, opts Options) *Profiler {
+	buf := samplePool.Get().(*[]Sample)
+	if mark := int(sampleMark.Load()); cap(*buf) < mark {
+		*buf = make([]Sample, 0, mark)
+	}
 	start := time.Now()
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
@@ -150,7 +179,6 @@ func New(prog *compiler.Program, metadata []debuginfo.VarLoc, opts Options) *Pro
 			opts.TableSize = 16
 		}
 	}
-	buf := samplePool.Get().(*[]Sample)
 	p := &Profiler{
 		prog:      prog,
 		opts:      opts,
@@ -335,10 +363,11 @@ type Profile struct {
 }
 
 // Finish packages the recorded data into a Profile for process pid that
-// consumed totalTicks; it is called once, after the run. The Profile's
-// Samples is the recording buffer itself, clipped so len == cap, and the
-// buffer stays out of the pool: ProfileRunContext hands its handle to the
-// RunResult, whose Recycle returns it.
+// consumed totalTicks; it is called once, after the run, and raises the
+// mark to the samples recorded. The Profile's Samples is the recording
+// buffer itself, clipped so len == cap, and the buffer stays out of the
+// pool: ProfileRunContext hands its handle to the RunResult, whose Recycle
+// returns it.
 func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 	const (
 		pcEntrySize = 12 // pc + varIndex + next
@@ -349,6 +378,7 @@ func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 	if n := len(p.samples); n > 0 {
 		samples = p.samples[:n:n]
 	}
+	raiseMark(len(samples))
 	*p.buf = p.samples[:0]
 	p.samples = nil
 	return &Profile{

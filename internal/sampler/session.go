@@ -27,18 +27,21 @@ type RunResult struct {
 func (r *RunResult) Root() *Profile { return r.Profiles[0] }
 
 // Recycle returns the run's pooled memory: each per-process profile's
-// recording buffer (its Samples becomes nil) and every process VM's arenas
-// (see vm.Recycle). Callers merge the Profiles first (MergeProfiles copies
-// the samples into a profile that is never pooled) and then call it once,
-// done with the per-process profiles and Procs. Every other Profile field
-// and scalar VM state (ticks, outputs) stay readable afterwards; a second
-// call does nothing.
+// recording buffer (its Samples becomes nil; a buffer over the pool's
+// ceiling is left to the GC) and every process VM's arenas (see
+// vm.Recycle). Callers merge the Profiles first (MergeProfiles copies the
+// samples into a profile that is never pooled) and then call it once, done
+// with the per-process profiles and Procs. Every other Profile field and
+// scalar VM state (ticks, outputs) stay readable afterwards; a second call
+// does nothing.
 func (r *RunResult) Recycle() {
 	for _, p := range r.Profiles {
 		p.Samples = nil
 	}
 	for _, b := range r.bufs {
-		samplePool.Put(b)
+		if cap(*b) <= maxPooledSamples {
+			samplePool.Put(b)
+		}
 	}
 	r.bufs = nil
 	vm.RecycleProcesses(r.Procs)
