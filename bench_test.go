@@ -10,6 +10,7 @@ package vprof_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -474,13 +475,44 @@ func BenchmarkSketch(b *testing.B) {
 }
 
 // BenchmarkPush times one push of merged b8 normal run 0, a 1.1 MiB
-// bundle, through the service's ingest handler into a store without fsync:
-// body read, decode, content hash, sketch fold, segment frame and manifest
-// record. Every push carries new bytes, so each stores a fresh blob; B/op
-// is what one push allocates.
+// bundle, through the service's ingest handler: body read, decode, content
+// hash, sketch fold and frame, segment frame, manifest record and sketch
+// frame. nosync opens the store without fsync, so it times the push's CPU
+// work; fsync opens it as shipped, so it times what a push's ack waits
+// for. In both every push carries new bytes, so each stores a fresh blob;
+// B/op is what one push allocates. repush (store as shipped) sends the
+// same bytes under the same run every time, as a client retrying after a
+// lost ack does: each push is a dedup that writes nothing. The stage
+// cases time PutBlob's CPU stages one at a time on the same bundle: hash,
+// decode, and fold (sketch fold and frame encode). internal/store's
+// BenchmarkAppendFrame times the segment append at this size.
 func BenchmarkPush(b *testing.B) {
 	p := caseProfile(b, "b8", false)
-	st, err := store.Open(b.TempDir(), store.Options{NoSync: true})
+	for _, c := range []struct {
+		name           string
+		noSync, repush bool
+	}{{"nosync", true, false}, {"fsync", false, false}, {"repush", false, true}} {
+		b.Run(c.name, func(b *testing.B) { benchPush(b, p, store.Options{NoSync: c.noSync}, c.repush) })
+	}
+	blob, err := profilefmt.Marshal(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runOps(b, "stage", []benchOp{
+		{"hash", func() error { hashSink = sha256.Sum256(blob); return nil }},
+		{"decode", func() error { _, err := profilefmt.Unmarshal(blob); return err }},
+		{"fold", func() error { _, err := profilefmt.MarshalSketch(sketch.FromProfile(p)); return err }},
+	})
+}
+
+// hashSink keeps the stage/hash sum live, so the compiler cannot drop it.
+var hashSink [sha256.Size]byte
+
+// benchPush pushes p into a store opened with opts through the service's
+// ingest handler: with new bytes under a new run each time, or with
+// repush the same bytes under run 0, stored once before the timer starts.
+func benchPush(b *testing.B, p *sampler.Profile, opts store.Options, repush bool) {
+	st, err := store.Open(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -490,9 +522,20 @@ func BenchmarkPush(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := srv.Handler()
+	same, err := profilefmt.Marshal(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if repush {
+		postPush(b, h, 0, same)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if repush {
+			postPush(b, h, 0, same)
+			continue
+		}
 		b.StopTimer()
 		q := *p
 		q.TotalTicks += int64(i)
@@ -500,14 +543,21 @@ func BenchmarkPush(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req := httptest.NewRequest(http.MethodPost,
-			fmt.Sprintf("/v1/profiles?workload=b8&label=normal&run=%d", i), bytes.NewReader(blob))
-		rec := httptest.NewRecorder()
-		b.StartTimer()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("push %d: HTTP %d: %s", i, rec.Code, rec.Body)
-		}
+		postPush(b, h, i, blob)
+	}
+}
+
+// postPush posts blob as run i of workload b8 to h; the request is built
+// outside the timer.
+func postPush(b *testing.B, h http.Handler, i int, blob []byte) {
+	b.StopTimer()
+	req := httptest.NewRequest(http.MethodPost,
+		fmt.Sprintf("/v1/profiles?workload=b8&label=normal&run=%d", i), bytes.NewReader(blob))
+	rec := httptest.NewRecorder()
+	b.StartTimer()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		b.Fatalf("push %d: HTTP %d: %s", i, rec.Code, rec.Body)
 	}
 }
 

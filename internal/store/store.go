@@ -23,8 +23,10 @@
 // file can never be mistaken for a real one; every append is one Write,
 // fsynced before it returns; and a failed append is truncated away. A push
 // appends its blob frame to the active segment, then its manifest record,
-// and only then is acknowledged; its sketch frame follows, and failing to
-// log it never fails the push. A crash at any point therefore loses at
+// then its sketch frame, and only then is acknowledged; failing to log the
+// sketch never fails the push. The hash runs on a goroutine beside the
+// decode and the sketch fold on one beside the appends, but the file
+// writes keep that order. A crash at any point therefore loses at
 // most unacknowledged work: recovery (run inside Open, or explicitly via
 // Fsck/Repair) replays the manifest, stops at the first record that fails
 // its CRC, truncates the torn tails of the manifest, the segments and the
@@ -68,6 +70,10 @@ var ErrInvalidProfile = errors.New("store: invalid profile bundle")
 // shard unreachable. API layers map it to 503 with a Retry-After so
 // idempotent clients retry instead of surfacing a hard failure.
 var ErrUnavailable = errors.New("store: backend unavailable")
+
+// errClosed is what a closed store answers to a write, a flush or a
+// health check.
+var errClosed = errors.New("store: closed")
 
 // Label classifies an entry: part of the normal baseline corpus, or a
 // candidate (suspected-buggy) run to diagnose against it.
@@ -164,6 +170,12 @@ type Store struct {
 	byWl     map[string][]*Entry // workload → entries in Seq order
 	seq      int
 	manifest *appendLog
+	// A push between its manifest record and its index (PutBlob) has a
+	// turn: entries index in turn order, which is manifest order.
+	turn     *sync.Cond      // on mu; broadcast when a push indexes
+	appended int             // turns handed out
+	indexed  int             // turns indexed
+	pending  map[string]bool // entry keys whose push holds a turn
 	segID    int
 	seg      *appendLog              // current segment
 	readers  map[string]faultfs.File // shared read handles by file name
@@ -256,12 +268,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		entries:   map[string]*Entry{},
 		byWl:      map[string][]*Entry{},
 		readers:   map[string]faultfs.File{},
+		pending:   map[string]bool{},
 		decoded:   NewCache[*sampler.Profile](opts.CacheCap),
 		sketchIdx: map[string]sketchRef{},
 		sketches:  NewCache[*sketch.Profile](sketchCacheSize),
 		recovery:  rep,
 		m:         newStoreMetrics(opts.Metrics),
 	}
+	s.turn = sync.NewCond(&s.mu)
 	s.m.quarantined.Add(float64(len(rep.Quarantined)))
 	s.m.recoveredDrops.Add(float64(rep.DroppedRecords))
 	s.m.recoveredBytes.Add(float64(rep.TruncatedBytes))
@@ -404,35 +418,59 @@ func (s *Store) indexLocked(e *Entry, ref blobRef) {
 // returns only after the blob and its manifest record are fsynced — an
 // acknowledged push survives a crash. The returned bool is true when an
 // identical entry (same key, same content) already existed and nothing was
-// written.
+// written. Every goroutine PutBlob starts is joined before it returns, so
+// the caller may reuse blob as soon as it does.
 func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (*Entry, bool, error) {
 	if workload == "" || run == "" {
 		return nil, false, fmt.Errorf("store: workload and run are required")
 	}
+	// The content hash runs next to the decode, which is the validation:
+	// both finish before the first write.
+	var id string
+	hashed := make(chan struct{})
+	go func() {
+		sum := sha256.Sum256(blob)
+		id = hex.EncodeToString(sum[:])
+		close(hashed)
+	}()
 	p, err := profilefmt.Unmarshal(blob)
+	<-hashed
 	if err != nil {
 		return nil, false, fmt.Errorf("store: reject invalid profile: %w (%w)", err, ErrInvalidProfile)
 	}
-	sum := sha256.Sum256(blob)
-	id := hex.EncodeToString(sum[:])
-	// Fold and encode the blob's sketch before taking the lock: the fold is
-	// a pure function of the blob, and the slowest step of a push. A blob
-	// whose sketch is already logged (a re-push) skips it.
+	// Fold and encode the blob's sketch on a goroutine of its own while
+	// this one appends the segment frame and the manifest record. A blob
+	// whose sketch is already logged (a re-push) skips it. The deferred
+	// join runs after the unlock, so an early return never waits for the
+	// fold under the lock.
 	s.mu.RLock()
 	_, logged := s.sketchIdx[id]
 	s.mu.RUnlock()
 	var sk *sketch.Profile
 	var frame []byte
-	if !logged {
-		sk, frame = foldSketch(id, p)
+	folded := make(chan struct{})
+	if logged {
+		close(folded)
+	} else {
+		go func() {
+			sk, frame = foldSketch(id, p)
+			close(folded)
+		}()
 	}
+	defer func() { <-folded }()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	key := entryKey(workload, label, run)
+	for s.pending[key] { // the same run is mid-push: dedup against its result
+		s.turn.Wait()
+	}
+	if s.seg == nil {
+		return nil, false, errClosed
+	}
 	if err := s.wedgedLocked(); err != nil {
 		return nil, false, fmt.Errorf("store: refusing writes after unrecoverable rollback failure: %w", err)
 	}
-	key := entryKey(workload, label, run)
 	if old, ok := s.entries[key]; ok && old.ID == id {
 		s.m.dedupHits.Inc()
 		cp := *old
@@ -454,12 +492,36 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	if err := s.appendManifestLocked(e, ref, fresh); err != nil {
 		return nil, false, err
 	}
+	// The push is durable. If the fold is still running, wait for it
+	// without the lock: other pushes may append meanwhile, and entries
+	// still index in the order of their manifest records, as on replay.
+	// Until then the blob is known, so a push of the same content appends
+	// no second copy, and the key is pending, so a push of the same run
+	// waits to dedup.
+	s.blobs[id] = ref
+	turn := s.appended
+	s.appended++
+	s.pending[key] = true
+	select {
+	case <-folded:
+	default:
+		s.mu.Unlock()
+		<-folded
+		s.mu.Lock()
+	}
+	for s.indexed != turn {
+		s.turn.Wait()
+	}
+	// Persist the blob's sketch before the entry becomes visible, so no
+	// reader rebuilds it. Sketches are derived data: an append failure is
+	// absorbed (GetSketch rebuilds on demand), never failing an
+	// acknowledged push.
+	_ = s.appendSketchLocked(id, sk, frame)
 	s.indexLocked(e, ref)
 	s.cacheDecoded(id, p)
-	// Persist the blob's sketch so incremental diagnoses never re-decode
-	// it. Sketches are derived data: an append failure is absorbed
-	// (GetSketch rebuilds on demand), never failing an acknowledged push.
-	_ = s.appendSketchLocked(id, sk, frame)
+	s.indexed++
+	delete(s.pending, key)
+	s.turn.Broadcast()
 	cp := *s.entries[key]
 	return &cp, false, nil
 }
@@ -734,7 +796,7 @@ func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.manifest == nil || s.seg == nil {
-		return errors.New("store: closed")
+		return errClosed
 	}
 	if err := s.seg.f.Sync(); err != nil {
 		return fmt.Errorf("store: flush segment: %w", err)
@@ -755,7 +817,7 @@ func (s *Store) Health() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.manifest == nil || s.seg == nil {
-		return errors.New("store: closed")
+		return errClosed
 	}
 	if err := s.wedgedLocked(); err != nil {
 		return fmt.Errorf("store: wedged by failed rollback: %w", err)
@@ -791,6 +853,9 @@ func (s *Store) HealthDetail() (string, map[string]string) {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for last := s.appended; s.indexed < last; { // durable pushes index first
+		s.turn.Wait()
+	}
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {

@@ -253,11 +253,12 @@ func TestSegmentRollover(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess hammers Put/Get/Baselines/Workloads from many
-// goroutines; run under -race it is the satellite's concurrency check.
+// TestConcurrentAccess hammers Put/Get/Baselines/Workloads/GetSketch from
+// many goroutines; run under -race it is the store's concurrency check.
 // Every writer also pushes one shared profile under a run of its own, so
 // several pushes fold the same blob's sketch at once and exactly one frame
-// may reach the log.
+// may reach the log. Readers fetch the sketch of every entry they list: an
+// entry visible before its sketch is logged and cached would be rebuilt.
 func TestConcurrentAccess(t *testing.T) {
 	s, err := store.Open(t.TempDir(), store.Options{CacheCap: 8, BaselineCap: 8})
 	if err != nil {
@@ -305,8 +306,17 @@ func TestConcurrentAccess(t *testing.T) {
 							errs <- err
 							return
 						}
+						if _, err := s.GetSketch(e.ID); err != nil {
+							errs <- err
+							return
+						}
 					}
-					s.Candidates(info.Workload)
+					for _, e := range s.Candidates(info.Workload) {
+						if _, err := s.GetSketch(e.ID); err != nil {
+							errs <- err
+							return
+						}
+					}
 				}
 				s.CacheStats()
 			}
@@ -324,13 +334,22 @@ func TestConcurrentAccess(t *testing.T) {
 	if total != writers*(perWriter+1) {
 		t.Fatalf("stored %d entries, want %d", total, writers*(perWriter+1))
 	}
-	if n := s.SketchStats().Indexed; n != writers*perWriter+1 {
-		t.Fatalf("sketch log indexes %d frames, want one per distinct blob (%d)", n, writers*perWriter+1)
+	st := s.SketchStats()
+	if st.Indexed != writers*perWriter+1 {
+		t.Fatalf("sketch log indexes %d frames, want one per distinct blob (%d)", st.Indexed, writers*perWriter+1)
+	}
+	if st.Rebuilds != 0 {
+		t.Fatalf("%d sketch(es) rebuilt: an entry was visible before its sketch was logged", st.Rebuilds)
 	}
 }
 
-// BenchmarkStoreIngest tracks ingestion throughput: validate + hash + append
-// + index of a typical profile bundle.
+// BenchmarkStoreIngest tracks ingestion throughput of small synthetic
+// bundles (testProfile: 20 samples, two variables) with fsync on. The
+// first 64 pushes store fresh blobs: decode and hash, sketch fold and
+// frame, segment, manifest and sketch-log appends, and the index. The
+// bundles then repeat under new runs, so each later push finds its blob
+// stored and its sketch logged and appends only a manifest record. Root
+// BenchmarkPush times a real 1.1 MiB bundle.
 func BenchmarkStoreIngest(b *testing.B) {
 	s, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
