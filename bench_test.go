@@ -70,8 +70,7 @@ func BenchmarkTable3Diagnosis(b *testing.B) {
 // BenchmarkParallelDiscount isolates the analysis stage: profiles are
 // collected once outside the timed loop, then the variable discounter +
 // cost attribution re-run per iteration at each pool size. This is the
-// kernel the worker-pool fan-out and the pooled stats scratch buffers
-// target.
+// kernel the worker-pool fan-out targets.
 func BenchmarkParallelDiscount(b *testing.B) {
 	w := bugs.ByID("b1")
 	built := w.MustBuild()
@@ -580,9 +579,11 @@ func BenchmarkProfilerInit(b *testing.B) {
 	}
 }
 
-// BenchmarkADKSample runs two-sample tests at growing pooled sizes N. The
-// per-call cost should grow like N log N (sorting); a term quadratic in N
-// would show as a ~1600x jump from N=1k to N=40k.
+// BenchmarkADKSample runs two-sample tests on histograms at growing pooled
+// sizes N, as the discounter does. The merge-join walks distinct values, at
+// most 37 and 41 per side at every size here, so what grows is the variance's
+// harmonic terms h and g, linear in N (about 40x from N=1k to N=40k); a term
+// quadratic in N would show as a ~1600x jump.
 func BenchmarkADKSample(b *testing.B) {
 	for _, pooled := range []int{1000, 10000, 40000} {
 		x := make([]float64, pooled/2)
@@ -591,9 +592,10 @@ func BenchmarkADKSample(b *testing.B) {
 			x[i] = float64(i % 37)
 			y[i] = float64((i*7 + 3) % 41)
 		}
+		hx, hy := sketch.HistOf(x), sketch.HistOf(y)
 		b.Run(fmt.Sprintf("N=%d", pooled), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := stats.ADKSample(x, y); err != nil {
+				if _, err := stats.ADKSampleHist(hx, hy); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -601,6 +603,8 @@ func BenchmarkADKSample(b *testing.B) {
 	}
 }
 
+// BenchmarkHellinger compares two 2000-observation histograms whose 97 + 89
+// distinct values take the binned path.
 func BenchmarkHellinger(b *testing.B) {
 	x := make([]float64, 2000)
 	y := make([]float64, 2000)
@@ -608,9 +612,10 @@ func BenchmarkHellinger(b *testing.B) {
 		x[i] = float64(i % 97)
 		y[i] = float64((i * 13) % 89)
 	}
+	hx, hy := sketch.HistOf(x), sketch.HistOf(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.Hellinger(x, y)
+		stats.Hellinger(hx, hy)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 	"vprof/internal/stats"
 )
 
-// dimSeries is one candidate dimension's pair of observation series.
+// dimSeries is one candidate dimension's pair of observation histograms.
 type dimSeries struct {
 	d    Dimension
-	n, b []float64
+	n, b sketch.Hist
 }
 
 // trimDims applies the paper's dimension restrictions: pointer values
@@ -61,8 +61,8 @@ func selectDiscount(p Params, dims []dimSeries) (float64, Dimension, bool) {
 // ValidDiscount floor (dimension selection compares raw ratios, per the
 // paper's Redis-8668 walkthrough: value 0.12 vs cost 0, cost wins). ok is
 // false when there is not enough information in either execution.
-func discountOneDim(p Params, normal, buggy []float64) (ratio, raw float64, ok bool) {
-	nN, nB := len(normal), len(buggy)
+func discountOneDim(p Params, normal, buggy sketch.Hist) (ratio, raw float64, ok bool) {
+	nN, nB := int(normal.Total()), int(buggy.Total())
 	switch {
 	case nN == 0 && nB == 0:
 		return 1, 1, false
@@ -80,7 +80,7 @@ func discountOneDim(p Params, normal, buggy []float64) (ratio, raw float64, ok b
 		return p.DefaultDiscount, p.DefaultDiscount, true
 	}
 
-	res, err := stats.ADKSample(normal, buggy)
+	res, err := stats.ADKSampleHist(normal, buggy)
 	if err != nil {
 		// Degenerate: e.g. the variable holds the same constant in
 		// both runs. Indistinguishable distributions.
@@ -101,8 +101,8 @@ func discountOneDim(p Params, normal, buggy []float64) (ratio, raw float64, ok b
 
 // analyzeVariables runs the variable-discounter over every monitored
 // variable in either side's run-0 sketch, returning reports keyed by
-// "func\x00name": per variable, the three dimension histograms expand to
-// sorted observation series and feed the one-dimension test. Variables are
+// "func\x00name": per variable, the three dimension histograms feed the
+// one-dimension test as they are. Variables are
 // independent, so the statistics fan out over the worker pool; each index
 // writes only its own report, and the merge walks the sorted key list, so
 // the result is identical for any worker count. Cancellation drains the
@@ -127,9 +127,9 @@ func analyzeVariables(ctx context.Context, p Params, in SketchInput) (map[string
 	}
 	sort.Strings(names)
 
-	var trail map[string][]sampler.Sample
+	var trail *trailIndex
 	if in.Trail != nil {
-		trail = samplesByVar(in.Trail)
+		trail = indexTrail(in.Trail)
 	}
 
 	empty := &sketch.VarSummary{}
@@ -160,16 +160,16 @@ func analyzeVariables(ctx context.Context, p Params, in SketchInput) (map[string
 			vr.Tags = e.Tags
 		}
 		vr.Discount, vr.Dimension, vr.Tested = selectDiscount(p, trimDims(p, l.IsPointer, []dimSeries{
-			{DimValue, nv.Values.Expand(), bv.Values.Expand()},
-			{DimDelta, nv.Deltas.Expand(), bv.Deltas.Expand()},
-			{DimCost, nv.Runs.Expand(), bv.Runs.Expand()},
+			{DimValue, nv.Values, bv.Values},
+			{DimDelta, nv.Deltas, bv.Deltas},
+			{DimCost, nv.Runs, bv.Runs},
 		}))
 		vr.MaxRunNormal = nv.MaxRun
 		vr.MaxRunBuggy = bv.MaxRun
 		vr.RunsBuggy = int(bv.NumRuns)
 		if trail != nil && vr.Tested && vr.Discount < p.DefaultDiscount {
 			lo, hi, ok := normalRange(vr.Dimension, nv)
-			vr.AbnormalPCs = abnormalPCs(vr.Dimension, lo, hi, ok, trail[key])
+			vr.AbnormalPCs = abnormalPCs(vr.Dimension, lo, hi, ok, trail.samples, trail.of(key))
 		}
 		return vr
 	})
@@ -183,8 +183,8 @@ func analyzeVariables(ctx context.Context, p Params, in SketchInput) (map[string
 	return out, nil
 }
 
-// normalRange reads from the normal sketch the range abnormalPositions
-// checks along dim: the value extremes, the extreme change deltas, or (for
+// normalRange reads from the normal sketch the range abnormalPCs checks
+// along dim: the value extremes, the extreme change deltas, or (for
 // DimCost, where only hi matters) the longest equal-value run. ok is false
 // when the normal execution has no observation along dim.
 func normalRange(dim Dimension, nv *sketch.VarSummary) (lo, hi float64, ok bool) {
@@ -200,118 +200,113 @@ func normalRange(dim Dimension, nv *sketch.VarSummary) (lo, hi float64, ok bool)
 	return nv.Min, nv.Max, nv.Count > 0
 }
 
-// abnormalPCs identifies the trail's samples that are anomalous along the
-// given dimension against the normal range [lo, hi] and returns their PCs
-// (with multiplicity), used to localize basic blocks.
-func abnormalPCs(dim Dimension, lo, hi float64, ok bool, trail []sampler.Sample) []int {
-	marks := abnormalPositions(dim, lo, hi, ok, tickSeries(trail))
-	// Map marked tick positions back to sample PCs: walk the trail,
-	// tracking the per-tick index.
+// abnormalPCs walks one variable's trail samples (idx, indices into
+// samples in recording order) and returns, with multiplicity, the PCs of
+// the samples whose alarm tick's observation falls outside the normal range
+// [lo, hi] along dim; ok false means the normal execution offers no range,
+// so every observation that dim can judge is abnormal. The walk collapses
+// the samples to one observation per tick, first sample winning, exactly as
+// sketch.FromProfile folds them, and every sample of a marked tick counts:
+//   - DimValue (and DimNone): the observed value lies outside [lo, hi];
+//   - DimDelta: the value differs from the previous tick's, by a change
+//     outside [lo, hi];
+//   - DimCost: the value has stayed the same for more than hi ticks. The
+//     first tick starts a run and is not marked, unless it is the only
+//     tick and ok is false.
+func abnormalPCs(dim Dimension, lo, hi float64, ok bool, samples []sampler.Sample, idx []int32) []int {
 	var out []int
-	pos := -1
 	var lastTick int64 = -1
-	for _, s := range trail {
+	ticks := 0       // ticks seen so far
+	var prev float64 // the previous tick's observation
+	run := 0
+	mark := false
+	for _, k := range idx {
+		s := &samples[k]
 		if s.Tick != lastTick {
 			lastTick = s.Tick
-			pos++
+			v := float64(s.Value)
+			switch dim {
+			case DimValue, DimNone:
+				mark = !ok || v < lo || v > hi
+			case DimDelta:
+				d := v - prev
+				mark = ticks > 0 && v != prev && (!ok || d < lo || d > hi)
+			case DimCost:
+				if ticks > 0 && v == prev {
+					run++
+				} else {
+					run = 1
+				}
+				mark = ticks > 0 && (!ok || float64(run) > hi)
+			}
+			prev = v
+			ticks++
 		}
-		if marks[pos] {
+		if mark {
 			out = append(out, int(s.PC))
 		}
 	}
-	return out
-}
-
-// tickSeries collapses a variable's samples to one observation per alarm
-// tick, first sample winning, exactly as sketch.FromProfile folds them.
-func tickSeries(samples []sampler.Sample) []float64 {
-	var out []float64
-	var lastTick int64 = -1
-	for _, s := range samples {
-		if s.Tick == lastTick {
-			continue
+	if dim == DimCost && !ok && ticks == 1 {
+		for _, k := range idx {
+			out = append(out, int(samples[k].PC))
 		}
-		lastTick = s.Tick
-		out = append(out, float64(s.Value))
 	}
 	return out
 }
 
-// abnormalPositions marks the indices of buggy per-tick observations that
-// fall outside what the normal execution exhibited (see normalRange).
-func abnormalPositions(dim Dimension, lo, hi float64, ok bool, buggy []float64) []bool {
-	marks := make([]bool, len(buggy))
-	switch dim {
-	case DimValue, DimNone:
-		for i, v := range buggy {
-			if !ok || v < lo || v > hi {
-				marks[i] = true
-			}
-		}
-	case DimDelta:
-		last := 0 // index of the last distinct value
-		for i := 1; i < len(buggy); i++ {
-			if buggy[i] == buggy[last] {
-				continue
-			}
-			d := buggy[i] - buggy[last]
-			last = i
-			if !ok || d < lo || d > hi {
-				marks[i] = true
-			}
-		}
-	case DimCost:
-		run := 1
-		for i := 1; i < len(buggy); i++ {
-			if buggy[i] == buggy[i-1] {
-				run++
-			} else {
-				run = 1
-			}
-			if !ok || float64(run) > hi {
-				marks[i] = true
-			}
-		}
-		if len(buggy) == 1 && !ok {
-			marks[0] = true
-		}
-	}
-	return marks
+// trailIndex groups the trail's sample indices by variable: one stable
+// counting sort by layout index, so each variable's indices stay in
+// recording order. Matching sketch.FromProfile, a variable listed at
+// several layout indices keeps the samples of the first.
+type trailIndex struct {
+	samples []sampler.Sample
+	order   []int32          // sample indices, grouped by layout index
+	end     []int32          // layout l's group ends at order[end[l]]
+	first   map[string]int32 // variable key -> its first layout index
 }
 
-// samplesByVar groups a profile's samples by "func\x00name", preserving
-// recording order. Matching sketch.FromProfile, duplicate layout entries for
-// the same variable resolve to the first layout index.
-func samplesByVar(pr *sampler.Profile) map[string][]sampler.Sample {
-	first := make(map[string]int32, len(pr.Layout))
+func indexTrail(pr *sampler.Profile) *trailIndex {
+	n := len(pr.Layout)
+	t := &trailIndex{samples: pr.Samples, end: make([]int32, n+1), first: make(map[string]int32, n)}
 	for i, l := range pr.Layout {
 		key := l.Func + "\x00" + l.Name
-		if _, ok := first[key]; !ok {
-			first[key] = int32(i)
+		if _, ok := t.first[key]; !ok {
+			t.first[key] = int32(i)
 		}
 	}
-	counts := make([]int, len(pr.Layout))
-	for _, s := range pr.Samples {
-		if s.Layout >= 0 && int(s.Layout) < len(counts) {
-			counts[s.Layout]++
+	inLayout := func(s *sampler.Sample) bool { return s.Layout >= 0 && int(s.Layout) < n }
+	for i := range pr.Samples {
+		if s := &pr.Samples[i]; inLayout(s) {
+			t.end[s.Layout+1]++
 		}
 	}
-	byLayout := make([][]sampler.Sample, len(pr.Layout))
-	for i, c := range counts {
-		if c > 0 {
-			byLayout[i] = make([]sampler.Sample, 0, c)
+	for l := 1; l <= n; l++ {
+		t.end[l] += t.end[l-1]
+	}
+	// end[l] is now where layout l's group starts; filling the group
+	// moves it to where the group ends.
+	t.order = make([]int32, t.end[n])
+	for i := range pr.Samples {
+		if s := &pr.Samples[i]; inLayout(s) {
+			t.order[t.end[s.Layout]] = int32(i)
+			t.end[s.Layout]++
 		}
 	}
-	for _, s := range pr.Samples {
-		if s.Layout >= 0 && int(s.Layout) < len(byLayout) {
-			byLayout[s.Layout] = append(byLayout[s.Layout], s)
-		}
+	return t
+}
+
+// of returns the indices of the samples of the variable key, in recording
+// order.
+func (t *trailIndex) of(key string) []int32 {
+	l, ok := t.first[key]
+	if !ok {
+		return nil
 	}
-	out := make(map[string][]sampler.Sample, len(first))
-	for key, i := range first {
-		out[key] = byLayout[i]
+	lo := int32(0)
+	if l > 0 {
+		lo = t.end[l-1]
 	}
-	return out
+	return t.order[lo:t.end[l]]
 }
 
 // attributeVariables maps variable reports to functions: locals to their

@@ -10,8 +10,8 @@ import (
 // TestConcurrentAnalyzeSharedInput runs several parallel-discounter analyses
 // over one shared Input — same Schema pointer, same profiles — from multiple
 // goroutines at once. Under -race this exercises the lazy Schema.Lookup
-// index, the pooled stats scratch buffers, and the worker-pool fan-out; all
-// reports must render identically.
+// index, the shared trail the localization walks, and the worker-pool
+// fan-out; all reports must render identically.
 func TestConcurrentAnalyzeSharedInput(t *testing.T) {
 	tb := buildBench(t, recoverySrc)
 	in := analysis.Input{

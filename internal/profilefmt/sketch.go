@@ -20,8 +20,9 @@ import (
 // MagicSketch identifies a sketch section.
 const MagicSketch = "VPRS"
 
-// maxHistTotal caps the observation total of one decoded histogram,
-// bounding what Expand() can be made to allocate.
+// maxHistTotal caps the observation total of one decoded histogram. The
+// statistics kernels read counts and their sums as float64; the cap keeps
+// every count and every pooled total N exact there.
 const maxHistTotal = MaxSamples
 
 func sketchSize(s *sketch.Profile) int {

@@ -11,11 +11,12 @@
 // pairs with no zero counts, so folding, merging and encoding are linear
 // passes and one sketch has one in-memory form.
 //
-// Exactness: histograms count exact observations, so Expand reproduces the
-// sorted observation multiset and the analysis kernels in internal/analysis
-// compute the same verdicts as over the raw series. Pointer variables carry
-// no value or delta histogram: addresses mean nothing across runs, so only
-// the processing-cost dimension (run lengths) applies to them (paper §5.1).
+// Exactness: histograms count exact observations, and the Anderson-Darling
+// and Hellinger kernels in internal/stats are functions of per-distinct-value
+// counts, so reading the counts directly gives the verdicts the raw series
+// would. Pointer variables carry no value or delta histogram: addresses mean
+// nothing across runs, so only the processing-cost dimension (run lengths)
+// applies to them (paper §5.1).
 package sketch
 
 import (
@@ -48,19 +49,6 @@ func (h Hist) Total() int64 {
 		n += e.Count
 	}
 	return n
-}
-
-// Expand reconstructs the observation multiset as an ascending series (each
-// value repeated by its count). The analysis kernels feed these to the
-// order-invariant Anderson-Darling and Hellinger tests.
-func (h Hist) Expand() []float64 {
-	out := make([]float64, 0, h.Total())
-	for _, e := range h {
-		for c := e.Count; c > 0; c-- {
-			out = append(out, e.Key)
-		}
-	}
-	return out
 }
 
 // MergeHist returns the value-wise sum of two histograms. Either argument

@@ -13,9 +13,9 @@ import (
 )
 
 // TestFoldExactBeyondSmallValues: value histograms are exact at any
-// magnitude — large non-pointer values survive FromProfile, the sketch
-// codec and Expand unchanged — and pointer variables keep no value or delta
-// histogram, only run lengths.
+// magnitude — large non-pointer values survive FromProfile and the sketch
+// codec unchanged — and pointer variables keep no value or delta histogram,
+// only run lengths.
 func TestFoldExactBeyondSmallValues(t *testing.T) {
 	big := []int64{1<<20 + 1, -(1<<20 + 3), 3 << 30, 1<<20 + 1}
 	p := &sampler.Profile{
@@ -48,13 +48,13 @@ func TestFoldExactBeyondSmallValues(t *testing.T) {
 	series := []float64{float64(1<<20 + 1), float64(-(1<<20 + 3)), float64(3 << 30), float64(1<<20 + 1)}
 	wantValues := append([]float64(nil), series...)
 	sort.Float64s(wantValues)
-	if got := x.Values.Expand(); !reflect.DeepEqual(got, wantValues) {
-		t.Errorf("Values.Expand() = %v, want %v", got, wantValues)
+	if got := expand(x.Values); !reflect.DeepEqual(got, wantValues) {
+		t.Errorf("Values expand to %v, want %v", got, wantValues)
 	}
 	wantDeltas := stats.ChangeDeltas(series)
 	sort.Float64s(wantDeltas)
-	if got := x.Deltas.Expand(); !reflect.DeepEqual(got, wantDeltas) {
-		t.Errorf("Deltas.Expand() = %v, want %v", got, wantDeltas)
+	if got := expand(x.Deltas); !reflect.DeepEqual(got, wantDeltas) {
+		t.Errorf("Deltas expand to %v, want %v", got, wantDeltas)
 	}
 	if x.Min != float64(-(1<<20+3)) || x.Max != float64(3<<30) {
 		t.Errorf("moments (%v, %v), want (%v, %v)", x.Min, x.Max, float64(-(1<<20 + 3)), float64(3<<30))
@@ -70,6 +70,18 @@ func TestFoldExactBeyondSmallValues(t *testing.T) {
 	if ptr.Count != 4 || ptr.NumRuns != 4 || ptr.Runs.Total() != 4 {
 		t.Errorf("pointer summary Count %d NumRuns %d Runs %v, want 4 single-tick runs", ptr.Count, ptr.NumRuns, ptr.Runs)
 	}
+}
+
+// expand lists a histogram's observations in ascending order, each value
+// repeated by its count.
+func expand(h sketch.Hist) []float64 {
+	out := make([]float64, 0, h.Total())
+	for _, e := range h {
+		for c := e.Count; c > 0; c-- {
+			out = append(out, e.Key)
+		}
+	}
+	return out
 }
 
 func randSeries(rng *rand.Rand, n int) []float64 {
@@ -118,25 +130,27 @@ func TestHistMergeAssociativeCommutative(t *testing.T) {
 	}
 }
 
+// TestHistExpandSortedAndComplete: HistOf keeps the Hist invariants
+// (strictly ascending values, positive counts) and loses no observation, so
+// its counts expand to the sorted series — the multiset the statistics
+// kernels read.
 func TestHistExpandSortedAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for i := 0; i < 100; i++ {
 		s := randSeries(rng, rng.Intn(50))
 		h := sketch.HistOf(s)
-		ex := h.Expand()
-		if int64(len(ex)) != h.Total() || len(ex) != len(s) {
-			t.Fatalf("Expand lost observations: %d vs %d", len(ex), len(s))
+		if h.Total() != int64(len(s)) {
+			t.Fatalf("HistOf lost observations: %d vs %d", h.Total(), len(s))
 		}
-		for j := 1; j < len(ex); j++ {
-			if ex[j] < ex[j-1] {
-				t.Fatal("Expand not sorted")
+		for j, e := range h {
+			if e.Count <= 0 || j > 0 && e.Key <= h[j-1].Key {
+				t.Fatalf("HistOf pair %d = %v breaks the Hist invariants: %v", j, e, h)
 			}
 		}
-		// Expand reproduces the sorted multiset.
 		want := append([]float64(nil), s...)
 		sort.Float64s(want)
-		if len(ex) > 0 && !reflect.DeepEqual(ex, want) {
-			t.Fatalf("Expand != sorted multiset")
+		if ex := expand(h); len(ex) > 0 && !reflect.DeepEqual(ex, want) {
+			t.Fatalf("HistOf counts expand to %v, want the sorted series %v", ex, want)
 		}
 	}
 }

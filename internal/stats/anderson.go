@@ -15,12 +15,13 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
-	"sync"
+
+	"vprof/internal/sketch"
 )
 
-// ErrDegenerate is returned by ADKSample when the test is undefined: fewer
-// than two samples, an empty sample, or all pooled observations equal.
+// ErrDegenerate is returned by ADKSample and ADKSampleHist when the test is
+// undefined: fewer than two samples, an empty sample, fewer than four pooled
+// observations, or all pooled observations equal.
 var ErrDegenerate = errors.New("stats: anderson-darling test undefined for input")
 
 // ADResult is the outcome of a k-sample Anderson-Darling test.
@@ -36,120 +37,116 @@ type ADResult struct {
 	P float64
 }
 
-// adScratch holds the per-call working buffers of ADKSample. Calls are hot
-// (one per variable per dimension, across every workload of a table run) and
-// were allocation-bound; the buffers are pooled and resized in place so the
-// steady state allocates nothing. Pooling only changes where the memory
-// comes from — the arithmetic and its order are untouched, keeping results
-// bit-identical to the original implementation.
-type adScratch struct {
-	pooled []float64
-	sorted []float64
-	zstar  []float64
-	lj, bj []float64
-	n      []int
-}
-
-var adScratchPool = sync.Pool{New: func() any { return new(adScratch) }}
-
-// grow returns buf with length n, reusing its backing array when possible.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// ADKSample runs the k-sample Anderson-Darling test on the given samples.
-// It is safe for concurrent use.
+// ADKSample runs the k-sample Anderson-Darling test on raw samples: each is
+// counted into a histogram (sketch.HistOf sorts a copy of its runs) and the
+// histograms go to ADKSampleHist. It is safe for concurrent use.
 func ADKSample(samples ...[]float64) (ADResult, error) {
-	k := len(samples)
+	hists := make([]sketch.Hist, len(samples))
+	for i, s := range samples {
+		hists[i] = sketch.HistOf(s)
+	}
+	return ADKSampleHist(hists...)
+}
+
+// adSide is one sample's cursor in ADKSampleHist's merge-join.
+type adSide struct {
+	h     sketch.Hist
+	at    int     // next unread pair of h
+	n     int64   // observations
+	f     int64   // observations equal to the current pooled value
+	cum   int64   // observations at or below the current pooled value
+	inner float64 // the sample's term of the statistic so far
+}
+
+// ADKSampleHist runs the k-sample Anderson-Darling test on samples given as
+// histograms. The statistic is a function of per-distinct-value counts, so
+// one merge-join of the histograms visits each distinct pooled value z_j in
+// ascending order with its pooled multiplicity, the pooled count below it,
+// and each sample's count at and below it. The counts are integers, exact
+// in float64, and the terms are summed in ascending j, so the result is the
+// one the raw-series form gives bit for bit. The walk costs O(k·L) in the L
+// distinct values and the variance's harmonic terms O(N); no sort remains.
+// It is safe for concurrent use.
+func ADKSampleHist(hists ...sketch.Hist) (ADResult, error) {
+	k := len(hists)
 	if k < 2 {
 		return ADResult{}, ErrDegenerate
 	}
-	sc := adScratchPool.Get().(*adScratch)
-	defer adScratchPool.Put(sc)
-	if cap(sc.n) < k {
-		sc.n = make([]int, k)
-	}
-	n := sc.n[:k]
-	N := 0
-	for i, s := range samples {
-		if len(s) == 0 {
+	var buf [2]adSide // the discounter's two samples need no allocation
+	sides := buf[:0]
+	var N int64
+	for _, h := range hists {
+		n := h.Total()
+		if n == 0 {
 			return ADResult{}, ErrDegenerate
 		}
-		n[i] = len(s)
-		N += len(s)
+		sides = append(sides, adSide{h: h, n: n})
+		N += n
 	}
 	if N < 4 {
 		return ADResult{}, ErrDegenerate
 	}
-	pooled := grow(sc.pooled, N)[:0]
-	for _, s := range samples {
-		pooled = append(pooled, s...)
-	}
-	sc.pooled = pooled
-	sort.Float64s(pooled)
-	if pooled[0] == pooled[N-1] {
-		return ADResult{}, ErrDegenerate
-	}
-
-	// Distinct pooled values and their multiplicities.
-	zstar := grow(sc.zstar, N)[:1]
-	zstar[0] = pooled[0]
-	for _, v := range pooled[1:] {
-		if v != zstar[len(zstar)-1] {
-			zstar = append(zstar, v)
-		}
-	}
-	sc.zstar = zstar
-	L := len(zstar)
-
-	searchLeft := func(s []float64, v float64) int {
-		return sort.SearchFloat64s(s, v)
-	}
-	searchRight := func(s []float64, v float64) int {
-		return sort.Search(len(s), func(i int) bool { return s[i] > v })
-	}
-
-	lj := grow(sc.lj, L) // multiplicity of zstar[j] in pooled
-	bj := grow(sc.bj, L) // midrank position
-	sc.lj, sc.bj = lj, bj
-	for j, v := range zstar {
-		l := searchLeft(pooled, v)
-		r := searchRight(pooled, v)
-		lj[j] = float64(r - l)
-		bj[j] = float64(l) + lj[j]/2
-	}
 
 	fN := float64(N)
-	var a2akN float64
-	for i := 0; i < k; i++ {
-		s := append(grow(sc.sorted, len(samples[i]))[:0], samples[i]...)
-		sc.sorted = s
-		sort.Float64s(s)
-		var inner float64
-		for j, v := range zstar {
-			right := float64(searchRight(s, v))
-			fij := right - float64(searchLeft(s, v))
-			mij := right - fij/2
-			denom := bj[j]*(fN-bj[j]) - fN*lj[j]/4
-			if denom <= 0 {
-				continue
+	var below int64 // pooled observations below z_j
+	for j := 0; ; j++ {
+		// z_j is the smallest unread value of any sample.
+		var z float64
+		found := false
+		for i := range sides {
+			s := &sides[i]
+			if s.at < len(s.h) && (!found || s.h[s.at].Key < z) {
+				z, found = s.h[s.at].Key, true
 			}
-			num := fN*mij - bj[j]*float64(n[i])
-			inner += lj[j] / fN * num * num / denom
 		}
-		a2akN += inner / float64(n[i])
+		if !found {
+			break
+		}
+		// A side holds z_j when its next value is not above it: equal to
+		// it for any value but NaN, and true for the side z_j came from
+		// even then, so the walk ends on any input.
+		var l int64 // multiplicity of z_j in the pooled sample
+		for i := range sides {
+			s := &sides[i]
+			s.f = 0
+			if s.at < len(s.h) && !(s.h[s.at].Key > z) {
+				s.f = s.h[s.at].Count
+				s.at++
+			}
+			s.cum += s.f
+			l += s.f
+		}
+		if j == 0 && l == N {
+			// All pooled observations are equal.
+			return ADResult{}, ErrDegenerate
+		}
+		lj := float64(l)
+		bj := float64(below) + lj/2 // midrank position
+		below += l
+		denom := bj*(fN-bj) - fN*lj/4
+		if denom <= 0 {
+			continue
+		}
+		for i := range sides {
+			s := &sides[i]
+			fij := float64(s.f)
+			mij := float64(s.cum) - fij/2
+			num := fN*mij - bj*float64(s.n)
+			s.inner += lj / fN * num * num / denom
+		}
+	}
+	var a2akN float64
+	for i := range sides {
+		a2akN += sides[i].inner / float64(sides[i].n)
 	}
 	a2akN *= (fN - 1) / fN
 
 	// Variance of the statistic under the null (Scholz & Stephens eq. 7).
 	var H float64
-	for _, ni := range n {
-		H += 1 / float64(ni)
+	for i := range sides {
+		H += 1 / float64(sides[i].n)
 	}
-	h, g := harmonicTerms(N)
+	h, g := harmonicTerms(int(N))
 	fk := float64(k)
 	a := (4*g-6)*(fk-1) + (10-6*g)*H
 	b := (2*g-4)*fk*fk + 8*h*fk + (2*g-14*h-4)*H - 8*h + 4*g - 6

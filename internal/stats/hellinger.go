@@ -2,78 +2,57 @@ package stats
 
 import (
 	"math"
-	"sort"
-	"sync"
+
+	"vprof/internal/sketch"
 )
 
 // DefaultHellingerBins is the bin count used when two samples have too many
 // distinct values to compare value-by-value.
 const DefaultHellingerBins = 32
 
-// hellScratch pools the working buffers of HellingerBins: two sorted copies
-// of the inputs, the distinct-value list and the two PMFs. The kernel is
-// called once per (variable, dimension) across every workload and was
-// allocation-bound; pooling removes the steady-state allocations without
-// touching the arithmetic (counts are exact integers in float64, so the
-// counting order cannot change a result bit).
-type hellScratch struct {
-	a, b     []float64
-	distinct []float64
-	pa, pb   []float64
-}
-
-var hellScratchPool = sync.Pool{New: func() any { return new(hellScratch) }}
-
 // Hellinger returns the Hellinger distance between the empirical
-// distributions of two samples, in [0, 1]. 0 means identical distributions,
-// 1 means disjoint support. It is safe for concurrent use.
+// distributions two histograms count, in [0, 1]. 0 means identical
+// distributions, 1 means disjoint support. It is safe for concurrent use.
 //
 // The samples are discretized onto a common set of bins: exact values when
-// the combined number of distinct values is small, equal-width bins over the
-// combined range otherwise. An empty sample is treated as disjoint from a
-// non-empty one (distance 1); two empty samples have distance 0.
-func Hellinger(a, b []float64) float64 {
-	return HellingerBins(a, b, DefaultHellingerBins)
-}
-
-// HellingerBins is Hellinger with an explicit bin budget (minimum 2).
-func HellingerBins(a, b []float64, bins int) float64 {
+// the union of their distinct values has at most DefaultHellingerBins
+// members, equal-width bins over the combined range otherwise. An empty
+// sample is treated as disjoint from a non-empty one (distance 1); two empty
+// samples have distance 0. Every count is an integer, exact in float64, and
+// the Bhattacharyya sum runs over the values or bins in ascending order.
+func Hellinger(a, b sketch.Hist) float64 {
+	na, nb := a.Total(), b.Total()
 	switch {
-	case len(a) == 0 && len(b) == 0:
+	case na == 0 && nb == 0:
 		return 0
-	case len(a) == 0 || len(b) == 0:
+	case na == 0 || nb == 0:
 		return 1
 	}
-	if bins < 2 {
-		bins = 2
-	}
+	fa, fb := float64(na), float64(nb)
 
-	sc := hellScratchPool.Get().(*hellScratch)
-	defer hellScratchPool.Put(sc)
-	sa := append(grow(sc.a, len(a))[:0], a...)
-	sb := append(grow(sc.b, len(b))[:0], b...)
-	sc.a, sc.b = sa, sb
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-
-	distinct := mergeDistinct(sa, sb, grow(sc.distinct, len(a)+len(b))[:0])
-	sc.distinct = distinct
-
-	var pa, pb []float64
-	if len(distinct) <= bins {
-		pa = sortedPMF(sa, distinct, grow(sc.pa, len(distinct)))
-		pb = sortedPMF(sb, distinct, grow(sc.pb, len(distinct)))
-	} else {
-		lo, hi := distinct[0], distinct[len(distinct)-1]
-		pa = binnedPMF(sa, lo, hi, bins, grow(sc.pa, bins))
-		pb = binnedPMF(sb, lo, hi, bins, grow(sc.pb, bins))
-	}
-	sc.pa, sc.pb = pa, pb
-
-	// H^2 = 1 - sum sqrt(p_i * q_i)  (Bhattacharyya coefficient).
+	// H^2 = 1 - sum sqrt(p_i * q_i)  (Bhattacharyya coefficient). On the
+	// exact path only the values both samples hold add to the sum.
+	const bins = DefaultHellingerBins
 	var bc float64
-	for i := range pa {
-		bc += math.Sqrt(pa[i] * pb[i])
+	exact := len(a) <= bins && len(b) <= bins // else the union exceeds bins
+	if exact {
+		distinct := 0
+		for i, j := 0, 0; i < len(a) || j < len(b); distinct++ {
+			switch {
+			case j == len(b) || i < len(a) && a[i].Key < b[j].Key:
+				i++
+			case i == len(a) || b[j].Key < a[i].Key:
+				j++
+			default:
+				bc += math.Sqrt(float64(a[i].Count) / fa * (float64(b[j].Count) / fb))
+				i++
+				j++
+			}
+		}
+		exact = distinct <= bins
+	}
+	if !exact {
+		bc = binnedBC(a, b, fa, fb)
 	}
 	if bc > 1 {
 		bc = 1
@@ -81,68 +60,41 @@ func HellingerBins(a, b []float64, bins int) float64 {
 	return math.Sqrt(1 - bc)
 }
 
-// mergeDistinct appends the sorted distinct union of two sorted slices to
-// out.
-func mergeDistinct(sa, sb, out []float64) []float64 {
-	i, j := 0, 0
-	for i < len(sa) || j < len(sb) {
-		var v float64
-		switch {
-		case j >= len(sb) || (i < len(sa) && sa[i] <= sb[j]):
-			v = sa[i]
-			i++
-		default:
-			v = sb[j]
-			j++
-		}
-		if len(out) == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
+// binnedBC is the Bhattacharyya coefficient of a and b (totals fa and fb)
+// over DefaultHellingerBins equal-width bins spanning both.
+func binnedBC(a, b sketch.Hist, fa, fb float64) float64 {
+	lo, hi := a[0].Key, a[len(a)-1].Key
+	if b[0].Key < lo {
+		lo = b[0].Key
 	}
-	return out
+	if b[len(b)-1].Key > hi {
+		hi = b[len(b)-1].Key
+	}
+	width := (hi - lo) / DefaultHellingerBins
+	var pa, pb [DefaultHellingerBins]float64
+	binnedPMF(a, fa, lo, width, &pa)
+	binnedPMF(b, fb, lo, width, &pb)
+	var bc float64
+	for i := range pa {
+		bc += math.Sqrt(pa[i] * pb[i])
+	}
+	return bc
 }
 
-// sortedPMF computes the empirical PMF of a sorted sample over the distinct
-// support in one merged walk (the sample's values are a subset of distinct).
-func sortedPMF(s, distinct, p []float64) []float64 {
-	for i := range p {
-		p[i] = 0
-	}
-	d := 0
-	for _, v := range s {
-		for distinct[d] != v {
-			d++
-		}
-		p[d]++
-	}
-	inv := float64(len(s))
-	for i := range p {
-		p[i] /= inv
-	}
-	return p
-}
-
-func binnedPMF(s []float64, lo, hi float64, bins int, p []float64) []float64 {
-	for i := range p {
-		p[i] = 0
-	}
-	width := (hi - lo) / float64(bins)
-	if width <= 0 {
-		p[0] = 1
-		return p
-	}
-	for _, v := range s {
-		i := int((v - lo) / width)
-		if i >= bins {
-			i = bins - 1
+// binnedPMF counts h into equal-width bins starting at lo and divides by
+// its total n.
+func binnedPMF(h sketch.Hist, n, lo, width float64, p *[DefaultHellingerBins]float64) {
+	for _, e := range h {
+		i := int((e.Key - lo) / width)
+		if i >= len(p) {
+			i = len(p) - 1
 		}
 		if i < 0 {
 			i = 0
 		}
-		p[i]++
+		p[i] += float64(e.Count)
 	}
 	for i := range p {
-		p[i] /= float64(len(s))
+		p[i] /= n
 	}
-	return p
 }

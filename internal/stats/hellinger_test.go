@@ -5,11 +5,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"vprof/internal/sketch"
 )
+
+// hellingerOf is Hellinger over two raw samples.
+func hellingerOf(a, b []float64) float64 {
+	return Hellinger(sketch.HistOf(a), sketch.HistOf(b))
+}
 
 func TestHellingerIdentical(t *testing.T) {
 	a := []float64{1, 2, 2, 3, 3, 3}
-	if d := Hellinger(a, a); d > 1e-9 {
+	if d := hellingerOf(a, a); d > 1e-9 {
 		t.Errorf("Hellinger(a,a) = %v, want 0", d)
 	}
 }
@@ -17,16 +24,16 @@ func TestHellingerIdentical(t *testing.T) {
 func TestHellingerDisjoint(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{100, 200, 300}
-	if d := Hellinger(a, b); math.Abs(d-1) > 1e-9 {
+	if d := hellingerOf(a, b); math.Abs(d-1) > 1e-9 {
 		t.Errorf("disjoint distance = %v, want 1", d)
 	}
 }
 
 func TestHellingerEmpty(t *testing.T) {
-	if d := Hellinger(nil, nil); d != 0 {
+	if d := hellingerOf(nil, nil); d != 0 {
 		t.Errorf("both empty: %v, want 0", d)
 	}
-	if d := Hellinger(nil, []float64{1}); d != 1 {
+	if d := hellingerOf(nil, []float64{1}); d != 1 {
 		t.Errorf("one empty: %v, want 1", d)
 	}
 }
@@ -34,7 +41,7 @@ func TestHellingerEmpty(t *testing.T) {
 func TestHellingerPartialOverlap(t *testing.T) {
 	a := []float64{1, 1, 2, 2}
 	b := []float64{2, 2, 3, 3}
-	d := Hellinger(a, b)
+	d := hellingerOf(a, b)
 	if d <= 0.1 || d >= 0.95 {
 		t.Errorf("partial overlap distance = %v, want intermediate", d)
 	}
@@ -49,13 +56,13 @@ func TestHellingerBinnedLargeRange(t *testing.T) {
 		a[i] = rng.NormFloat64() * 100
 		b[i] = rng.NormFloat64() * 100
 	}
-	if d := Hellinger(a, b); d > 0.35 {
+	if d := hellingerOf(a, b); d > 0.35 {
 		t.Errorf("same-distribution binned distance = %v, want small", d)
 	}
 	for i := range b {
 		b[i] += 1000
 	}
-	if d := Hellinger(a, b); d < 0.95 {
+	if d := hellingerOf(a, b); d < 0.95 {
 		t.Errorf("shifted binned distance = %v, want ~1", d)
 	}
 }
@@ -74,8 +81,8 @@ func TestHellingerPropertiesQuick(t *testing.T) {
 		for i := range b {
 			b[i] = float64(rng.Intn(20) - 10)
 		}
-		d1 := Hellinger(a, b)
-		d2 := Hellinger(b, a)
+		d1 := hellingerOf(a, b)
+		d2 := hellingerOf(b, a)
 		return d1 >= 0 && d1 <= 1 && math.Abs(d1-d2) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

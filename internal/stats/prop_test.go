@@ -87,8 +87,8 @@ func clampSample(raw []int16) []float64 {
 func TestHellingerPropertyRangeAndSymmetry(t *testing.T) {
 	prop := func(ra, rb []int16) bool {
 		a, b := clampSample(ra), clampSample(rb)
-		d1 := Hellinger(a, b)
-		d2 := Hellinger(b, a)
+		d1 := hellingerOf(a, b)
+		d2 := hellingerOf(b, a)
 		if math.Abs(d1-d2) > 1e-12 {
 			t.Logf("asymmetric: %v vs %v", d1, d2)
 			return false
@@ -107,7 +107,7 @@ func TestHellingerPropertyRangeAndSymmetry(t *testing.T) {
 func TestHellingerPropertyIdenticalIsZero(t *testing.T) {
 	prop := func(ra []int16) bool {
 		a := clampSample(ra)
-		d := Hellinger(a, a)
+		d := hellingerOf(a, a)
 		// Identical samples have identical PMFs; sqrt(p*p) can land an ulp
 		// off p, so BC sums to 1 within a few ulps and the distance to 0
 		// within sqrt of that.
@@ -126,12 +126,14 @@ func TestHellingerPropertyDisjointIsOne(t *testing.T) {
 		a := make([]float64, len(ra))
 		b := make([]float64, len(rb))
 		for i, v := range ra {
-			a[i] = float64(v%32)*2 + 1 // odd support
+			a[i] = float64(v%8)*2 + 1 // odd support
 		}
 		for i, v := range rb {
-			b[i] = float64(v%32) * 2 // even support
+			b[i] = float64(v%8) * 2 // even support
 		}
-		d := HellingerBins(a, b, 1<<20) // exact path: supports never share a bin
+		// At most 30 distinct values in all: the exact path, where the
+		// supports never share a bin.
+		d := hellingerOf(a, b)
 		return math.Abs(d-1) < 1e-12
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(13))}); err != nil {
@@ -175,11 +177,11 @@ func TestRunLengthRoundTrip(t *testing.T) {
 	}
 }
 
-// TestADKSampleConcurrentPooledScratch hammers the pooled-scratch path from
-// many goroutines with differently-sized inputs and checks results match the
-// single-goroutine answers bit-for-bit (run under -race this also proves the
-// scratch pool is safe).
-func TestADKSampleConcurrentPooledScratch(t *testing.T) {
+// TestADKSampleConcurrent calls the kernels from many goroutines with
+// differently-sized inputs and checks results match the single-goroutine
+// answers bit-for-bit (run under -race this also proves the kernels share no
+// state).
+func TestADKSampleConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	type c struct{ a, b []float64 }
 	cases := make([]c, 64)
@@ -216,7 +218,7 @@ func TestADKSampleConcurrentPooledScratch(t *testing.T) {
 						done <- errMismatch
 						return
 					}
-					if d := Hellinger(tc.a, tc.b); d < 0 || d > 1 {
+					if d := hellingerOf(tc.a, tc.b); d < 0 || d > 1 {
 						done <- errMismatch
 						return
 					}
