@@ -54,7 +54,7 @@ func BenchmarkTable3Diagnosis(b *testing.B) {
 				b.Run(w.ID, func(b *testing.B) {
 					var lastRank int
 					for i := 0; i < b.N; i++ {
-						row, err := harness.DiagnoseWorkloadWorkers(w, workers)
+						row, err := harness.DiagnoseWorkload(w, workers)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -72,16 +72,8 @@ func BenchmarkTable3Diagnosis(b *testing.B) {
 // cost attribution re-run per iteration at each pool size. This is the
 // kernel the worker-pool fan-out targets.
 func BenchmarkParallelDiscount(b *testing.B) {
-	w := bugs.ByID("b1")
-	built := w.MustBuild()
-	const runs = 5
-	var normal, buggy []*sampler.Profile
-	for i := 0; i < runs; i++ {
-		np, _ := built.ProfileNormal(i)
-		bp, _ := built.ProfileBuggy(i)
-		normal = append(normal, np)
-		buggy = append(buggy, bp)
-	}
+	built := bugs.ByID("b1").MustBuild()
+	normal, buggy := built.Profiles(built.NormalMeta, built.Meta, 0)
 	in := analysis.Input{
 		Debug:  built.Prog.Debug,
 		Schema: built.Schema,
@@ -104,7 +96,7 @@ func BenchmarkParallelDiscount(b *testing.B) {
 
 func BenchmarkTable4Unresolved(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cases, err := harness.Table4()
+		cases, err := harness.Table4(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +112,7 @@ func BenchmarkTable4Unresolved(b *testing.B) {
 
 func BenchmarkTable5Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table5()
+		rows, err := harness.Table5(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +154,7 @@ func BenchmarkFigure7Overhead(b *testing.B) {
 
 func BenchmarkFigure8Sensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Figure8()
+		res, err := harness.Figure8(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -624,13 +616,8 @@ func BenchmarkAnalyze(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := analysis.Input{Debug: built.Prog.Debug, Schema: built.Schema}
-	for run := 0; run < 5; run++ {
-		np, _ := built.ProfileNormal(run)
-		bp, _ := built.ProfileBuggy(run)
-		in.Normal = append(in.Normal, np)
-		in.Buggy = append(in.Buggy, bp)
-	}
+	normal, buggy := built.Profiles(built.NormalMeta, built.Meta, 0)
+	in := analysis.Input{Debug: built.Prog.Debug, Schema: built.Schema, Normal: normal, Buggy: buggy}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := analysis.Analyze(in, analysis.DefaultParams()); err != nil {

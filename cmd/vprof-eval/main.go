@@ -8,10 +8,13 @@
 //	vprof-eval -figure 8        # one figure (6, 7, 8)
 //	vprof-eval -workers 8       # fan diagnoses out over 8 workers
 //
-// -workers (default: VPROF_WORKERS, then GOMAXPROCS) bounds the deterministic
-// worker pool; every table and figure is byte-for-byte identical for any
-// worker count (Figure 7 measures wall-clock overhead and always runs
-// sequentially).
+// Each artifact has one entry point in internal/harness, which takes the
+// -workers value as is: 0 resolves through internal/parallel (VPROF_WORKERS,
+// then GOMAXPROCS). Every table and figure is byte-for-byte identical for
+// any worker count, except Table 5's wall-clock columns; Figure 7 measures
+// wall-clock overhead and always runs sequentially. Tables 3 and 4 and
+// Figure 8 match the goldens in internal/harness/testdata/golden, apart
+// from the one trailing newline printed after each artifact.
 package main
 
 import (
@@ -47,13 +50,13 @@ func main() {
 	}
 	if all || *table == 3 {
 		run("table 3", func() (string, error) {
-			text, _, err := harness.Table3Workers(*workers)
+			text, _, err := harness.Table3(*workers)
 			return text, err
 		})
 	}
 	if all || *table == 4 {
 		run("table 4", func() (string, error) {
-			cases, err := harness.Table4Workers(*workers)
+			cases, err := harness.Table4(*workers)
 			if err != nil {
 				return "", err
 			}
@@ -62,7 +65,7 @@ func main() {
 	}
 	if all || *table == 5 {
 		run("table 5", func() (string, error) {
-			rows, err := harness.Table5Workers(*workers)
+			rows, err := harness.Table5(*workers)
 			if err != nil {
 				return "", err
 			}
@@ -89,7 +92,7 @@ func main() {
 	}
 	if all || *figure == 8 {
 		run("figure 8", func() (string, error) {
-			res, err := harness.Figure8Workers(*workers)
+			res, err := harness.Figure8(*workers)
 			if err != nil {
 				return "", err
 			}

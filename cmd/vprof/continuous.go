@@ -89,7 +89,6 @@ func cmdServe(args []string) error {
 	baselineCap := fs.Int("baseline-cap", 16, "rolling baseline corpus size per workload")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline (0 = none)")
 	maxQueue := fs.Int("max-queue", 0, "admission queue bound before shedding with 429 (0 = default)")
-	sketches := fs.Bool("sketches", false, "serve diagnoses from persisted per-variable sketches (incremental path)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on SIGTERM")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log encoding: text or json")
@@ -117,8 +116,7 @@ func cmdServe(args []string) error {
 		Workers:         *workers,
 		AnalysisWorkers: *analysisWorkers, Top: *top,
 		RequestTimeout: *requestTimeout, MaxQueue: *maxQueue,
-		Sketches: *sketches,
-		Metrics:  reg, Logger: logger,
+		Metrics: reg, Logger: logger,
 	}
 	backendDesc := "store " + *storeDir
 	if *clusterSpec != "" {

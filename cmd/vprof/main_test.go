@@ -275,6 +275,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"run", "a.vp", "-engine", "register"}, 2}, // removed engine selector
 		{[]string{"analyze", "x.vp", "-sketches"}, 2},       // removed offline sketch knob
 		{[]string{"diagnose", "x.vp", "-sketches"}, 2},      // no sketch knob offline
+		{[]string{"serve", "-sketches"}, 2},                 // removed server-wide sketch knob
 		{[]string{"query"}, 2},                              // missing query subcommand
 		{[]string{"query", "wat"}, 2},                       // unknown query subcommand
 		{[]string{"push", "-label", "x"}, 2},                // bad label

@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("%s (%s, %s): %s\n", w.ID, w.Ticket, w.App, w.Description)
 	fmt.Printf("ground truth: root cause %s, pattern %s\n\n", w.RootFunc, w.Pattern)
 
-	report, err := b.Analyze(analysis.DefaultParams(), 5)
+	report, err := b.Analyze(analysis.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func main() {
 	show("COZ", baselines.Coz(target))
 	show("stat-debug", baselines.StatDebug(target))
 
-	if hist, err := harness.HistDiscOnly(b); err == nil {
+	if hist, err := harness.HistDiscOnly(b, 0); err == nil {
 		fmt.Printf("%-12s root cause ranked %-6s (vProf ablation: zero variables monitored)\n",
 			"hist-disc:", harness.RankString(hist.Rank(w.RootFunc)))
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"vprof/internal/compiler"
 )
 
 // Poly is a static cost bound: a polynomial over symbolic loop bounds. Keys
@@ -359,28 +357,4 @@ func (an *Analysis) FunctionCosts() map[string]string {
 		out[r.A.Fn.Name] = r.Cost.String()
 	}
 	return out
-}
-
-// Annotate computes static per-block cost bounds for prog and persists them
-// in prog.StaticCosts, in (function, block) order, for downstream consumers
-// (threaded-code VM, causal mode) that want cost estimates without running
-// the analyzer.
-func Annotate(prog *compiler.Program) {
-	an := AnalyzeProgram(prog)
-	var out []compiler.StaticCost
-	for _, r := range an.Funcs {
-		for b := range r.A.Blocks {
-			blk := r.A.Blocks[b]
-			p := r.BlockCost[b]
-			out = append(out, compiler.StaticCost{
-				Func:  r.A.Fn.Name,
-				Block: b,
-				Start: blk.Start,
-				End:   blk.End,
-				Ticks: p.ConstTicks(),
-				Bound: p.String(),
-			})
-		}
-	}
-	prog.StaticCosts = out
 }

@@ -219,23 +219,43 @@ func AnalyzeSketchesContext(ctx context.Context, in SketchInput, p Params) (*Rep
 	return report, nil
 }
 
-// localizeBlocks maps the top variable's abnormal sample PCs to basic
-// blocks, most-hit first.
+// localizeBlocks maps the top variable's abnormal sample PCs in fr's own
+// function to basic blocks, most-hit first. Each distinct PC is counted
+// first and looked up once; a block's line is that of its first PC in
+// AbnormalPCs order.
 func localizeBlocks(info *debuginfo.Info, fr *FuncReport) []BlockHit {
 	if fr.TopVariable == nil || len(fr.TopVariable.AbnormalPCs) == 0 {
 		return nil
 	}
+	fn := info.FuncNamed(fr.Name)
+	if fn == nil {
+		return nil
+	}
+	pcs := fr.TopVariable.AbnormalPCs
+	mult := make([]int32, fn.End-fn.Entry)
+	for _, pc := range pcs {
+		if fn.Contains(pc) {
+			mult[pc-fn.Entry]++
+		}
+	}
 	counts := map[string]*BlockHit{}
-	for _, pc := range fr.TopVariable.AbnormalPCs {
-		fn, blk := info.BlockAt(pc)
-		if fn == nil || blk == nil || fn.Name != fr.Name {
+	// The second pass meets each PC first in AbnormalPCs order and clears
+	// its count, so later repeats are skipped.
+	for _, pc := range pcs {
+		if !fn.Contains(pc) || mult[pc-fn.Entry] == 0 {
+			continue
+		}
+		n := int(mult[pc-fn.Entry])
+		mult[pc-fn.Entry] = 0
+		blk := fn.BlockAt(pc)
+		if blk == nil {
 			continue
 		}
 		if h, ok := counts[blk.Label]; ok {
-			h.Count++
+			h.Count += n
 			continue
 		}
-		counts[blk.Label] = &BlockHit{Block: blk.Label, Line: info.LineAt(pc), Count: 1}
+		counts[blk.Label] = &BlockHit{Block: blk.Label, Line: info.LineAt(pc), Count: n}
 	}
 	out := make([]BlockHit, 0, len(counts))
 	for _, h := range counts {

@@ -1,11 +1,16 @@
 package bugs_test
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"vprof/internal/analysis"
 	"vprof/internal/baselines"
 	"vprof/internal/bugs"
+	"vprof/internal/debuginfo"
+	"vprof/internal/profilefmt"
+	"vprof/internal/sampler"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -83,7 +88,7 @@ func TestVProfTop5(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := b.Analyze(analysis.DefaultParams(), 5)
+			rep, err := b.Analyze(analysis.DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +112,7 @@ func TestVProfClassification(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := b.Analyze(analysis.DefaultParams(), 5)
+			rep, err := b.Analyze(analysis.DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,5 +182,62 @@ func TestB14GprofMissesChild(t *testing.T) {
 	}
 	if r := baselines.Perf(b.Target()).Rank("find_param_referent"); r == 0 {
 		t.Error("perf (system-wide) should rank the child-process root cause")
+	}
+}
+
+// TestProfilesMatchSingleRuns pins the shared 5+5 profiling loop: at any
+// pool size, Profiles returns run i of each side at index i, byte for byte
+// the profile of that run taken on its own. b1 runs one process; b8 runs
+// three, whose profiles are merged.
+func TestProfilesMatchSingleRuns(t *testing.T) {
+	marshal := func(t *testing.T, p *sampler.Profile) []byte {
+		t.Helper()
+		data, err := profilefmt.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(data)
+	}
+	for _, id := range []string{"b1", "b8"} {
+		b := bugs.ByID(id).MustBuild()
+		for _, tc := range []struct {
+			name                  string
+			normalMeta, buggyMeta []debuginfo.VarLoc
+			one                   func(run int) (normal, buggy *sampler.Profile)
+		}{
+			{"schema", b.NormalMeta, b.Meta, func(run int) (*sampler.Profile, *sampler.Profile) {
+				np, _ := b.ProfileNormal(run)
+				bp, _ := b.ProfileBuggy(run)
+				return np, bp
+			}},
+			// Table 3's hist-disc column monitors no variable.
+			{"no-vars", nil, nil, func(run int) (*sampler.Profile, *sampler.Profile) {
+				np, _ := bugs.ProfileMerged(b.NormalProg, nil, b.W.NormalConfig(run))
+				bp, _ := bugs.ProfileMerged(b.Prog, nil, b.W.BuggyConfig(run))
+				return np, bp
+			}},
+		} {
+			var want [2][][]byte
+			for i := 0; i < bugs.Runs; i++ {
+				np, bp := tc.one(i)
+				want[0] = append(want[0], marshal(t, np))
+				want[1] = append(want[1], marshal(t, bp))
+			}
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", id, tc.name, workers), func(t *testing.T) {
+					normal, buggy := b.Profiles(tc.normalMeta, tc.buggyMeta, workers)
+					for side, got := range [2][]*sampler.Profile{normal, buggy} {
+						if len(got) != bugs.Runs {
+							t.Fatalf("side %d: %d profiles, want %d", side, len(got), bugs.Runs)
+						}
+						for i, p := range got {
+							if !bytes.Equal(marshal(t, p), want[side][i]) {
+								t.Errorf("side %d run %d differs from the run profiled on its own", side, i)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }

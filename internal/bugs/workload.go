@@ -206,28 +206,31 @@ func ProfileMerged(prog *compiler.Program, meta []debuginfo.VarLoc, cfg vm.Confi
 	return merged, res
 }
 
-// Analyze runs the full vProf pipeline: `runs` normal and buggy profiling
-// executions (Table 2 uses 5), then post-profiling analysis.
-func (b *Built) Analyze(p analysis.Params, runs int) (*analysis.Report, error) {
-	if runs <= 0 {
-		runs = 5
-	}
-	// Per-run profiling executions are independent (deterministic per-run
-	// seeds, read-only program/metadata) and fan out over the same worker
-	// pool the analysis uses; profiles land in run order regardless of
-	// scheduling.
-	type pair struct{ normal, buggy *sampler.Profile }
-	pairs := parallel.Map(parallel.Workers(p.Workers), runs, func(i int) pair {
-		np, _ := b.ProfileNormal(i)
-		bp, _ := b.ProfileBuggy(i)
-		return pair{np, bp}
+// Runs is the per-side profiling-run count (Table 2: 5 normal and 5 buggy).
+const Runs = 5
+
+// Profiles profiles runs 0..Runs-1 of both sides, the normal runs
+// monitoring normalMeta and the buggy runs buggyMeta (nil monitors no
+// variable), on a pool of workers resolved by parallel.Workers. Runs are
+// independent (deterministic per-run seeds, read-only program and
+// metadata), and run i of each side lands at index i for any pool size.
+func (b *Built) Profiles(normalMeta, buggyMeta []debuginfo.VarLoc, workers int) (normal, buggy []*sampler.Profile) {
+	profiles := parallel.Map(parallel.Workers(workers), 2*Runs, func(i int) *sampler.Profile {
+		if i < Runs {
+			p, _ := ProfileMerged(b.NormalProg, normalMeta, b.W.NormalConfig(i))
+			return p
+		}
+		p, _ := ProfileMerged(b.Prog, buggyMeta, b.W.BuggyConfig(i-Runs))
+		return p
 	})
-	in := analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema}
-	for _, pr := range pairs {
-		in.Normal = append(in.Normal, pr.normal)
-		in.Buggy = append(in.Buggy, pr.buggy)
-	}
-	return analysis.Analyze(in, p)
+	return profiles[:Runs:Runs], profiles[Runs:]
+}
+
+// Analyze runs the full vProf pipeline: Runs normal and buggy profiling
+// executions on p's worker pool, then post-profiling analysis.
+func (b *Built) Analyze(p analysis.Params) (*analysis.Report, error) {
+	normal, buggy := b.Profiles(b.NormalMeta, b.Meta, p.Workers)
+	return analysis.Analyze(analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema, Normal: normal, Buggy: buggy}, p)
 }
 
 // Target packages the workload for the baseline tools.

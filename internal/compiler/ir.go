@@ -167,20 +167,6 @@ type FuncInfo struct {
 // Contains reports whether pc lies in the function's range.
 func (f *FuncInfo) Contains(pc int) bool { return pc >= f.Entry && pc < f.End }
 
-// StaticCost is a per-basic-block static cost bound computed by
-// internal/absint and persisted alongside the IR: Ticks is the guaranteed
-// constant part of one execution of the block (callee costs included),
-// Bound the full symbolic polynomial rendered for display. Consumers that
-// need cost estimates without running the analyzer (threaded-code VM,
-// causal mode) read these.
-type StaticCost struct {
-	Func       string
-	Block      int
-	Start, End int // [Start, End) PC range
-	Ticks      int64
-	Bound      string
-}
-
 // Program is a compiled program: the text section plus symbol and debug
 // metadata.
 type Program struct {
@@ -201,9 +187,6 @@ type Program struct {
 	// PointerVars maps "func\x00name" (or "#global\x00name") to true for
 	// variables inferred to hold non-basic-type pointers.
 	PointerVars map[string]bool
-	// StaticCosts holds per-block static cost annotations in (function,
-	// block) order; populated by internal/absint.Annotate, nil until then.
-	StaticCosts []StaticCost
 	// Reg is the register-IR lowering of Instrs (reg.go), the code the vm
 	// package executes.
 	Reg *RegProgram

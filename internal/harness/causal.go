@@ -41,23 +41,14 @@ type CausalRow struct {
 // CausalValidation runs the causal rank-validation protocol over all 18
 // reproduced issues: vProf's calibrated diagnosis ranks the root cause from
 // sampled value profiles, the causal engine ranks it by measured virtual-
-// speedup impact, and the table reports how the two orderings agree.
-func CausalValidation() (string, []CausalRow, error) {
-	return CausalValidationWorkers(0)
-}
-
-// CausalValidationWorkers is CausalValidation on an explicit worker pool.
-// Rows land in registry order and both pipelines are deterministic, so the
-// table is byte-for-byte identical at any worker count.
-func CausalValidationWorkers(workers int) (string, []CausalRow, error) {
+// speedup impact, and the table reports how the two orderings agree. Rows
+// fan out over a pool of workers (0 resolves via internal/parallel) and
+// land in registry order; both pipelines are deterministic, so the table
+// is byte-for-byte identical at any worker count.
+func CausalValidation(workers int) (string, []CausalRow, error) {
 	workers = parallel.Workers(workers)
-	all := append(bugs.All(), bugs.UnresolvedIssues()...)
-	rows, err := parallel.MapErr(workers, len(all), func(i int) (CausalRow, error) {
-		row, err := causalRow(all[i], workers)
-		if err != nil {
-			return row, fmt.Errorf("%s: %w", all[i].ID, err)
-		}
-		return row, nil
+	rows, err := perWorkload(workers, append(bugs.All(), bugs.UnresolvedIssues()...), func(b *bugs.Built) (CausalRow, error) {
+		return causalRow(b, workers)
 	})
 	if err != nil {
 		return "", nil, err
@@ -65,16 +56,13 @@ func CausalValidationWorkers(workers int) (string, []CausalRow, error) {
 	return RenderCausalTable(rows), rows, nil
 }
 
-func causalRow(w *bugs.Workload, workers int) (CausalRow, error) {
-	b, err := w.Build()
-	if err != nil {
-		return CausalRow{}, err
-	}
+func causalRow(b *bugs.Built, workers int) (CausalRow, error) {
+	w := b.W
 	row := CausalRow{ID: w.ID, Root: w.RootFunc}
 
 	params := analysis.DefaultParams()
 	params.Workers = workers
-	rep, err := b.Analyze(params, Runs)
+	rep, err := b.Analyze(params)
 	if err != nil {
 		return row, err
 	}

@@ -55,14 +55,14 @@ type table3Result struct {
 
 func table3At(t *testing.T, workers int) table3Result {
 	return artifactAt(t, "table3", workers, func(w int) (table3Result, error) {
-		text, rows, err := harness.Table3Workers(w)
+		text, rows, err := harness.Table3(w)
 		return table3Result{text, rows}, err
 	})
 }
 
 func table4At(t *testing.T, workers int) string {
 	return artifactAt(t, "table4", workers, func(w int) (string, error) {
-		cases, err := harness.Table4Workers(w)
+		cases, err := harness.Table4(w)
 		return harness.RenderTable4(cases), err
 	})
 }
@@ -71,7 +71,7 @@ func table4At(t *testing.T, workers int) string {
 // wall-clock measurements and legitimately vary between runs.
 func table5At(t *testing.T, workers int) string {
 	return artifactAt(t, "table5", workers, func(w int) (string, error) {
-		rows, err := harness.Table5Workers(w)
+		rows, err := harness.Table5(w)
 		for i := range rows {
 			rows[i].InitMs, rows[i].WallMs = 0, 0
 		}
@@ -81,7 +81,7 @@ func table5At(t *testing.T, workers int) string {
 
 func figure8At(t *testing.T, workers int) string {
 	return artifactAt(t, "figure8", workers, func(w int) (string, error) {
-		res, err := harness.Figure8Workers(w)
+		res, err := harness.Figure8(w)
 		if err != nil {
 			return "", err
 		}
@@ -96,7 +96,7 @@ type causalResult struct {
 
 func causalAt(t *testing.T, workers int) causalResult {
 	return artifactAt(t, "causal", workers, func(w int) (causalResult, error) {
-		text, rows, err := harness.CausalValidationWorkers(w)
+		text, rows, err := harness.CausalValidation(w)
 		return causalResult{text, rows}, err
 	})
 }

@@ -180,37 +180,22 @@ type Figure8Result struct {
 
 // Figure8 reproduces the sensitivity study: profiles are collected once per
 // workload and re-analyzed under each parameter setting (the sweep varies
-// only post-profiling analysis).
-func Figure8() (*Figure8Result, error) {
-	return Figure8Workers(0)
-}
-
-// Figure8Workers is Figure8 with profile collection and per-workload
-// re-analysis fanned out over an explicit worker pool. Ranks are integers
-// and accumulate in workload order, so both sweeps are identical for any
-// worker count. (Figure7 deliberately has no parallel variant: it measures
-// wall-clock overhead, which concurrent load would skew.)
-func Figure8Workers(workers int) (*Figure8Result, error) {
+// only post-profiling analysis). Profile collection and per-workload
+// re-analysis fan out over a pool of workers (0 resolves via
+// internal/parallel). Ranks are integers and accumulate in workload order,
+// so both sweeps are identical for any worker count. (Figure7 deliberately
+// has no worker pool: it measures wall-clock overhead, which concurrent
+// load would skew.)
+func Figure8(workers int) (*Figure8Result, error) {
 	workers = parallel.Workers(workers)
 	type captured struct {
 		w  *bugs.Workload
 		in analysis.Input
 	}
-	all := bugs.All()
-	inputs, err := parallel.MapErr(workers, len(all), func(idx int) (captured, error) {
-		w := all[idx]
-		b, err := w.Build()
-		if err != nil {
-			return captured{}, err
-		}
-		in := analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema}
-		for i := 0; i < Runs; i++ {
-			np, _ := b.ProfileNormal(i)
-			bp, _ := b.ProfileBuggy(i)
-			in.Normal = append(in.Normal, np)
-			in.Buggy = append(in.Buggy, bp)
-		}
-		return captured{w, in}, nil
+	inputs, err := perWorkload(workers, bugs.All(), func(b *bugs.Built) (captured, error) {
+		// One worker per workload: the fan-out is across workloads.
+		normal, buggy := b.Profiles(b.NormalMeta, b.Meta, 1)
+		return captured{b.W, analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema, Normal: normal, Buggy: buggy}}, nil
 	})
 	if err != nil {
 		return nil, err

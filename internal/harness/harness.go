@@ -10,10 +10,25 @@ import (
 
 	"vprof/internal/analysis"
 	"vprof/internal/bugs"
+	"vprof/internal/parallel"
 )
 
-// Runs is the per-side profiling-run count (Table 2: 5 normal and 5 buggy).
-const Runs = 5
+// perWorkload builds every workload of ws and runs fn on it, fanned out
+// over a pool of workers (already resolved by the caller). Results land in
+// ws order; an error names its workload.
+func perWorkload[T any](workers int, ws []*bugs.Workload, fn func(b *bugs.Built) (T, error)) ([]T, error) {
+	return parallel.MapErr(workers, len(ws), func(i int) (T, error) {
+		b, err := ws[i].Build()
+		var v T
+		if err == nil {
+			v, err = fn(b)
+		}
+		if err != nil {
+			return v, fmt.Errorf("%s: %w", ws[i].ID, err)
+		}
+		return v, nil
+	})
+}
 
 // RankString renders a rank the way Table 3 does (1st, 2nd, 3rd, 4th, ...);
 // 0 renders as NR.

@@ -49,7 +49,7 @@ func TestTable2Render(t *testing.T) {
 // bugs package tests).
 func TestDiagnoseWorkloadRow(t *testing.T) {
 	w := bugs.ByID("b4")
-	row, err := harness.DiagnoseWorkload(w)
+	row, err := harness.DiagnoseWorkload(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestHistDiscOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := harness.HistDiscOnly(b)
+	rep, err := harness.HistDiscOnly(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestHistDiscOnly(t *testing.T) {
 }
 
 func TestTable4CaseStudies(t *testing.T) {
-	cases, err := harness.Table4()
+	cases, err := harness.Table4(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTable4CaseStudies(t *testing.T) {
 }
 
 func TestTable5Overhead(t *testing.T) {
-	rows, err := harness.Table5()
+	rows, err := harness.Table5(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestFigure8SweepReanalyzesOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	res, err := harness.Figure8()
+	res, err := harness.Figure8(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestFigure8SweepReanalyzesOnly(t *testing.T) {
 func TestDeterministicTables(t *testing.T) {
 	// The Table 3 row for one workload must be identical across calls.
 	w := bugs.ByID("b1")
-	r1, err := harness.DiagnoseWorkload(w)
+	r1, err := harness.DiagnoseWorkload(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := harness.DiagnoseWorkload(w)
+	r2, err := harness.DiagnoseWorkload(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestTable3FullRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 3 in -short mode")
 	}
-	text, rows, err := harness.Table3()
+	text, rows, err := harness.Table3(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFalsePositiveRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := b.Analyze(analysis.DefaultParams(), harness.Runs)
+	rep, err := b.Analyze(analysis.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

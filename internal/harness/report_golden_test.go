@@ -9,7 +9,6 @@ import (
 
 	"vprof/internal/analysis"
 	"vprof/internal/bugs"
-	"vprof/internal/harness"
 	"vprof/internal/sampler"
 	"vprof/internal/sketch"
 )
@@ -35,21 +34,15 @@ func reportIssues() []*bugs.Workload {
 	return append(bugs.All(), bugs.UnresolvedIssues()...)
 }
 
-// issueInput profiles harness.Runs normal and buggy executions of w.
+// issueInput profiles bugs.Runs normal and buggy executions of w.
 func issueInput(t *testing.T, w *bugs.Workload) analysis.Input {
 	t.Helper()
 	b, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema}
-	for i := 0; i < harness.Runs; i++ {
-		np, _ := b.ProfileNormal(i)
-		bp, _ := b.ProfileBuggy(i)
-		in.Normal = append(in.Normal, np)
-		in.Buggy = append(in.Buggy, bp)
-	}
-	return in
+	normal, buggy := b.Profiles(b.NormalMeta, b.Meta, 0)
+	return analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema, Normal: normal, Buggy: buggy}
 }
 
 // sectionHeader titles one (issue, parameter set) report in the golden.

@@ -1,36 +1,33 @@
 package harness
 
 import (
-	"fmt"
-
 	"vprof/internal/analysis"
 	"vprof/internal/baselines"
 	"vprof/internal/bugs"
 	"vprof/internal/parallel"
-	"vprof/internal/sampler"
 )
 
 // DiagnoseWorkload runs the complete Table 3 protocol for one workload: the
 // vProf pipeline (5+5 runs), the hist-discounter-only ablation (zero
-// variables monitored), and the five baseline tools. The worker count
-// resolves via internal/parallel (VPROF_WORKERS, then GOMAXPROCS).
-func DiagnoseWorkload(w *bugs.Workload) (Table3Row, error) {
-	return DiagnoseWorkloadWorkers(w, 0)
-}
-
-// DiagnoseWorkloadWorkers is DiagnoseWorkload on an explicit worker pool;
-// the row is byte-for-byte identical for every worker count.
-func DiagnoseWorkloadWorkers(w *bugs.Workload, workers int) (Table3Row, error) {
-	workers = parallel.Workers(workers)
+// variables monitored), and the five baseline tools, on a pool of workers
+// (0 resolves via internal/parallel: VPROF_WORKERS, then GOMAXPROCS). The
+// row is byte-for-byte identical for every worker count.
+func DiagnoseWorkload(w *bugs.Workload, workers int) (Table3Row, error) {
 	b, err := w.Build()
 	if err != nil {
 		return Table3Row{}, err
 	}
+	return diagnose(b, workers)
+}
+
+// diagnose is DiagnoseWorkload on a built workload.
+func diagnose(b *bugs.Built, workers int) (Table3Row, error) {
+	w := b.W
 	row := Table3Row{ID: w.ID, Ticket: w.Ticket, Paper: w.PaperRanks}
 
 	params := analysis.DefaultParams()
 	params.Workers = workers
-	rep, err := b.Analyze(params, Runs)
+	rep, err := b.Analyze(params)
 	if err != nil {
 		return row, err
 	}
@@ -43,7 +40,7 @@ func DiagnoseWorkloadWorkers(w *bugs.Workload, workers int) (Table3Row, error) {
 		row.ClassNC = fr.Pattern == analysis.PatternNC
 	}
 
-	histRep, err := HistDiscOnlyWorkers(b, workers)
+	histRep, err := HistDiscOnly(b, workers)
 	if err != nil {
 		return row, err
 	}
@@ -64,38 +61,13 @@ func DiagnoseWorkloadWorkers(w *bugs.Workload, workers int) (Table3Row, error) {
 }
 
 // HistDiscOnly runs vProf with zero variables monitored, leaving only the
-// hist-discounter (Table 3's hist-disc column).
-func HistDiscOnly(b *bugs.Built) (*analysis.Report, error) {
-	return HistDiscOnlyWorkers(b, 0)
-}
-
-// HistDiscOnlyWorkers is HistDiscOnly on an explicit worker pool.
-func HistDiscOnlyWorkers(b *bugs.Built, workers int) (*analysis.Report, error) {
-	workers = parallel.Workers(workers)
-	type pair struct{ normal, buggy *sampler.Profile }
-	pairs := parallel.Map(workers, Runs, func(i int) pair {
-		return pair{profileNoVars(b, i, false), profileNoVars(b, i, true)}
-	})
-	in := analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema}
-	for _, pr := range pairs {
-		in.Normal = append(in.Normal, pr.normal)
-		in.Buggy = append(in.Buggy, pr.buggy)
-	}
+// hist-discounter (Table 3's hist-disc column), on a pool of workers (0
+// resolves via internal/parallel).
+func HistDiscOnly(b *bugs.Built, workers int) (*analysis.Report, error) {
+	normal, buggy := b.Profiles(nil, nil, workers)
 	p := analysis.DefaultParams()
 	p.Workers = workers
-	return analysis.Analyze(in, p)
-}
-
-// profileNoVars profiles one run with an empty monitoring schema.
-func profileNoVars(b *bugs.Built, run int, buggy bool) *sampler.Profile {
-	prog := b.NormalProg
-	cfg := b.W.NormalConfig(run)
-	if buggy {
-		prog = b.Prog
-		cfg = b.W.BuggyConfig(run)
-	}
-	p, _ := bugs.ProfileMerged(prog, nil, cfg)
-	return p
+	return analysis.Analyze(analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema, Normal: normal, Buggy: buggy}, p)
 }
 
 // FalsePositiveRatio computes the paper's §6.1 metric for one diagnosis:
@@ -158,24 +130,15 @@ func relatedFunctions(callGraph map[string][]string, root string) map[string]boo
 	return related
 }
 
-// Table3 diagnoses every resolved workload and renders the table.
-func Table3() (string, []Table3Row, error) {
-	return Table3Workers(0)
-}
-
-// Table3Workers is Table3 with per-workload diagnoses fanned out over an
-// explicit worker pool. Rows land in registry order and every row is
-// deterministic, so the rendered table is byte-for-byte identical to the
-// sequential run.
-func Table3Workers(workers int) (string, []Table3Row, error) {
+// Table3 diagnoses every resolved workload and renders the table, with the
+// per-workload diagnoses fanned out over a pool of workers (0 resolves via
+// internal/parallel). Rows land in registry order and every row is
+// deterministic, so the rendered table is byte-for-byte identical for any
+// worker count.
+func Table3(workers int) (string, []Table3Row, error) {
 	workers = parallel.Workers(workers)
-	all := bugs.All()
-	rows, err := parallel.MapErr(workers, len(all), func(i int) (Table3Row, error) {
-		row, err := DiagnoseWorkloadWorkers(all[i], workers)
-		if err != nil {
-			return row, fmt.Errorf("%s: %w", all[i].ID, err)
-		}
-		return row, nil
+	rows, err := perWorkload(workers, bugs.All(), func(b *bugs.Built) (Table3Row, error) {
+		return diagnose(b, workers)
 	})
 	if err != nil {
 		return "", nil, err

@@ -10,7 +10,6 @@ import (
 	"vprof/internal/debuginfo"
 	"vprof/internal/lang"
 	"vprof/internal/parallel"
-	"vprof/internal/sampler"
 	"vprof/internal/schema"
 )
 
@@ -35,22 +34,13 @@ type Table4Finding struct {
 
 // Table4 reproduces the unresolved-issue diagnoses: each issue is
 // investigated per component (the paper's §6.2 workflow), reporting the
-// top-ranked functions and their anomalous variables.
-func Table4() ([]Table4Case, error) {
-	return Table4Workers(0)
-}
-
-// Table4Workers is Table4 with per-issue diagnoses fanned out over an
-// explicit worker pool; cases land in registry order.
-func Table4Workers(workers int) ([]Table4Case, error) {
+// top-ranked functions and their anomalous variables. Per-issue diagnoses
+// fan out over a pool of workers (0 resolves via internal/parallel); cases
+// land in registry order.
+func Table4(workers int) ([]Table4Case, error) {
 	workers = parallel.Workers(workers)
-	issues := bugs.UnresolvedIssues()
-	return parallel.MapErr(workers, len(issues), func(idx int) (Table4Case, error) {
-		w := issues[idx]
-		b, err := w.Build()
-		if err != nil {
-			return Table4Case{}, err
-		}
+	return perWorkload(workers, bugs.UnresolvedIssues(), func(b *bugs.Built) (Table4Case, error) {
+		w := b.W
 		c := Table4Case{ID: w.ID, Ticket: w.Ticket, Description: w.Description, Notes: w.Notes}
 
 		components := w.Components
@@ -142,17 +132,8 @@ func analyzeComponent(b *bugs.Built, funcs []string, workers int) (*analysis.Rep
 		}
 	}
 
-	type pair struct{ normal, buggy *sampler.Profile }
-	pairs := parallel.Map(parallel.Workers(workers), Runs, func(i int) pair {
-		np, _ := bugs.ProfileMerged(b.NormalProg, normalMeta, b.W.NormalConfig(i))
-		bp, _ := bugs.ProfileMerged(b.Prog, buggyMeta, b.W.BuggyConfig(i))
-		return pair{np, bp}
-	})
-	in := analysis.Input{Debug: b.Prog.Debug, Schema: buggySch}
-	for _, pr := range pairs {
-		in.Normal = append(in.Normal, pr.normal)
-		in.Buggy = append(in.Buggy, pr.buggy)
-	}
+	normal, buggy := b.Profiles(normalMeta, buggyMeta, workers)
+	in := analysis.Input{Debug: b.Prog.Debug, Schema: buggySch, Normal: normal, Buggy: buggy}
 	p := analysis.DefaultParams()
 	p.Workers = workers
 	return analysis.Analyze(in, p)
@@ -213,27 +194,17 @@ type Table5Row struct {
 	WallMs    float64
 }
 
-// Table5 measures per-workload profiling overhead on the buggy execution.
-func Table5() ([]Table5Row, error) {
-	return Table5Workers(0)
-}
-
-// Table5Workers is Table5 with per-workload measurement fanned out over an
-// explicit worker pool. All columns except the wall-clock timings (InitMs,
-// WallMs) are deterministic for any worker count; the timings are
-// nondeterministic under any schedule, parallel or not.
-func Table5Workers(workers int) ([]Table5Row, error) {
-	all := bugs.All()
-	return parallel.MapErr(parallel.Workers(workers), len(all), func(i int) (Table5Row, error) {
-		w := all[i]
-		b, err := w.Build()
-		if err != nil {
-			return Table5Row{}, err
-		}
+// Table5 measures per-workload profiling overhead on the buggy execution,
+// fanned out over a pool of workers (0 resolves via internal/parallel). All
+// columns except the wall-clock timings (InitMs, WallMs) are deterministic
+// for any worker count; the timings are nondeterministic under any
+// schedule, parallel or not.
+func Table5(workers int) ([]Table5Row, error) {
+	return perWorkload(parallel.Workers(workers), bugs.All(), func(b *bugs.Built) (Table5Row, error) {
 		prof, res := b.ProfileBuggy(0)
 		cov := schema.Verify(b.Schema, b.Prog.Debug)
 		return Table5Row{
-			ID:        w.ID,
+			ID:        b.W.ID,
 			Variables: len(b.Schema.Entries),
 			Pruned:    b.Schema.Pruned,
 			NoLoc:     cov.Dropped(),

@@ -54,7 +54,7 @@ func BenchmarkIncrementalDiagnose(b *testing.B) {
 				}
 			}
 			srv, err := service.New(service.Config{
-				Store: st, Resolver: service.NewBugsResolver(), Sketches: mode.sketches,
+				Store: st, Resolver: service.NewBugsResolver(),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -65,7 +65,7 @@ func BenchmarkIncrementalDiagnose(b *testing.B) {
 			if _, _, err := st.Put("b1", store.LabelCandidate, "warm", warm); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Candidates: []string{"warm"}}); err != nil {
+			if _, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Candidates: []string{"warm"}, Sketches: mode.sketches}); err != nil {
 				b.Fatal(err)
 			}
 
@@ -77,7 +77,7 @@ func BenchmarkIncrementalDiagnose(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				resp, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Candidates: []string{id}})
+				resp, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Candidates: []string{id}, Sketches: mode.sketches})
 				if err != nil {
 					b.Fatal(err)
 				}

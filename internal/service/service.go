@@ -80,10 +80,6 @@ type Config struct {
 	// that the service sheds load with 429 + Retry-After instead of
 	// building an unbounded backlog (default 64).
 	MaxQueue int
-	// Sketches serves every diagnosis from the store's persisted
-	// sketches alone: no blob is decoded, and reports carry no block
-	// localization. Individual requests can also opt in per call.
-	Sketches bool
 }
 
 // Machine-readable error codes carried in the JSON error body alongside the
@@ -202,8 +198,6 @@ type Server struct {
 	draining bool
 	inFlight sync.WaitGroup // admitted requests not yet finished
 
-	sketches bool // default every diagnosis to sketches alone
-
 	// mu guards reports, the endpoints' memo/inflight maps, and corpora.
 	mu      sync.Mutex
 	reports map[string]*DiagnoseResponse // report id → result
@@ -272,7 +266,6 @@ func New(cfg Config) (*Server, error) {
 		reg:        reg,
 		m:          newServiceMetrics(reg),
 		log:        logger,
-		sketches:   cfg.Sketches,
 		reports:    map[string]*DiagnoseResponse{},
 		corpora:    map[string]*corpusEntry{},
 	}
@@ -620,8 +613,7 @@ type DiagnoseRequest struct {
 	Top int `json:"top,omitempty"`
 	// Sketches answers this diagnosis from persisted sketches alone,
 	// skipping the decode of the candidate blob that block localization
-	// needs, so the report's block column stays empty. Implied when the
-	// server was configured with Config.Sketches.
+	// needs, so the report's block column stays empty.
 	Sketches bool `json:"sketches,omitempty"`
 }
 
@@ -709,10 +701,9 @@ func (s *Server) DiagnoseContext(ctx context.Context, req DiagnoseRequest) (*Dia
 	// Memoization and in-flight dedup live in the shared endpoint; the key
 	// carries the sketch flag because sketch-mode renders localize no
 	// blocks, so the two modes must not share results.
-	sketches := req.Sketches || s.sketches
-	key := memoKey(req.Workload, top, baselines, candidates, sketches)
+	key := memoKey(req.Workload, top, baselines, candidates, req.Sketches)
 	return s.diagEP.run(ctx, req.Workload, key, func(ctx context.Context) (*DiagnoseResponse, int, error) {
-		return s.compute(ctx, req.Workload, top, key, baselines, candidates, sketches)
+		return s.compute(ctx, req.Workload, top, key, baselines, candidates, req.Sketches)
 	})
 }
 

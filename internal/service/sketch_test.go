@@ -81,16 +81,11 @@ func TestSketchDiagnoseMatchesFull(t *testing.T) {
 // a freshly pushed candidate run must not decode any stored profile blob —
 // the store's decode-cache counters stay flat.
 func TestSketchDiagnoseIncremental(t *testing.T) {
-	srv, st, b := sketchFixture(t, service.Config{Sketches: true})
+	srv, st, b := sketchFixture(t, service.Config{})
 
-	// Warm the baseline: Config.Sketches defaults the mode, so no
-	// per-request flag is needed.
-	warm, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1"})
-	if err != nil {
+	// Warm the baseline.
+	if _, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Sketches: true}); err != nil {
 		t.Fatal(err)
-	}
-	if !warm.Sketches {
-		t.Fatal("Config.Sketches did not default the diagnosis to the sketch path")
 	}
 
 	// A new candidate run arrives.
@@ -100,7 +95,7 @@ func TestSketchDiagnoseIncremental(t *testing.T) {
 	}
 
 	before := st.CacheStats()
-	resp, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Candidates: []string{"1"}})
+	resp, _, err := srv.Diagnose(service.DiagnoseRequest{Workload: "b1", Candidates: []string{"1"}, Sketches: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ var replayIssues = append(bugs.All(), bugs.UnresolvedIssues()...)
 // analyses of the same profiles.
 type replayData struct {
 	w                      *bugs.Workload
-	pushes                 []blobPush // harness.Runs normal runs, then as many buggy ones
+	pushes                 []blobPush // bugs.Runs normal runs, then as many buggy ones
 	offline, offlineSketch string
 	offlineRank            int
 }
@@ -60,30 +60,28 @@ func replayWorkload(id string) (*replayData, error) {
 		return nil, err
 	}
 	d := &replayData{w: w}
-	in := analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema}
+	normal, buggy := b.Profiles(b.NormalMeta, b.Meta, 0)
+	in := analysis.Input{Debug: b.Prog.Debug, Schema: b.Schema, Normal: normal, Buggy: buggy}
 	skIn := analysis.SketchInput{Debug: b.Prog.Debug, Schema: b.Schema, Corpus: analysis.NewCorpus()}
-	var buggy []blobPush
-	for i := 0; i < harness.Runs; i++ {
-		normal, _ := b.ProfileNormal(i)
-		bug, _ := b.ProfileBuggy(i)
-		in.Normal, in.Buggy = append(in.Normal, normal), append(in.Buggy, bug)
-		sk := sketch.FromProfile(normal)
+	var candidates []blobPush
+	for i := range normal {
+		sk := sketch.FromProfile(normal[i])
 		if i == 0 {
 			skIn.Normal = sk
 		}
 		skIn.Corpus.AddSketch(sk, b.Prog.Debug)
-		skIn.Buggy = append(skIn.Buggy, sketch.FromProfile(bug))
-		nb, err1 := profilefmt.Marshal(normal)
-		bb, err2 := profilefmt.Marshal(bug)
+		skIn.Buggy = append(skIn.Buggy, sketch.FromProfile(buggy[i]))
+		nb, err1 := profilefmt.Marshal(normal[i])
+		bb, err2 := profilefmt.Marshal(buggy[i])
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("%s run %d: %v %v", id, i, err1, err2)
 		}
 		// Exact-size copies: Marshal's buffer can hold twice the bytes, and
 		// every blob stays cached for the whole process.
 		d.pushes = append(d.pushes, blobPush{key{id, store.LabelNormal, fmt.Sprint(i)}, bytes.Clone(nb)})
-		buggy = append(buggy, blobPush{key{id, store.LabelCandidate, fmt.Sprint(i)}, bytes.Clone(bb)})
+		candidates = append(candidates, blobPush{key{id, store.LabelCandidate, fmt.Sprint(i)}, bytes.Clone(bb)})
 	}
-	d.pushes = append(d.pushes, buggy...)
+	d.pushes = append(d.pushes, candidates...)
 	offline, err := analysis.Analyze(in, analysis.DefaultParams())
 	if err != nil {
 		return nil, err

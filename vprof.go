@@ -111,7 +111,6 @@ func Compile(path, source string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	absint.Annotate(p)
 	return &Program{ast: f, compiled: p}, nil
 }
 
@@ -204,13 +203,6 @@ func (p *Program) Check() *CheckReport {
 // marks costs the analyzer could not bound), keyed by function name.
 func (p *Program) CostBounds() map[string]string {
 	return absint.AnalyzeProgram(p.compiled).FunctionCosts()
-}
-
-// StaticCosts exposes the per-basic-block static cost annotations computed
-// at Compile time (absint.Annotate): instruction-count floors plus work()
-// contributions, with the symbolic bound rendered per block.
-func (p *Program) StaticCosts() []compiler.StaticCost {
-	return p.compiled.StaticCosts
 }
 
 // RunSpec parameterizes one execution of the target program.
