@@ -465,7 +465,7 @@ func BenchmarkSketch(b *testing.B) {
 	}
 }
 
-// BenchmarkPush times one push of merged b8 normal run 0, a 1.1 MiB
+// BenchmarkPush times one push of merged b8 normal run 0, a 142 KiB
 // bundle, through the service's ingest handler: body read, decode, content
 // hash, sketch fold and frame, segment frame, manifest record and sketch
 // frame. nosync opens the store without fsync, so it times the push's CPU

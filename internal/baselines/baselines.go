@@ -57,9 +57,6 @@ type Target struct {
 	NormalProg *compiler.Program
 	NormalCfg  vm.Config
 	BuggyCfg   vm.Config
-	// Runs is the number of profiling runs per side for tools that use
-	// repetition (default 1; Table 2 uses 5 for stat-debug).
-	Runs int
 	// Interval is the PC-sampling alarm period in ticks.
 	Interval int64
 	// CrashesCOZ reproduces the paper's b7, where COZ crashed.
@@ -81,13 +78,6 @@ func (t *Target) interval() int64 {
 		return t.Interval
 	}
 	return 97
-}
-
-func (t *Target) runs() int {
-	if t.Runs > 0 {
-		return t.Runs
-	}
-	return 1
 }
 
 func (t *Target) inScope(fn string) bool {

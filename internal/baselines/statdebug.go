@@ -5,6 +5,9 @@ import (
 	"vprof/internal/vm"
 )
 
+// statDebugRuns is the number of normal and of buggy runs, per Table 2.
+const statDebugRuns = 5
+
 // StatDebug implements statistical performance debugging (Song & Lu, Table
 // 2): it records *predicates* — conditional-branch outcomes and function
 // return values — over several normal and buggy executions and ranks
@@ -16,13 +19,9 @@ import (
 // Per Table 2, five normal and five buggy runs are used and predicates are
 // restricted to the functions of the user-identified component.
 func StatDebug(t *Target) *Result {
-	runs := t.runs()
-	if runs < 5 {
-		runs = 5
-	}
-	normal := make([]*predicateTrace, runs)
-	buggy := make([]*predicateTrace, runs)
-	for i := 0; i < runs; i++ {
+	normal := make([]*predicateTrace, statDebugRuns)
+	buggy := make([]*predicateTrace, statDebugRuns)
+	for i := range statDebugRuns {
 		normal[i] = tracePredicates(t.normalProg(), cfgWithPhase(t.NormalCfg, i))
 		buggy[i] = tracePredicates(t.Prog, cfgWithPhase(t.BuggyCfg, i))
 	}

@@ -2,14 +2,19 @@ package cluster_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"vprof/internal/cluster"
 	"vprof/internal/obs"
+	"vprof/internal/profilefmt"
+	"vprof/internal/profilefmt/profilefmttest"
 	"vprof/internal/service"
 	"vprof/internal/sim"
 	"vprof/internal/store"
@@ -28,6 +33,32 @@ func TestPutBodyReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.CheckBodyReads(t, node.Handler(), "/internal/v1/put?workload=b3&label=normal&run=0", sim.SyntheticBlob(1))
+}
+
+// TestPutRefusesOverCapBundle: the node's put handler refuses a bundle of
+// minimum-size records one sample over profilefmt.MaxBundleSamples with
+// 400, as the service's ingest handler does, and a router push of it fails
+// with the typed validation error.
+func TestPutRefusesOverCapBundle(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	node, err := cluster.NewNode(cluster.NodeConfig{ID: "node-0", Store: st, Resolver: service.NewBugsResolver()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := profilefmttest.MinimalBundle(profilefmt.MaxBundleSamples + 1)
+	rec := httptest.NewRecorder()
+	node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+		"/internal/v1/put?workload=b3&label=normal&run=0", bytes.NewReader(over)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sample count") {
+		t.Errorf("over-cap bundle: HTTP %d (%s), want 400 naming the sample count", rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+	}
+	if _, _, err := newCluster(t, 3).Router.PutBlob("b3", store.LabelNormal, "0", over); !errors.Is(err, store.ErrInvalidProfile) {
+		t.Errorf("router push of an over-cap bundle: err = %v, want ErrInvalidProfile", err)
+	}
 }
 
 // closeFunc is a response body that reports its Close.

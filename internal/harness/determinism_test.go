@@ -47,7 +47,7 @@ func TestFigure8DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Figure 8 sweep is slow")
 	}
-	if want, got := figure8At(t, 1), figure8At(t, 8); got != want {
+	if want, got := figure8At(t, 1).text, figure8At(t, 8).text; got != want {
 		t.Errorf("Figure 8 differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", want, got)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // schedule).
 //
 // Each artifact is computed once per worker count and the result is shared
-// with the determinism and causal validation tests, so a full suite runs
-// every artifact twice.
+// with the determinism, causal validation, Table 3 render and Figure 8
+// sweep tests, so a full suite runs every artifact twice.
 
 var goldenWorkers = []int{1, 8}
 
@@ -79,13 +79,18 @@ func table5At(t *testing.T, workers int) string {
 	})
 }
 
-func figure8At(t *testing.T, workers int) string {
-	return artifactAt(t, "figure8", workers, func(w int) (string, error) {
+type figure8Result struct {
+	res  *harness.Figure8Result
+	text string
+}
+
+func figure8At(t *testing.T, workers int) figure8Result {
+	return artifactAt(t, "figure8", workers, func(w int) (figure8Result, error) {
 		res, err := harness.Figure8(w)
 		if err != nil {
-			return "", err
+			return figure8Result{}, err
 		}
-		return harness.RenderFigure8(res), nil
+		return figure8Result{res, harness.RenderFigure8(res)}, nil
 	})
 }
 
@@ -133,7 +138,7 @@ func TestFigure8EngineEquivalence(t *testing.T) {
 		t.Skip("Figure 8 sweep is slow")
 	}
 	atWorkers(t, func(t *testing.T, workers int) {
-		harness.CheckGolden(t, "figure8.txt", figure8At(t, workers))
+		harness.CheckGolden(t, "figure8.txt", figure8At(t, workers).text)
 	})
 }
 

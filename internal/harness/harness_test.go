@@ -187,10 +187,8 @@ func TestFigure8SweepReanalyzesOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	res, err := harness.Figure8(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure8At(t, 8)
+	res := fig.res
 	if len(res.DefaultDiscount) != 10 || len(res.ValidDiscount) != 10 {
 		t.Fatalf("sweep sizes %d/%d", len(res.DefaultDiscount), len(res.ValidDiscount))
 	}
@@ -202,7 +200,7 @@ func TestFigure8SweepReanalyzesOnly(t *testing.T) {
 			t.Errorf("mean rank missing: %+v", p)
 		}
 	}
-	if !strings.Contains(harness.RenderFigure8(res), "DefaultDiscount") {
+	if !strings.Contains(fig.text, "DefaultDiscount") {
 		t.Error("render missing sweep")
 	}
 }
@@ -254,10 +252,8 @@ func TestTable3FullRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 3 in -short mode")
 	}
-	text, rows, err := harness.Table3(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := table3At(t, 8)
+	text, rows := table.text, table.rows
 	if len(rows) != 15 {
 		t.Fatalf("%d rows", len(rows))
 	}

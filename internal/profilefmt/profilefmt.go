@@ -9,9 +9,11 @@
 // and version, so a profile written by one session can be analyzed offline
 // by another (cmd/vprof's profile/analyze split).
 //
-// Encoders append to one []byte sized up front by the matching *Size
-// function; decoders read the input slice through a sticky-error cursor.
-// Neither side reflects or allocates per record.
+// Encoders append to one []byte: the histogram and layout sections are
+// sized up front by their *Size function, and the variable-length value
+// samples are encoded into a pooled scratch buffer that is then copied out
+// at its exact size. Decoders read the input slice through a sticky-error
+// cursor. Neither side reflects or allocates per record.
 package profilefmt
 
 import (
@@ -21,9 +23,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"vprof/internal/sampler"
@@ -36,26 +40,37 @@ const (
 	MagicVar    = "VPRV"
 	MagicLayout = "VPRL"
 	MagicBundle = "VPRB"
-	// Version of the encoding.
+	// Version of the bundle, histogram, layout and sketch encodings.
 	Version = 1
+	// SampleVersion is the version of the value-sample records encoders
+	// write: 2, one minimal varint per field (see appendSamples).
+	// Decoders also read version 1, eight int64s per sample.
+	SampleVersion = 2
 )
 
 // Decode limits. Untrusted input (the ingestion endpoint) must not be able
 // to make a decoder allocate unbounded memory or index out of range; every
 // count read off the wire is checked against these before use.
 const (
-	MaxHistLen    = 1 << 22
-	MaxSamples    = 1 << 26
-	MaxLayout     = 1 << 20
-	maxString     = 1 << 20
-	maxPreallocCP = 1 << 16 // cap on trusted-count preallocation
+	MaxHistLen = 1 << 22
+	// MaxSamples bounds the sample section of a local artifact file;
+	// MaxBundleSamples bounds an uploaded bundle, so that a 64 MiB upload
+	// of minimum-size records decodes to at most 40 MiB of samples.
+	MaxSamples       = 1 << 26
+	MaxBundleSamples = 1 << 20
+	MaxLayout        = 1 << 20
+	maxString        = 1 << 20
+	maxPreallocCP    = 1 << 16 // cap on trusted-count preallocation
 )
 
-// Encoded sizes of the fixed-size pieces.
+// Encoded sizes of the fixed-size pieces, and the least and most bytes of
+// a version-2 sample record.
 const (
-	headerSize   = 8  // magic + uint32 version
-	sampleRecord = 64 // eight int64 fields per value sample
-	pairRecord   = 16 // one (int64 key, int64 count) pair
+	headerSize     = 8  // magic + uint32 version
+	sampleRecordV1 = 64 // eight int64 fields per value sample
+	minRecordV2    = 7  // seven one-byte varints
+	maxRecordV2    = 45 // five 5-byte varints and two 10-byte ones
+	pairRecord     = 16 // one (int64 key, int64 count) pair
 )
 
 // prealloc caps the capacity reserved for variable-size records, whose
@@ -146,13 +161,17 @@ func (r *reader) str() string {
 	return string(r.next(int(n)))
 }
 
-func (r *reader) header(magic string) {
+// header reads a section header and returns its version, failing the
+// cursor unless the version is 1 to newest.
+func (r *reader) header(magic string, newest uint32) uint32 {
 	if m := r.next(4); m != nil && string(m) != magic {
 		r.failf("bad magic %q, want %q", m, magic)
 	}
-	if v := r.u32(); r.err == nil && v != Version {
+	v := r.u32()
+	if r.err == nil && (v < 1 || v > newest) {
 		r.failf("unsupported version %d", v)
 	}
+	return v
 }
 
 // records reports whether n records of size bytes each fit in the input
@@ -223,7 +242,7 @@ func appendHist(b []byte, p *sampler.Profile) []byte {
 // decodeHist reads a histogram section into a fresh profile shell (never
 // nil, so later sections can decode into it even after a failure).
 func decodeHist(r *reader) *sampler.Profile {
-	r.header(MagicHist)
+	r.header(MagicHist, Version)
 	p := &sampler.Profile{File: r.str()}
 	p.Pid, p.Interval, p.TotalTicks, p.NumAlarms = int(r.i64()), r.i64(), r.i64(), r.i64()
 	n := r.i64()
@@ -238,12 +257,15 @@ func decodeHist(r *reader) *sampler.Profile {
 		return p
 	}
 	p.Hist = make([]int64, n)
+	prev := int64(-1)
 	for i := int64(0); i < nz; i++ {
 		pc, c := r.i64(), r.i64()
-		if pc < 0 || pc >= n {
-			r.failf("pc %d out of range", pc)
+		if pc <= prev || pc >= n {
+			// Ascending, as written: each histogram has one encoding.
+			r.failf("pc %d out of range or order", pc)
 			return p
 		}
+		prev = pc
 		if c <= 0 {
 			// Only nonzero buckets are written, and a sketch folded from
 			// the profile carries its counts only if they are positive.
@@ -255,39 +277,97 @@ func decodeHist(r *reader) *sampler.Profile {
 	return p
 }
 
-// Sample section: header, count, then one 64-byte record per sample.
+// Sample section: header, int64 count, then one record per sample. A
+// version-2 record is seven minimal uvarints:
+//
+//	layout, varnode  the int32's bits as a uint32
+//	pc               zigzag of the change from the previous sample's pc
+//	                 (from 0 for the first)
+//	depth<<1 | ptr   the depth's bits as a uint32, shifted, and the flag
+//	value            zigzag
+//	tick             zigzag of the change from the previous sample's tick,
+//	                 modulo 2^64
+//	link+1           its bits as a uint32, so the -1 that ends a chain is 0
+//
+// The samples of one alarm share pc and tick, and a merged profile's links
+// are all -1, so most records take 7 or 8 bytes. Every profile has one
+// encoding: the decoder rejects non-minimal varints and out-of-range
+// fields. A version-1 record, which decoders still read, is eight int64s:
+// layout, varnode, pc, depth, value, ptr, tick, link.
 
-func samplesSize(p *sampler.Profile) int {
-	return headerSize + 8 + sampleRecord*len(p.Samples)
+// samplesBound is the most bytes appendSamples can write for p.
+func samplesBound(p *sampler.Profile) int {
+	return headerSize + 8 + maxRecordV2*len(p.Samples)
 }
+
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 func appendSamples(b []byte, p *sampler.Profile) []byte {
-	b = appendHeader(b, MagicVar)
+	b = le.AppendUint32(append(b, MagicVar...), SampleVersion)
 	b = appendInt64s(b, int64(len(p.Samples)))
+	n := len(b)
+	b = slices.Grow(b, maxRecordV2*len(p.Samples))
+	b = b[:cap(b)]
+	var pc, tick int64
 	for i := range p.Samples {
 		s := &p.Samples[i]
-		b = appendInt64s(b, int64(s.Layout), int64(s.VarNode), int64(s.PC), int64(s.StackDepth),
-			s.Value, int64(boolWord(s.Ptr)), s.Tick, int64(s.Link))
+		n = putUvarint(b, n, uint64(uint32(s.Layout)))
+		n = putUvarint(b, n, uint64(uint32(s.VarNode)))
+		n = putUvarint(b, n, zigzag(int64(s.PC)-pc))
+		n = putUvarint(b, n, uint64(uint32(s.StackDepth))<<1|uint64(boolWord(s.Ptr)))
+		n = putUvarint(b, n, zigzag(s.Value))
+		n = putUvarint(b, n, zigzag(s.Tick-tick))
+		n = putUvarint(b, n, uint64(uint32(s.Link+1)))
+		pc, tick = int64(s.PC), s.Tick
 	}
-	return b
+	return b[:n]
 }
 
-// decodeSamples reads a sample section into one exact-size array, allocated
-// only once the whole section is known to be present.
-func decodeSamples(r *reader, p *sampler.Profile) {
-	r.header(MagicVar)
-	n := r.i64()
-	if r.err == nil && (n < 0 || n > MaxSamples) {
-		r.failf("sample count %d out of range", n)
+// putUvarint writes v at b[n:] and returns the index after it.
+func putUvarint(b []byte, n int, v uint64) int {
+	for ; v >= 0x80; v >>= 7 {
+		b[n] = byte(v) | 0x80
+		n++
 	}
-	if !r.records(n, sampleRecord, "samples") {
+	b[n] = byte(v)
+	return n + 1
+}
+
+// decodeSamples reads a sample section of either version, holding at most
+// max samples, into one exact-size array, allocated only once the input
+// left can hold that many records of the version's minimum size.
+func decodeSamples(r *reader, p *sampler.Profile, max int64) {
+	v := r.header(MagicVar, SampleVersion)
+	n := r.i64()
+	if r.err == nil && (n < 0 || n > max) {
+		r.failf("sample count %d out of range [0, %d]", n, max)
+	}
+	minRecord := minRecordV2
+	if v == 1 {
+		minRecord = sampleRecordV1
+	}
+	if !r.records(n, minRecord, "samples") {
 		return
 	}
-	data := r.next(int(n) * sampleRecord)
 	p.Samples = make([]sampler.Sample, n)
-	for i := range p.Samples {
-		rec := data[i*sampleRecord : (i+1)*sampleRecord]
-		p.Samples[i] = sampler.Sample{
+	if v == 1 {
+		decodeSamplesV1(r.next(int(n)*sampleRecordV1), p.Samples)
+		return
+	}
+	used, err := decodeSamplesV2(r.b, p.Samples)
+	if err != nil {
+		r.failf("%v", err)
+		return
+	}
+	r.b = r.b[used:]
+}
+
+func decodeSamplesV1(data []byte, out []sampler.Sample) {
+	for i := range out {
+		rec := data[i*sampleRecordV1 : (i+1)*sampleRecordV1]
+		out[i] = sampler.Sample{
 			Layout:     int32(le.Uint64(rec[0:])),
 			VarNode:    int32(le.Uint64(rec[8:])),
 			PC:         int32(le.Uint64(rec[16:])),
@@ -298,6 +378,84 @@ func decodeSamples(r *reader, p *sampler.Profile) {
 			Link:       int32(le.Uint64(rec[56:])),
 		}
 	}
+}
+
+// decodeSamplesV2 fills out with version-2 records read from the start of
+// b and returns the bytes they took.
+func decodeSamplesV2(b []byte, out []sampler.Sample) (int, error) {
+	i := 0
+	var pc, tick int64
+	var f [7]uint64 // layout, varnode, pc, depth, value, tick, link
+	for k := range out {
+		for j := range f {
+			switch {
+			case i >= len(b):
+				i = len(b) + 1
+			case b[i] < 0x80: // one byte, the common case
+				f[j] = uint64(b[i])
+				i++
+			case i+1 < len(b) && b[i+1]-1 < 0x7f:
+				// Two bytes, the second neither 0 (non-minimal) nor
+				// continued.
+				f[j] = uint64(b[i]&0x7f) | uint64(b[i+1])<<7
+				i += 2
+			default:
+				f[j], i = uvarintSlow(b, i)
+			}
+		}
+		if i > len(b) {
+			return 0, fmt.Errorf("sample %d: truncated or non-minimal varint", k)
+		}
+		// pc stays in int64 range: it was an int32 and |f[2]| < 2^63.
+		pc += unzigzag(f[2])
+		if f[0]|f[1]|f[6] > math.MaxUint32 || f[3] >= 1<<33 || pc != int64(int32(pc)) {
+			return 0, fmt.Errorf("sample %d: field out of range", k)
+		}
+		tick += unzigzag(f[5])
+		s := &out[k]
+		s.Value, s.Tick = unzigzag(f[4]), tick
+		s.Layout, s.VarNode, s.PC, s.StackDepth = int32(f[0]), int32(f[1]), int32(pc), int32(f[3]>>1)
+		s.Link, s.Ptr = int32(uint32(f[6])-1), f[3]&1 != 0
+	}
+	return i, nil
+}
+
+// uvarintSlow reads the minimal uvarint of two or more bytes at b[i:] and
+// returns it with the index after it. A read that runs past b or meets a
+// non-minimal or overlong encoding returns an index past len(b), from
+// which every later read fails too.
+func uvarintSlow(b []byte, i int) (uint64, int) {
+	if i < len(b) {
+		// b[i] has its continuation bit set, so a valid encoding has at
+		// least two bytes and is minimal only if its last byte is not 0.
+		v, n := binary.Uvarint(b[i:])
+		if n > 0 && b[i+n-1] != 0 {
+			return v, i + n
+		}
+	}
+	return 0, len(b) + 1
+}
+
+// scratch holds encoding buffers: value samples are encoded into one with
+// room for the largest records and copied out at their exact size.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxScratch is the largest buffer scratch keeps.
+const maxScratch = 64 << 20
+
+func getScratch(bound int) *[]byte {
+	sp := scratch.Get().(*[]byte)
+	if cap(*sp) < bound {
+		*sp = make([]byte, 0, bound)
+	}
+	return sp
+}
+
+func putScratch(sp *[]byte) {
+	if cap(*sp) > maxScratch {
+		*sp = nil
+	}
+	scratch.Put(sp)
 }
 
 // Layout section: header, count, then (func, name, uint32 pointer flag)
@@ -323,7 +481,7 @@ func appendLayout(b []byte, p *sampler.Profile) []byte {
 }
 
 func decodeLayout(r *reader, p *sampler.Profile) {
-	r.header(MagicLayout)
+	r.header(MagicLayout, Version)
 	n := r.i64()
 	if r.err == nil && (n < 0 || n > MaxLayout) {
 		r.failf("layout count %d out of range", n)
@@ -333,8 +491,11 @@ func decodeLayout(r *reader, p *sampler.Profile) {
 	}
 	p.Layout = make([]sampler.LayoutEntry, 0, prealloc(n))
 	for i := int64(0); i < n && r.err == nil; i++ {
-		fn, name := r.str(), r.str()
-		p.Layout = append(p.Layout, sampler.LayoutEntry{Func: fn, Name: name, IsPointer: r.u32() != 0})
+		fn, name, ptr := r.str(), r.str(), r.u32()
+		if ptr > 1 {
+			r.failf("layout pointer flag %d", ptr)
+		}
+		p.Layout = append(p.Layout, sampler.LayoutEntry{Func: fn, Name: name, IsPointer: ptr != 0})
 	}
 }
 
@@ -355,13 +516,15 @@ func DecodeHist(src io.Reader) (*sampler.Profile, error) {
 
 // EncodeSamples writes the value-sample section.
 func EncodeSamples(w io.Writer, p *sampler.Profile) error {
-	return writeSection(w, appendSamples(make([]byte, 0, samplesSize(p)), p))
+	sp := getScratch(samplesBound(p))
+	defer putScratch(sp)
+	return writeSection(w, appendSamples((*sp)[:0], p))
 }
 
-// DecodeSamples reads a value-sample section, which must be all src holds,
-// into p.
+// DecodeSamples reads a value-sample section of either version, which must
+// be all src holds, into p.
 func DecodeSamples(src io.Reader, p *sampler.Profile) error {
-	return decodeSection(src, "sample section", func(r *reader) { decodeSamples(r, p) })
+	return decodeSection(src, "sample section", func(r *reader) { decodeSamples(r, p, MaxSamples) })
 }
 
 // EncodeLayout writes the layout log.
@@ -378,24 +541,31 @@ func DecodeLayout(src io.Reader, p *sampler.Profile) error {
 // followed by the hist, sample and layout sections. This is the transport
 // encoding used by the profile store and the ingestion API, where a profile
 // travels as a single opaque, content-addressable byte string rather than
-// three files.
+// three files. The bundle is encoded into a pooled scratch buffer and
+// copied out: one allocation of exactly its size.
 func Marshal(p *sampler.Profile) ([]byte, error) {
-	b := make([]byte, 0, headerSize+histSize(p)+samplesSize(p)+layoutSize(p))
-	b = appendHeader(b, MagicBundle)
+	sp := getScratch(headerSize + histSize(p) + samplesBound(p) + layoutSize(p))
+	defer putScratch(sp)
+	b := appendHeader((*sp)[:0], MagicBundle)
 	b = appendHist(b, p)
 	b = appendSamples(b, p)
-	return appendLayout(b, p), nil
+	b = appendLayout(b, p)
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
 }
 
-// Unmarshal parses a bundle blob, rejecting trailing garbage, and validates
-// the cross-section invariants, so a successfully decoded profile is safe
-// to hand to the analyzer.
+// Unmarshal parses a bundle blob, rejecting trailing garbage and more than
+// MaxBundleSamples samples, and validates the cross-section invariants, so
+// a successfully decoded profile is safe to hand to the analyzer. It reads
+// sample records of either version; Marshal writes only SampleVersion, so
+// a profile has one blob (and blob ID) per version it was pushed in.
 func Unmarshal(blob []byte) (*sampler.Profile, error) {
 	var p *sampler.Profile
 	err := decodeBytes(blob, "bundle", func(r *reader) {
-		r.header(MagicBundle)
+		r.header(MagicBundle, Version)
 		p = decodeHist(r)
-		decodeSamples(r, p)
+		decodeSamples(r, p, MaxBundleSamples)
 		decodeLayout(r, p)
 	})
 	if err != nil {
@@ -439,13 +609,21 @@ func WriteDir(dir string, p *sampler.Profile) error {
 	}
 	for _, f := range []struct {
 		name string
-		data []byte
+		enc  func(io.Writer, *sampler.Profile) error
 	}{
-		{"gmon.%d.out", appendHist(make([]byte, 0, histSize(p)), p)},
-		{"gmon_var.%d.out", appendSamples(make([]byte, 0, samplesSize(p)), p)},
-		{"layout.%d.out", appendLayout(make([]byte, 0, layoutSize(p)), p)},
+		{"gmon.%d.out", EncodeHist},
+		{"gmon_var.%d.out", EncodeSamples},
+		{"layout.%d.out", EncodeLayout},
 	} {
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(f.name, p.Pid)), f.data, 0o666); err != nil {
+		out, err := os.Create(filepath.Join(dir, fmt.Sprintf(f.name, p.Pid)))
+		if err != nil {
+			return err
+		}
+		err = f.enc(out, p)
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -491,7 +669,7 @@ func ReadPid(dir string, pid int) (*sampler.Profile, error) {
 		dec        func(*reader)
 	}{
 		{"gmon.%d.out", "hist", func(r *reader) { p = decodeHist(r) }},
-		{"gmon_var.%d.out", "samples", func(r *reader) { decodeSamples(r, p) }},
+		{"gmon_var.%d.out", "samples", func(r *reader) { decodeSamples(r, p, MaxSamples) }},
 		{"layout.%d.out", "layout", func(r *reader) { decodeLayout(r, p) }},
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(f.name, pid)))
@@ -511,7 +689,9 @@ func ReadPid(dir string, pid int) (*sampler.Profile, error) {
 // EncodedSize returns the total encoded byte size of a profile's three
 // artifacts (used by the overhead tables without touching the filesystem).
 func EncodedSize(p *sampler.Profile) (int64, error) {
-	return int64(histSize(p) + samplesSize(p) + layoutSize(p)), nil
+	sp := getScratch(samplesBound(p))
+	defer putScratch(sp)
+	return int64(histSize(p) + len(appendSamples((*sp)[:0], p)) + layoutSize(p)), nil
 }
 
 // Timestamp formats a time for artifact logging; isolated here so tests can

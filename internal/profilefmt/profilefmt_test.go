@@ -2,12 +2,15 @@ package profilefmt_test
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"vprof/internal/profilefmt"
+	"vprof/internal/profilefmt/profilefmttest"
 	"vprof/internal/sampler"
 )
 
@@ -113,6 +116,54 @@ func TestWriteReadDir(t *testing.T) {
 	}
 	assertEqualProfiles(t, p2, profiles[0])
 	assertEqualProfiles(t, p1, profiles[1])
+}
+
+// TestSampleRecordExtremes: every field at its extremes, with the largest
+// pc and tick jumps between samples, round-trips through the version-2
+// sample section and re-encodes to the same bytes.
+func TestSampleRecordExtremes(t *testing.T) {
+	p := &sampler.Profile{}
+	for _, v := range []struct {
+		i32 int32
+		i64 int64
+	}{{math.MinInt32, math.MinInt64}, {math.MaxInt32, math.MaxInt64}, {-1, -1}, {0, 0}, {math.MinInt32, math.MaxInt64}} {
+		p.Samples = append(p.Samples, sampler.Sample{Layout: v.i32, VarNode: v.i32, PC: v.i32, StackDepth: v.i32,
+			Value: v.i64, Tick: v.i64, Link: v.i32, Ptr: v.i32 < 0})
+	}
+	var vb bytes.Buffer
+	if err := profilefmt.EncodeSamples(&vb, p); err != nil {
+		t.Fatal(err)
+	}
+	enc := bytes.Clone(vb.Bytes())
+	q := &sampler.Profile{}
+	if err := profilefmt.DecodeSamples(&vb, q); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p.Samples, q.Samples) {
+		t.Fatalf("samples %+v, want %+v", q.Samples, p.Samples)
+	}
+	vb.Reset()
+	if err := profilefmt.EncodeSamples(&vb, q); err != nil || !bytes.Equal(vb.Bytes(), enc) {
+		t.Fatalf("re-encoding changed the bytes (err %v)", err)
+	}
+}
+
+// TestReadDirVersion1: a directory whose gmon_var file holds version-1
+// records, as written before version 2, reads back the same profile.
+func TestReadDirVersion1(t *testing.T) {
+	dir := t.TempDir()
+	p := sampleProfile()
+	if err := profilefmt.WriteDir(dir, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "gmon_var.3.out"), profilefmttest.SamplesV1(p), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	profiles, err := profilefmt.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEqualProfiles(t, p, profiles[0])
 }
 
 func TestBadMagic(t *testing.T) {

@@ -52,7 +52,7 @@ func appendSketch(b []byte, s *sketch.Profile) []byte {
 // indexing (the store replays this over untrusted on-disk bytes after a
 // crash).
 func decodeSketch(r *reader) *sketch.Profile {
-	r.header(MagicSketch)
+	r.header(MagicSketch, Version)
 	s := &sketch.Profile{BlobID: r.str(), Interval: r.i64(), TotalTicks: r.i64(), NumAlarms: r.i64(), HistLen: r.i64()}
 	nvars := r.i64()
 	if r.err != nil {

@@ -12,9 +12,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vprof/internal/bugs"
 	"vprof/internal/profilefmt"
+	"vprof/internal/profilefmt/profilefmttest"
+	"vprof/internal/sampler"
 	"vprof/internal/service"
 	"vprof/internal/sim"
 	"vprof/internal/store"
@@ -93,6 +96,22 @@ func TestBatchBodyReads(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesOverCapBundle: a bundle of minimum-size records one
+// sample over profilefmt.MaxBundleSamples, 7 MiB and well under the upload
+// limit, is refused with 400 and counted in Rejected.
+func TestIngestRefusesOverCapBundle(t *testing.T) {
+	srv := newBodyServer(t)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/profiles?workload=b3&label=normal&run=0",
+		bytes.NewReader(profilefmttest.MinimalBundle(profilefmt.MaxBundleSamples+1))))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sample count") {
+		t.Errorf("over-cap bundle: HTTP %d (%s), want 400 naming the sample count", rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+	}
+	if n := srv.StatsSnapshot().Rejected; n != 1 {
+		t.Errorf("Rejected = %d, want 1", n)
+	}
+}
+
 // repeatByte is an endless reader of one byte.
 type repeatByte byte
 
@@ -110,10 +129,11 @@ func pooling() bool {
 	return !ok || !slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
-// TestPushAllocation: once one push has filled the buffer pools, pushing a
-// 1.1 MiB bundle through the ingest handler into a store allocates less
-// than 1.5 times the bundle. The body and the segment frame are recycled;
-// what is left is mostly the decoded profile and its sketch.
+// TestPushAllocation: once one push has filled the buffer pools, pushing
+// b8's normal run 0 (17,816 samples, a 142 KiB bundle) through the ingest
+// handler into a store allocates less than 1.5 times the decoded sample
+// array. The body and the segment frame are recycled; what is left is
+// mostly the decoded profile and its sketch.
 func TestPushAllocation(t *testing.T) {
 	if !pooling() {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
@@ -150,7 +170,9 @@ func TestPushAllocation(t *testing.T) {
 		blob, got := push(run)
 		size, best = len(blob), min(best, got)
 	}
-	if ratio := float64(best) / float64(size); ratio >= 1.5 {
-		t.Errorf("a push of a %d-byte bundle allocated %d bytes (%.2fx), want < 1.5x", size, best, ratio)
+	sampleBytes := len(p.Samples) * int(unsafe.Sizeof(sampler.Sample{}))
+	if ratio := float64(best) / float64(sampleBytes); ratio >= 1.5 {
+		t.Errorf("a push of a %d-byte bundle of %d sample bytes allocated %d bytes (%.2fx), want < 1.5x",
+			size, sampleBytes, best, ratio)
 	}
 }

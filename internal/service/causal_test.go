@@ -8,13 +8,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"vprof/internal/bugs"
 	"vprof/internal/causal"
+	"vprof/internal/compiler"
 	"vprof/internal/obs"
 	"vprof/internal/service"
 	"vprof/internal/store"
+	"vprof/internal/vm"
 )
 
 func TestCausalEndpoint(t *testing.T) {
@@ -128,9 +131,25 @@ func TestCausalEndpoint(t *testing.T) {
 	}
 }
 
+// cancelResolver cancels a request's context when the sweep asks for its
+// program: after admission and the pool slot, before any experiment runs.
+type cancelResolver struct {
+	service.Resolver
+	cancel context.CancelFunc
+	once   sync.Once
+}
+
+func (c *cancelResolver) Runnable(workload string) (*compiler.Program, vm.Config, error) {
+	c.once.Do(c.cancel)
+	return c.Resolver.Runnable(workload)
+}
+
 func TestCausalCancellation(t *testing.T) {
 	// A long-grinding program served by a program resolver; cancellation
-	// must land mid-sweep and abort with 499, without memoizing.
+	// must land inside the request and abort with 499, without memoizing.
+	// The resolver cancels once the request holds its pool slot, so the
+	// sweep cannot finish before the cancel, however the goroutines are
+	// scheduled.
 	dir := t.TempDir()
 	src := `
 func grind() { var i = 0; while (i < 2000) { work(1000); i = i + 1; } return 0; }
@@ -148,28 +167,19 @@ func main() { grind(); }`
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	srv, err := service.New(service.Config{Store: st, Resolver: resolver, Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, err := service.New(service.Config{Store: st, Resolver: &cancelResolver{Resolver: resolver, cancel: cancel}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	type result struct {
-		status int
-		err    error
+	_, status, err := srv.CausalContext(ctx, service.CausalRequest{Workload: "grind"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-sweep cancel: err = %v, want context.Canceled", err)
 	}
-	done := make(chan result, 1)
-	go func() {
-		_, status, err := srv.CausalContext(ctx, service.CausalRequest{Workload: "grind"})
-		done <- result{status, err}
-	}()
-	cancel()
-	res := <-done
-	if !errors.Is(res.err, context.Canceled) {
-		t.Fatalf("mid-sweep cancel: err = %v, want context.Canceled", res.err)
-	}
-	if res.status != service.StatusClientClosedRequest {
-		t.Fatalf("mid-sweep cancel: status = %d, want %d", res.status, service.StatusClientClosedRequest)
+	if status != service.StatusClientClosedRequest {
+		t.Fatalf("mid-sweep cancel: status = %d, want %d", status, service.StatusClientClosedRequest)
 	}
 
 	// The canceled sweep must not have been memoized: a fresh request

@@ -24,10 +24,10 @@ import (
 	"vprof/internal/store"
 )
 
-// newObsServer builds a service with a fresh metrics registry and an
-// optional resolver override, returning the pieces the observability tests
-// poke at directly.
-func newObsServer(t *testing.T, resolver service.Resolver) (*service.Client, *httptest.Server, *store.Store) {
+// newObsServer builds a service with a fresh metrics registry, an optional
+// resolver override and an optional wrapper around its handler, returning
+// the pieces the observability tests poke at directly.
+func newObsServer(t *testing.T, resolver service.Resolver, wrap func(http.Handler) http.Handler) (*service.Client, *httptest.Server, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{Metrics: nil})
 	if err != nil {
@@ -46,7 +46,11 @@ func newObsServer(t *testing.T, resolver service.Resolver) (*service.Client, *ht
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := httptest.NewServer(h)
 	t.Cleanup(hs.Close)
 	return service.NewClient(hs.URL), hs, st
 }
@@ -92,7 +96,7 @@ func seriesValue(t *testing.T, exposition, series string) float64 {
 }
 
 func TestMetricsExpositionMonotonic(t *testing.T) {
-	_, hs, _ := newObsServer(t, nil)
+	_, hs, _ := newObsServer(t, nil, nil)
 
 	// Drive the instrumented request path: two listings, then three more.
 	for i := 0; i < 2; i++ {
@@ -135,7 +139,7 @@ func TestMetricsExpositionMonotonic(t *testing.T) {
 }
 
 func TestHealthzTriState(t *testing.T) {
-	c, hs, st := newObsServer(t, nil)
+	c, hs, st := newObsServer(t, nil, nil)
 
 	getHealth := func() (int, service.Health) {
 		t.Helper()
@@ -204,9 +208,29 @@ func (g *gateResolver) Resolve(workload string) (*debuginfo.Info, *schema.Schema
 	return g.Resolver.Resolve(workload)
 }
 
+// TestDiagnoseCancellation: a diagnosis whose client disconnects while it
+// computes ends with the canceled outcome, leaves nothing in the memo cache
+// and gives its pool slot back. The gate opens only once the server has
+// seen the disconnect, so the compute cannot finish first and succeed.
 func TestDiagnoseCancellation(t *testing.T) {
 	gate := newGateResolver()
-	c, hs, _ := newObsServer(t, gate)
+	// serverCanceled closes when the first diagnose request's server-side
+	// context is done.
+	serverCanceled := make(chan struct{})
+	var watch sync.Once
+	c, hs, _ := newObsServer(t, gate, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/diagnose" {
+				watch.Do(func() {
+					go func() {
+						<-r.Context().Done()
+						close(serverCanceled)
+					}()
+				})
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 
 	b := bugs.ByID("b1").MustBuild()
 	np, _ := b.ProfileNormal(0)
@@ -239,6 +263,11 @@ func TestDiagnoseCancellation(t *testing.T) {
 
 	<-gate.entered // the server is now inside compute, holding a pool slot
 	cancel()       // client walks away
+	select {
+	case <-serverCanceled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server did not see the client disconnect")
+	}
 	close(gate.release)
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("client error = %v, want context.Canceled", err)
@@ -323,7 +352,7 @@ func TestDiagnoseContextCanceled(t *testing.T) {
 }
 
 func TestClientErrorMapping(t *testing.T) {
-	c, _, _ := newObsServer(t, nil)
+	c, _, _ := newObsServer(t, nil, nil)
 
 	// Invalid bundle: garbage bytes are rejected with a typed sentinel.
 	_, err := c.PushBlob("b1", store.LabelNormal, "0", []byte("not a profile"))

@@ -6,10 +6,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"vprof/internal/faultfs"
+	"vprof/internal/profilefmt"
+	"vprof/internal/profilefmt/profilefmttest"
+	"vprof/internal/sampler"
 	"vprof/internal/store"
 )
 
@@ -226,46 +230,94 @@ func TestFailedRollback(t *testing.T) {
 
 // TestStoreFilesPinned pins the bytes of all three store files after a
 // fixed three-push ingest: the segment and sketch-log headers and frames,
-// and the manifest's records.
+// and the manifest's records. The same pushes made with version-1 bundles,
+// as older agents sent them, still write the files first pinned, and a
+// store holding them reopens clean and reads the same profiles back.
 func TestStoreFilesPinned(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, push := range []struct {
-		workload string
-		label    store.Label
-		run      string
+	for _, c := range []struct {
+		name    string
+		marshal func(*sampler.Profile) []byte
+		want    map[string]string
 	}{
-		{"redis get/set", store.LabelNormal, "0"},
-		{"redis get/set", store.LabelNormal, "1"},
-		{"mysql", store.LabelCandidate, "run 7"},
+		{"v2", func(p *sampler.Profile) []byte {
+			blob, err := profilefmt.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return blob
+		}, map[string]string{
+			"MANIFEST":           "6bd7bb4b07cc6195e161174c739436a705b434f8d3d677cd712bb54d1aa2094b",
+			"segment-000000.seg": "b481db7755e1a02cf5bbdb2a516bbbfa9e7c61a9e735cc016ae8e975a93d04ee",
+			"sketches.log":       "16d64bcaaccc3a15fec8695dce8915bbee69e995125c6c9ce33bea3d3b5ac279",
+		}},
+		{"v1", profilefmttest.MarshalV1, map[string]string{
+			"MANIFEST":           "c236096d28380f1c183f81487952b7bf7098c2e01e9735c7463a383b11d49121",
+			"segment-000000.seg": "e2a7a1abc91619208169dc350d185b05ad2ff8aa2ec5ca58523de136124f05ed",
+			"sketches.log":       "ae9f2db130e6b69ace2cc7366e02944a4f4ec7f3b5b2ea23474a62fdcd4fe834",
+		}},
 	} {
-		if _, _, err := s.PutBlob(push.workload, push.label, push.run, mustBlob(t, int64(i+20))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{
-		"MANIFEST":           "c236096d28380f1c183f81487952b7bf7098c2e01e9735c7463a383b11d49121",
-		"segment-000000.seg": "e2a7a1abc91619208169dc350d185b05ad2ff8aa2ec5ca58523de136124f05ed",
-		"sketches.log":       "ae9f2db130e6b69ace2cc7366e02944a4f4ec7f3b5b2ea23474a62fdcd4fe834",
-	}
-	var got []string
-	for _, name := range storeFiles {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(raw)
-		if h := hex.EncodeToString(sum[:]); h != want[name] {
-			got = append(got, name+" "+h)
-		}
-	}
-	if len(got) > 0 {
-		t.Fatalf("store file bytes changed:\n%s", strings.Join(got, "\n"))
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := map[string]*sampler.Profile{}
+			for i, push := range []struct {
+				workload string
+				label    store.Label
+				run      string
+			}{
+				{"redis get/set", store.LabelNormal, "0"},
+				{"redis get/set", store.LabelNormal, "1"},
+				{"mysql", store.LabelCandidate, "run 7"},
+			} {
+				p := testProfile(int64(i + 20))
+				e, _, err := s.PutBlob(push.workload, push.label, push.run, c.marshal(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[e.ID] = p
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, name := range storeFiles {
+				raw, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(raw)
+				if h := hex.EncodeToString(sum[:]); h != c.want[name] {
+					got = append(got, name+" "+h)
+				}
+			}
+			if len(got) > 0 {
+				t.Fatalf("store file bytes changed:\n%s", strings.Join(got, "\n"))
+			}
+
+			rep, err := store.Fsck(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Fatalf("store not clean:\n%s", rep.Render())
+			}
+			s2, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			for id, want := range ids {
+				p, err := s2.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(p, want) {
+					t.Errorf("Get(%s) = %+v, want %+v", id[:8], p, want)
+				}
+			}
+		})
 	}
 }

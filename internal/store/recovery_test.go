@@ -55,10 +55,11 @@ func mustBlob(t *testing.T, seed int64) []byte {
 	return blob
 }
 
-// crashOpts keeps segments small so the ingest sequence rolls over and the
-// crash matrix covers segment-creation (temp + rename) crash points too.
+// crashOpts keeps segments smaller than one test bundle, so every push of
+// the ingest sequence rolls over and the crash matrix covers
+// segment-creation (temp + rename) crash points too.
 func crashOpts(fsys faultfs.FS) store.Options {
-	return store.Options{FS: fsys, SegmentSize: 2048}
+	return store.Options{FS: fsys, SegmentSize: 1024}
 }
 
 // TestCrashReplayMatrix is the tentpole's durability proof: the same

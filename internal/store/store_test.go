@@ -349,7 +349,7 @@ func TestConcurrentAccess(t *testing.T) {
 // frame, segment, manifest and sketch-log appends, and the index. The
 // bundles then repeat under new runs, so each later push finds its blob
 // stored and its sketch logged and appends only a manifest record. Root
-// BenchmarkPush times a real 1.1 MiB bundle.
+// BenchmarkPush times a real 142 KiB bundle.
 func BenchmarkStoreIngest(b *testing.B) {
 	s, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
