@@ -112,9 +112,10 @@ func cmdServe(args []string) error {
 	parallel.Instrument(reg)
 	sampler.Instrument(reg)
 
+	params := vprof.DefaultParams()
+	params.Workers = *analysisWorkers
 	cfg := service.Config{
-		Workers:         *workers,
-		AnalysisWorkers: *analysisWorkers, Top: *top,
+		Workers: *workers, Params: &params, Top: *top,
 		RequestTimeout: *requestTimeout, MaxQueue: *maxQueue,
 		Metrics: reg, Logger: logger,
 	}

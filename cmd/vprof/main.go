@@ -499,12 +499,15 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
+	params := vprof.DefaultParams()
+	params.Workers = *workers
 	report, err := vprof.AnalyzeContext(context.Background(), vprof.AnalyzeRequest{
 		Program: prog,
 		Schema:  sch,
 		Normal:  normals,
 		Buggy:   buggies,
-	}, vprof.WithWorkers(*workers))
+		Params:  &params,
+	})
 	if err != nil {
 		return err
 	}

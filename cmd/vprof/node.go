@@ -26,7 +26,6 @@ func cmdNode(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7081", "listen address (internal API)")
 	storeDir := fs.String("store", "vprof-node", "profile store directory")
 	id := fs.String("id", "", "stable node name (required; placement hashes it)")
-	baselineCap := fs.Int("baseline-cap", 16, "rolling baseline corpus size per workload")
 	useBugs := fs.Bool("bugs", false, "resolve the built-in bug workloads for corpus folding (default when no programs are given)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on SIGTERM")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -47,7 +46,7 @@ func cmdNode(args []string) error {
 	}
 
 	reg := obs.NewRegistry()
-	st, err := store.Open(*storeDir, store.Options{BaselineCap: *baselineCap, Metrics: reg})
+	st, err := store.Open(*storeDir, store.Options{Metrics: reg})
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestAnalyzeRequestEquivalence pins the API contract: AnalyzeRequest with
-// every parameter/worker-count option produces byte-for-byte identical
+// default parameters at any worker count produces byte-for-byte identical
 // reports.
 func TestAnalyzeRequestEquivalence(t *testing.T) {
 	prog := compileFacade(t)
@@ -24,34 +24,17 @@ func TestAnalyzeRequestEquivalence(t *testing.T) {
 	}
 	want := base.Render(10)
 
-	cases := map[string][]vprof.AnalyzeOption{
-		"WithParams(default)": {vprof.WithParams(vprof.DefaultParams())},
-		"WithWorkers(1)":      {vprof.WithWorkers(1)},
-		"WithWorkers(4)":      {vprof.WithWorkers(4)},
-		"params then workers": {vprof.WithParams(vprof.DefaultParams()), vprof.WithWorkers(3)},
-	}
-	for name, opts := range cases {
-		report, err := vprof.AnalyzeContext(context.Background(), req, opts...)
+	for _, workers := range []int{0, 1, 3, 4} {
+		p := vprof.DefaultParams()
+		p.Workers = workers
+		req.Params = &p
+		report, err := vprof.AnalyzeContext(context.Background(), req)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := report.Render(10); got != want {
-			t.Errorf("%s: report differs from the plain AnalyzeRequest form.\ngot:\n%s\nwant:\n%s", name, got, want)
+			t.Errorf("workers=%d: report differs from the nil-Params form.\ngot:\n%s\nwant:\n%s", workers, got, want)
 		}
-	}
-}
-
-// TestWithWorkersPreservesParams checks the option composes instead of
-// resetting earlier parameter choices.
-func TestWithWorkersPreservesParams(t *testing.T) {
-	p := vprof.DefaultParams()
-	p.PValue = 0.01
-	req := vprof.AnalyzeRequest{}
-	for _, opt := range []vprof.AnalyzeOption{vprof.WithParams(p), vprof.WithWorkers(2)} {
-		opt(&req)
-	}
-	if req.Params == nil || req.Params.PValue != 0.01 || req.Params.Workers != 2 {
-		t.Fatalf("params after options = %+v, want PValue 0.01 Workers 2", req.Params)
 	}
 }
 

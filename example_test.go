@@ -82,12 +82,15 @@ func ExampleAnalyzeContext() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	params := vprof.DefaultParams()
+	params.Workers = 2
 	report, err := vprof.AnalyzeContext(ctx, vprof.AnalyzeRequest{
 		Program: prog,
 		Schema:  sch,
 		Normal:  []*vprof.Profile{normal},
 		Buggy:   []*vprof.Profile{buggy},
-	}, vprof.WithWorkers(2))
+		Params:  &params,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

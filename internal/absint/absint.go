@@ -153,10 +153,6 @@ type FuncResult struct {
 	Cost Poly
 }
 
-// Reached reports whether block b is reachable at the value level (some
-// feasible path gives it a non-bottom entry state).
-func (r *FuncResult) Reached(b int) bool { return r.In[b] != nil }
-
 // Analysis is the whole-program abstract interpretation.
 type Analysis struct {
 	Prog  *compiler.Program

@@ -41,7 +41,6 @@ func Range(lo, hi int64) Interval {
 }
 
 func (iv Interval) IsBottom() bool { return iv.Lo > iv.Hi }
-func (iv Interval) IsTop() bool    { return iv.Lo == NegInf && iv.Hi == PosInf }
 
 // ConstValue reports whether the interval is a singleton and its value.
 // Sentinel singletons do not count: they stand for unbounded sides.

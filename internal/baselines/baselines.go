@@ -57,8 +57,6 @@ type Target struct {
 	NormalProg *compiler.Program
 	NormalCfg  vm.Config
 	BuggyCfg   vm.Config
-	// Interval is the PC-sampling alarm period in ticks.
-	Interval int64
 	// CrashesCOZ reproduces the paper's b7, where COZ crashed.
 	CrashesCOZ bool
 	// Scope restricts line/predicate-level tools (COZ, stat-debug) to
@@ -71,13 +69,6 @@ func (t *Target) normalProg() *compiler.Program {
 		return t.NormalProg
 	}
 	return t.Prog
-}
-
-func (t *Target) interval() int64 {
-	if t.Interval > 0 {
-		return t.Interval
-	}
-	return 97
 }
 
 func (t *Target) inScope(fn string) bool {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"vprof/internal/sampler"
 	"vprof/internal/vm"
 )
 
@@ -68,7 +69,7 @@ func GprofCallGraph(t *Target) *CallGraphProfile {
 	procs := vm.RunProcesses(prog, func(pid int) vm.Config {
 		c := cfg
 		record := pid == 1 // parent only, as stock gprof
-		c.AlarmInterval = t.interval()
+		c.AlarmInterval = sampler.DefaultInterval
 		c.OnAlarm = func(m *vm.VM) {
 			if record {
 				pc := m.PC()
@@ -98,7 +99,7 @@ func GprofCallGraph(t *Target) *CallGraphProfile {
 		if fn == nil || fn.Library || fn.Synthetic {
 			continue
 		}
-		self[fn.Index] += float64(n * t.interval())
+		self[fn.Index] += float64(n * sampler.DefaultInterval)
 	}
 
 	// callsTo[i] totals incoming calls to function i.

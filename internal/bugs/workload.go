@@ -240,7 +240,6 @@ func (b *Built) Target() *baselines.Target {
 		NormalProg: b.NormalProg,
 		NormalCfg:  b.W.NormalConfig(0),
 		BuggyCfg:   b.W.BuggyConfig(0),
-		Interval:   DefaultInterval,
 		CrashesCOZ: b.W.CrashesCOZ,
 	}
 }

@@ -71,17 +71,11 @@ type Options struct {
 	// Granularity selects func (inclusive) or block (exclusive) scaling.
 	// Empty means GranFunc.
 	Granularity Granularity
-	// Funcs optionally restricts candidates to the named functions.
+	// Funcs optionally restricts candidates to the named functions, which
+	// bypass the DefaultMinOwnShare gate.
 	Funcs []string
 	// Workers bounds experiment parallelism (see parallel.Workers).
 	Workers int
-	// BudgetMultiplier stretches cfg.MaxTicks (and MaxWallTicks) for
-	// experiment runs; 0 means DefaultBudgetMultiplier, 1 disables.
-	BudgetMultiplier int
-	// MinOwnShare gates candidates on exclusive CPU share measured from
-	// the baseline run; 0 means DefaultMinOwnShare, negative disables
-	// the gate. Functions named in Funcs bypass the gate.
-	MinOwnShare float64
 }
 
 // Point is one experiment outcome on a candidate's speedup curve.
@@ -170,18 +164,11 @@ func Run(ctx context.Context, prog *compiler.Program, cfg vm.Config, opts Option
 		return nil, err
 	}
 
-	mult := opts.BudgetMultiplier
-	if mult == 0 {
-		mult = DefaultBudgetMultiplier
-	}
-	if mult < 1 {
-		return nil, fmt.Errorf("causal: budget multiplier %d < 1", mult)
-	}
 	if cfg.MaxTicks > 0 {
-		cfg.MaxTicks *= int64(mult)
+		cfg.MaxTicks *= DefaultBudgetMultiplier
 	}
 	if cfg.MaxWallTicks > 0 {
-		cfg.MaxWallTicks *= int64(mult)
+		cfg.MaxWallTicks *= DefaultBudgetMultiplier
 	}
 	cfg.CostScale = nil
 	cfg.ScaleStack = nil
@@ -225,11 +212,7 @@ func Run(ctx context.Context, prog *compiler.Program, cfg vm.Config, opts Option
 		}
 	}
 
-	minShare := opts.MinOwnShare
-	if minShare == 0 {
-		minShare = DefaultMinOwnShare
-	}
-	cands, err := candidates(prog, gran, opts.Funcs, excl, totalCPU, minShare)
+	cands, err := candidates(prog, gran, opts.Funcs, excl, totalCPU)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +278,7 @@ func Run(ctx context.Context, prog *compiler.Program, cfg vm.Config, opts Option
 		BaselineWall: base.Wall,
 		BaselineCPU:  base.CPU,
 		Budget:       budget,
-		MinOwnShare:  minShare,
+		MinOwnShare:  DefaultMinOwnShare,
 		Capped:       base.Capped,
 		Experiments:  len(jobs) + 1,
 		Curves:       curves,
@@ -329,7 +312,7 @@ func normalizeSpeedups(in []float64) ([]float64, error) {
 // paper's gprof blind spot discussion) and synthetic shims, and gating on
 // exclusive CPU share from the baseline profile (excl, totalCPU) unless
 // the function was explicitly requested.
-func candidates(prog *compiler.Program, gran Granularity, only []string, excl []int64, totalCPU int64, minShare float64) ([]candidate, error) {
+func candidates(prog *compiler.Program, gran Granularity, only []string, excl []int64, totalCPU int64) ([]candidate, error) {
 	var want map[string]bool
 	if len(only) > 0 {
 		want = make(map[string]bool, len(only))
@@ -367,7 +350,7 @@ func candidates(prog *compiler.Program, gran Granularity, only []string, excl []
 				continue
 			}
 			s := share(fr.Entry, fr.End)
-			if s < minShare && !requested {
+			if s < DefaultMinOwnShare && !requested {
 				continue
 			}
 			marked := make([]bool, len(prog.Funcs))
@@ -383,7 +366,7 @@ func candidates(prog *compiler.Program, gran Granularity, only []string, excl []
 			for bi := range fr.Blocks {
 				blk := &fr.Blocks[bi]
 				s := share(blk.Start, blk.End)
-				if s < minShare && !requested {
+				if s < DefaultMinOwnShare && !requested {
 					continue
 				}
 				cands = append(cands, candidate{

@@ -100,13 +100,15 @@ func TestOwnShareGateBypass(t *testing.T) {
 	if rep.Curves[0].Impact < 0.9 {
 		t.Errorf("driver inclusive impact = %v, want ~0.95", rep.Curves[0].Impact)
 	}
-	// A disabled gate admits every function.
-	all, err := causal.Run(context.Background(), p, vm.Config{}, causal.Options{MinOwnShare: -1})
+	// Naming every function admits every function.
+	all, err := causal.Run(context.Background(), p, vm.Config{}, causal.Options{
+		Funcs: []string{"hot", "cold", "driver", "main"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all.Curves) != 4 {
-		t.Fatalf("ungated curves = %v, want 4 functions", names(all))
+		t.Fatalf("requested curves = %v, want 4 functions", names(all))
 	}
 }
 
@@ -201,9 +203,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := causal.Run(ctx, p, vm.Config{}, causal.Options{Funcs: []string{"nope"}}); err == nil {
 		t.Error("unknown function accepted")
-	}
-	if _, err := causal.Run(ctx, p, vm.Config{}, causal.Options{BudgetMultiplier: -1}); err == nil {
-		t.Error("negative budget multiplier accepted")
 	}
 	if _, err := causal.Run(ctx, nil, vm.Config{}, causal.Options{}); err == nil {
 		t.Error("nil program accepted")

@@ -152,17 +152,6 @@ func LinearBuckets(start, width float64, n int) []float64 {
 	return out
 }
 
-// ExponentialBuckets returns n buckets starting at start, each factor times
-// the previous.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // metric kinds, also the Prometheus TYPE strings.
 const (
 	kindCounter   = "counter"

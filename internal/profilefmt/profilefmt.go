@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"vprof/internal/sampler"
 )
@@ -693,7 +692,3 @@ func EncodedSize(p *sampler.Profile) (int64, error) {
 	defer putScratch(sp)
 	return int64(histSize(p) + len(appendSamples((*sp)[:0], p)) + layoutSize(p)), nil
 }
-
-// Timestamp formats a time for artifact logging; isolated here so tests can
-// exercise it.
-func Timestamp(t time.Time) string { return t.UTC().Format("2006-01-02T15:04:05Z") }

@@ -10,7 +10,6 @@ package profilefmt
 // for bit.
 
 import (
-	"io"
 	"math"
 	"slices"
 
@@ -82,20 +81,6 @@ func decodeSketch(r *reader) *sketch.Profile {
 		s.Vars = append(s.Vars, vs)
 	}
 	return s
-}
-
-// EncodeSketch writes a sketch in canonical form.
-func EncodeSketch(w io.Writer, s *sketch.Profile) error {
-	return writeSection(w, appendSketch(make([]byte, 0, sketchSize(s)), s))
-}
-
-// DecodeSketch reads one sketch, which must be all src holds.
-func DecodeSketch(src io.Reader) (*sketch.Profile, error) {
-	var s *sketch.Profile
-	if err := decodeSection(src, "sketch", func(r *reader) { s = decodeSketch(r) }); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // MarshalSketch renders a sketch as one blob.

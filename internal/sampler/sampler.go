@@ -48,9 +48,6 @@ type Options struct {
 	// UnwindDepth bounds virtual stack unwinding (DefaultUnwindDepth if
 	// 0; use a negative value to disable unwinding entirely).
 	UnwindDepth int
-	// TableSize overrides the PCToVarTable bucket count; the default is
-	// half the text-section length, per the paper.
-	TableSize int
 	// OffCPU switches the profiler to off-CPU mode (the paper's §7
 	// future-work direction): alarms fire on the wall clock and only
 	// instants where the program is blocked (inside block(n)) are
@@ -173,17 +170,14 @@ func New(prog *compiler.Program, metadata []debuginfo.VarLoc, opts Options) *Pro
 	if opts.UnwindDepth == 0 {
 		opts.UnwindDepth = DefaultUnwindDepth
 	}
-	if opts.TableSize <= 0 {
-		opts.TableSize = len(prog.Instrs) / 2
-		if opts.TableSize < 16 {
-			opts.TableSize = 16
-		}
-	}
+	// The PCToVarTable has half as many buckets as the text section has
+	// instructions, per the paper, and at least 16.
+	tableSize := max(len(prog.Instrs)/2, 16)
 	p := &Profiler{
 		prog:      prog,
 		opts:      opts,
 		layoutIdx: map[string]int32{},
-		buckets:   make([]int32, opts.TableSize),
+		buckets:   make([]int32, tableSize),
 		hist:      make([]int64, len(prog.Instrs)),
 		samples:   (*buf)[:0],
 		buf:       buf,
@@ -399,9 +393,6 @@ func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 
 // NumVarNodes exposes the VariableArray length (tests, Table 5).
 func (p *Profiler) NumVarNodes() int { return len(p.vars) }
-
-// NumPCEntries exposes the PCToVarTable fill (tests, Table 5).
-func (p *Profiler) NumPCEntries() int { return len(p.entries) }
 
 // VarSamples returns the time-ordered value series of one variable in the
 // profile, identified by declaring function (or debuginfo.GlobalScope) and

@@ -126,7 +126,7 @@ func (s *Server) computeCausal(ctx context.Context, workload string, gran causal
 			fmt.Errorf("causal sweep of %q: %w", workload, err))
 	}
 	return &CausalResponse{
-		ReportID:    "c-" + key[:16],
+		ReportID:    "c-" + memoID(key),
 		Workload:    workload,
 		Granularity: string(rep.Granularity),
 		Speedups:    rep.Speedups,

@@ -1,8 +1,8 @@
 package service
 
 // endpoint is the compute-endpoint chassis shared by diagnose and causal
-// (and any future memoized analysis route): one result memo keyed by the
-// exact request inputs, single-flight dedup of identical concurrent
+// (and any future memoized analysis route): one bounded result memo keyed
+// by the exact request inputs, single-flight dedup of identical concurrent
 // requests, typed-error outcome counting (including 499-on-cancel), a
 // computed-only duration histogram, and the "<name> computed"/"<name>
 // failed" log lines. The per-endpoint differences — how a memo hit is
@@ -18,10 +18,26 @@ import (
 	"time"
 
 	"vprof/internal/obs"
+	"vprof/internal/store"
 )
 
+// memoCap bounds each endpoint's memo, like the router's caches: past it,
+// the oldest result is evicted and its report id answers 404.
+const memoCap = 64
+
+// memoEntry is one memoized result and the full key it answers. The memo
+// indexes it by memoID(key), the hex digits a report id carries.
+type memoEntry[T any] struct {
+	key string
+	val *T
+}
+
+func memoID(key string) string { return key[:16] }
+
 // endpoint owns the memo + single-flight machinery for one compute route.
-// All maps are guarded by the server's mu.
+// The inflight map is guarded by the server's mu, which run also holds
+// across each memo check and store, so a key is always in one of the two
+// while its result is being computed or kept.
 type endpoint[T any] struct {
 	s        *Server
 	name     string          // log-line prefix: "diagnose", "causal"
@@ -29,15 +45,12 @@ type endpoint[T any] struct {
 	memoHits *obs.Counter
 	duration *obs.Histogram // wall time of computed (non-memoized) results
 
-	memo     map[string]*T
+	memo     *store.Cache[memoEntry[T]]
 	inflight map[string]chan struct{}
 
 	// onHit decorates a memoized result for return (mark Cached, bump
 	// endpoint-specific hit counters). Must copy, never mutate the memo.
 	onHit func(*T) *T
-	// onStore indexes a freshly computed result under the server lock
-	// (e.g. the diagnose report registry). May be nil.
-	onStore func(*T)
 	// finish decorates a computed result for return and supplies the
 	// middle attributes of the "<name> computed" log line.
 	finish func(*T) (*T, []any)
@@ -50,7 +63,7 @@ func newEndpoint[T any](s *Server, name string, requests *obs.CounterVec, memoHi
 		requests: requests,
 		memoHits: memoHits,
 		duration: duration,
-		memo:     map[string]*T{},
+		memo:     store.NewCache[memoEntry[T]](memoCap),
 		inflight: map[string]chan struct{}{},
 	}
 }
@@ -61,11 +74,11 @@ func newEndpoint[T any](s *Server, name string, requests *obs.CounterVec, memoHi
 func (e *endpoint[T]) run(ctx context.Context, workload, key string, compute func(context.Context) (*T, int, error)) (*T, int, error) {
 	for {
 		e.s.mu.Lock()
-		if resp, ok := e.memo[key]; ok {
+		if m, ok := e.memo.Get(memoID(key)); ok && m.key == key {
 			e.s.mu.Unlock()
 			e.memoHits.Inc()
 			e.requests.With("cached").Inc()
-			return e.onHit(resp), http.StatusOK, nil
+			return e.onHit(m.val), http.StatusOK, nil
 		}
 		ch, busy := e.inflight[key]
 		if !busy {
@@ -87,10 +100,7 @@ func (e *endpoint[T]) run(ctx context.Context, workload, key string, compute fun
 	resp, status, err := e.computeGuarded(ctx, key, compute)
 	e.s.mu.Lock()
 	if err == nil {
-		e.memo[key] = resp
-		if e.onStore != nil {
-			e.onStore(resp)
-		}
+		e.memo.Put(memoID(key), memoEntry[T]{key: key, val: resp})
 	}
 	ch := e.inflight[key]
 	delete(e.inflight, key)
@@ -108,6 +118,13 @@ func (e *endpoint[T]) run(ctx context.Context, workload, key string, compute fun
 	args = append(args, "duration", time.Since(start))
 	e.s.log.Info(e.name+" computed", args...)
 	return out, http.StatusOK, nil
+}
+
+// lookup returns the memoized result whose report id carries id, the
+// memoID of its key.
+func (e *endpoint[T]) lookup(id string) (*T, bool) {
+	m, ok := e.memo.Get(id)
+	return m.val, ok
 }
 
 // computeGuarded protects the single-flight entry against panics: whatever

@@ -7,26 +7,29 @@ import (
 	"sync"
 	"testing"
 
+	"vprof/internal/analysis"
 	"vprof/internal/bugs"
 	"vprof/internal/sampler"
 	"vprof/internal/service"
 	"vprof/internal/store"
 )
 
-// newServerWithAnalysisWorkers is newTestServer with an explicit per-diagnosis
-// analysis pool size, for the workers=1 vs workers=8 determinism comparison.
-func newServerWithAnalysisWorkers(t *testing.T, analysisWorkers int) *service.Client {
+// newServerWithAnalysisPool is newTestServer with an explicit per-diagnosis
+// analysis pool size (Params.Workers), for the workers=1 vs workers=8 determinism comparison.
+func newServerWithAnalysisPool(t *testing.T, workers int) *service.Client {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
+	params := analysis.DefaultParams()
+	params.Workers = workers
 	srv, err := service.New(service.Config{
-		Store:           st,
-		Resolver:        service.NewBugsResolver(),
-		Workers:         3,
-		AnalysisWorkers: analysisWorkers,
+		Store:    st,
+		Resolver: service.NewBugsResolver(),
+		Workers:  3,
+		Params:   &params,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +79,8 @@ func pushAll(t *testing.T, c *service.Client, ns, cs []*sampler.Profile) {
 // identical.
 func TestServiceDiagnoseDeterministicAcrossWorkers(t *testing.T) {
 	ns, cs := b1Profiles(t, 3, 2)
-	seqClient := newServerWithAnalysisWorkers(t, 1)
-	parClient := newServerWithAnalysisWorkers(t, 8)
+	seqClient := newServerWithAnalysisPool(t, 1)
+	parClient := newServerWithAnalysisPool(t, 8)
 	pushAll(t, seqClient, ns, cs)
 	pushAll(t, parClient, ns, cs)
 
@@ -108,7 +111,7 @@ func TestServiceDiagnoseDeterministicAcrossWorkers(t *testing.T) {
 // path concurrently.
 func TestServiceConcurrentDiagnose(t *testing.T) {
 	ns, cs := b1Profiles(t, 3, 2)
-	c := newServerWithAnalysisWorkers(t, 4)
+	c := newServerWithAnalysisPool(t, 4)
 	pushAll(t, c, ns, cs)
 
 	// Fire all requests concurrently — no warm-up, so the first arrivals for

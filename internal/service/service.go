@@ -19,7 +19,9 @@
 // push concurrently without unbounded decode/analysis work in flight.
 // Diagnosis results are memoized by the content hashes of the exact
 // (candidate-set, baseline-set) pair, so re-diagnosing an unchanged
-// workload is a cache hit (observable via the stats counters).
+// workload is a cache hit (observable via the stats counters). The memo
+// keeps the 64 most recent results and is the only index GET
+// /v1/report/{id} reads: an evicted report answers 404.
 package service
 
 import (
@@ -57,12 +59,8 @@ type Config struct {
 	// Workers bounds concurrently executing ingest/diagnose work
 	// (default 4).
 	Workers int
-	// AnalysisWorkers bounds the per-diagnosis analysis worker pool
-	// (internal/parallel): 0 resolves a default via VPROF_WORKERS then
-	// GOMAXPROCS, 1 forces the sequential legacy path. Reports are
-	// byte-for-byte identical for every value.
-	AnalysisWorkers int
-	// Params are the analysis tunables (zero value → DefaultParams).
+	// Params are the analysis tunables (nil → DefaultParams). Its Workers
+	// field bounds the per-diagnosis analysis worker pool.
 	Params *analysis.Params
 	// Top is the default row count of rendered reports (default 10).
 	Top int
@@ -198,9 +196,9 @@ type Server struct {
 	draining bool
 	inFlight sync.WaitGroup // admitted requests not yet finished
 
-	// mu guards reports, the endpoints' memo/inflight maps, and corpora.
-	mu      sync.Mutex
-	reports map[string]*DiagnoseResponse // report id → result
+	// mu guards the endpoints' inflight maps, ordered with their memo
+	// checks, and corpora.
+	mu sync.Mutex
 	// corpora caches one hist-discounter corpus per workload, keyed by the
 	// exact baseline id set; an unchanged baseline set re-uses it, so an
 	// incremental diagnosis folds only the new candidates' sketches.
@@ -240,9 +238,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	if cfg.AnalysisWorkers != 0 {
-		params.Workers = cfg.AnalysisWorkers
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -266,7 +261,6 @@ func New(cfg Config) (*Server, error) {
 		reg:        reg,
 		m:          newServiceMetrics(reg),
 		log:        logger,
-		reports:    map[string]*DiagnoseResponse{},
 		corpora:    map[string]*corpusEntry{},
 	}
 	s.m.poolSlots.Set(float64(workers))
@@ -276,7 +270,6 @@ func New(cfg Config) (*Server, error) {
 		s.memoHits.Add(1)
 		return s.cachedCopy(resp)
 	}
-	s.diagEP.onStore = func(resp *DiagnoseResponse) { s.reports[resp.ReportID] = resp }
 	s.diagEP.finish = func(resp *DiagnoseResponse) (*DiagnoseResponse, []any) {
 		s.diagnoses.Add(1)
 		out := *resp
@@ -749,7 +742,7 @@ func memoKey(workload string, top int, baselines, candidates []*store.Entry, ske
 // diagnoseResponse shapes an analysis report into the API response.
 func diagnoseResponse(report *analysis.Report, key, workload string, top int, bIDs, cIDs []string) *DiagnoseResponse {
 	resp := &DiagnoseResponse{
-		ReportID:   "r-" + key[:16],
+		ReportID:   "r-" + memoID(key),
 		Workload:   workload,
 		Baselines:  bIDs,
 		Candidates: cIDs,
@@ -774,9 +767,11 @@ func diagnoseResponse(report *analysis.Report, key, workload string, top int, bI
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	resp, ok := s.reports[id]
-	s.mu.Unlock()
+	suffix, ok := strings.CutPrefix(id, "r-")
+	var resp *DiagnoseResponse
+	if ok {
+		resp, ok = s.diagEP.lookup(suffix)
+	}
 	if !ok {
 		writeErr(w, http.StatusNotFound, CodeNotFound, "no report %q", id)
 		return

@@ -299,3 +299,52 @@ func TestDiagnoseErrors(t *testing.T) {
 		t.Fatal("missing report served")
 	}
 }
+
+// TestMemoBounded: the diagnosis memo keeps its 64 most recent results
+// however many distinct diagnoses pass through it. GET /v1/report reads
+// the memo, so the oldest report answers 404 and repeating its query
+// computes it again.
+func TestMemoBounded(t *testing.T) {
+	const bound = 64
+	c, _ := newTestServer(t)
+	b := bugs.ByID("b1").MustBuild()
+	normal, _ := b.ProfileNormal(0)
+	buggy, _ := b.ProfileBuggy(0)
+	if _, err := c.Push("b1", store.LabelNormal, "0", normal); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push("b1", store.LabelCandidate, "0", buggy); err != nil {
+		t.Fatal(err)
+	}
+	// Each row bound is a distinct memo key.
+	diagnose := func(top int) *service.DiagnoseResponse {
+		t.Helper()
+		resp, err := c.Diagnose(service.DiagnoseRequest{Workload: "b1", Top: top, Sketches: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	ids := make([]string, bound+1)
+	for i := range ids {
+		if resp := diagnose(i + 1); resp.Cached {
+			t.Fatalf("diagnosis %d served from the memo", i+1)
+		} else {
+			ids[i] = resp.ReportID
+		}
+	}
+	if _, err := c.Report(ids[0]); !errors.Is(err, service.ErrNotFound) {
+		t.Errorf("oldest report after %d newer diagnoses: err = %v, want ErrNotFound", bound, err)
+	}
+	for _, id := range ids[1:] {
+		if _, err := c.Report(id); err != nil {
+			t.Errorf("report %s: %v", id, err)
+		}
+	}
+	if !diagnose(bound + 1).Cached {
+		t.Error("the newest diagnosis was not served from the memo")
+	}
+	if diagnose(1).Cached {
+		t.Error("an evicted diagnosis was served from the memo")
+	}
+}

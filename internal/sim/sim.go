@@ -25,6 +25,7 @@ import (
 	"sync"
 	"testing"
 
+	"vprof/internal/analysis"
 	"vprof/internal/cluster"
 	"vprof/internal/faultfs"
 	"vprof/internal/obs"
@@ -332,8 +333,10 @@ func (d *Deployment) Coordinator(analysisWorkers int) error {
 }
 
 func (d *Deployment) startFront(backend service.Backend, router *cluster.Router, reg *obs.Registry, analysisWorkers int) error {
+	params := analysis.DefaultParams()
+	params.Workers = analysisWorkers
 	srv, err := service.New(service.Config{Backend: backend, Resolver: d.resolver, Workers: 4,
-		AnalysisWorkers: analysisWorkers, Top: replayTop, Metrics: reg})
+		Params: &params, Top: replayTop, Metrics: reg})
 	if err != nil {
 		return err
 	}

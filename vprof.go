@@ -24,12 +24,11 @@
 //		Schema:  sch,
 //		Normal:  []*vprof.Profile{normal},
 //		Buggy:   []*vprof.Profile{buggy},
-//	}, vprof.WithWorkers(4))
+//	})
 //	fmt.Print(report.Render(10))
 //
 // The context cancels profiling runs (checked at each sampling alarm) and
-// the analysis fan-out. AnalyzeRequest (plus the With* options) is the only
-// analysis entry point.
+// the analysis fan-out. AnalyzeRequest is the only analysis entry point.
 package vprof
 
 import (
@@ -73,11 +72,6 @@ type (
 	// `vprof lint` (IR hygiene, debug-location coverage) and `vprof check`
 	// (abstract-interpretation perf smells) both produce it.
 	CheckReport = diag.Report
-	// LintReport is the lint checker's report.
-	//
-	// Deprecated: lint and check share one report shape now; use
-	// CheckReport. The alias is kept so existing callers compile unchanged.
-	LintReport = diag.Report
 	// Profile is a recorded execution profile (PC histogram + value
 	// samples + layout log).
 	Profile = sampler.Profile
@@ -184,7 +178,7 @@ func (p *Program) VerifySchema(sch *Schema) *CoverageReport {
 // Lint runs the IR-level static checks over the program and its default
 // schema: unreachable code, exit-less loops, constant and dead monitored
 // variables, and debug-location coverage problems.
-func (p *Program) Lint() *LintReport {
+func (p *Program) Lint() *CheckReport {
 	return schema.Lint(p.ast, p.compiled)
 }
 
@@ -327,41 +321,18 @@ type AnalyzeRequest struct {
 	// Normal and Buggy are the two executions' profiles.
 	Normal []*Profile
 	Buggy  []*Profile
-	// Params are the analysis tunables; nil means DefaultParams. The
-	// WithParams / WithWorkers options modify this field.
+	// Params are the analysis tunables; nil means DefaultParams. Workers
+	// bounds the analysis worker pool: 0 resolves a default via
+	// VPROF_WORKERS then GOMAXPROCS, 1 forces the sequential path. The
+	// report is identical for every value.
 	Params *Params
-}
-
-// AnalyzeOption tweaks an AnalyzeRequest; pass options to AnalyzeContext.
-type AnalyzeOption func(*AnalyzeRequest)
-
-// WithParams replaces the request's analysis parameters.
-func WithParams(p Params) AnalyzeOption {
-	return func(r *AnalyzeRequest) { r.Params = &p }
-}
-
-// WithWorkers bounds the analysis worker pool (see Params.Workers): 0
-// resolves a default via VPROF_WORKERS then GOMAXPROCS, 1 forces the
-// sequential path. The report is identical for every value.
-func WithWorkers(n int) AnalyzeOption {
-	return func(r *AnalyzeRequest) {
-		p := DefaultParams()
-		if r.Params != nil {
-			p = *r.Params
-		}
-		p.Workers = n
-		r.Params = &p
-	}
 }
 
 // AnalyzeContext runs the post-profiling analysis. The context cancels the
 // analysis fan-out cooperatively (workers drain, ctx.Err() is returned);
 // with a never-canceled context the report is byte-for-byte the sequential
 // result.
-func AnalyzeContext(ctx context.Context, req AnalyzeRequest, opts ...AnalyzeOption) (*Report, error) {
-	for _, opt := range opts {
-		opt(&req)
-	}
+func AnalyzeContext(ctx context.Context, req AnalyzeRequest) (*Report, error) {
 	params := DefaultParams()
 	if req.Params != nil {
 		params = *req.Params
