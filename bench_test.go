@@ -94,6 +94,27 @@ func BenchmarkParallelDiscount(b *testing.B) {
 	}
 }
 
+// BenchmarkOneshot times the paper's one-shot diagnosis of one issue at one
+// worker, the build excluded: bugs.Runs normal and buggy profiled runs
+// through the shared loop, their merges, and the analysis (Built.Analyze).
+// u3 records the most value samples of any issue; b8 runs three processes.
+// Run with -benchmem: the recording buffers and merged samples dominate
+// bytes/op.
+func BenchmarkOneshot(b *testing.B) {
+	for _, id := range []string{"b1", "u3", "b8"} {
+		built := bugs.ByID(id).MustBuild()
+		b.Run(id, func(b *testing.B) {
+			p := analysis.DefaultParams()
+			p.Workers = 1
+			for i := 0; i < b.N; i++ {
+				if _, err := built.Analyze(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTable4Unresolved(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cases, err := harness.Table4(0)

@@ -27,6 +27,7 @@ import (
 	"vprof/internal/sampler"
 	"vprof/internal/service"
 	"vprof/internal/store"
+	"vprof/internal/vm"
 )
 
 // buildResolver assembles the serve resolver: explicitly listed programs
@@ -262,12 +263,14 @@ func cmdPush(args []string) error {
 	}
 	sch := prog.GenerateSchema(schemaOpts(*funcs, false))
 	for i := 0; i < *runs; i++ {
-		// Per-run phase/seed variation, as the offline Diagnose does.
+		// Per-run phase/seed variation, as the offline Diagnose does; every
+		// run records values, since the server picks which run it reads.
+		cfg := sampler.RunConfig(vm.Config{Seed: *seed}, i)
 		spec := vprof.RunSpec{
 			Inputs:     in,
-			Seed:       *seed + uint64(i*1000003),
+			Seed:       cfg.Seed,
 			MaxTicks:   *maxTicks,
-			AlarmPhase: int64(7 * i),
+			AlarmPhase: cfg.AlarmPhase,
 			Interval:   *interval,
 		}
 		id := fmt.Sprint(i)

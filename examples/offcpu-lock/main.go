@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -88,22 +87,12 @@ func main() {
 	fmt.Println("\n== off-CPU (blocked time) profile of the buggy run ==")
 	printFlat(prog, offProfile)
 
-	// Value-assisted calibration over off-CPU profiles.
+	// Value-assisted calibration over off-CPU profiles, three runs a side.
 	normalOff := normal
 	normalOff.OffCPU = true
-	var normals, buggies []*vprof.Profile
-	for run := 0; run < 3; run++ {
-		n, b := normalOff, buggyOff
-		n.AlarmPhase, b.AlarmPhase = int64(7*run+3), int64(7*run+5)
-		normals = append(normals, prog.Profile(n, sch))
-		buggies = append(buggies, prog.Profile(b, sch))
-	}
-	report, err := vprof.AnalyzeContext(context.Background(), vprof.AnalyzeRequest{
-		Program: prog,
-		Schema:  sch,
-		Normal:  normals,
-		Buggy:   buggies,
-	})
+	normalOff.AlarmPhase = 3
+	buggyOff.AlarmPhase = 5
+	report, err := vprof.Diagnose(prog, sch, normalOff, buggyOff, 3, vprof.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}

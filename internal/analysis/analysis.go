@@ -230,7 +230,9 @@ type Input struct {
 	Schema *schema.Schema
 	// Normal and Buggy each hold one merged profile per run (use
 	// sampler.MergeProfiles for multi-process runs). At least one of
-	// each; run 0 feeds the variable-discounter.
+	// each. Value samples are read from run 0 of each side only (it feeds
+	// the variable-discounter), PC histograms from every run (they feed
+	// the hist-discounter), so runs 1..n need not record values.
 	Normal []*sampler.Profile
 	Buggy  []*sampler.Profile
 }

@@ -187,7 +187,8 @@ func TestB14GprofMissesChild(t *testing.T) {
 
 // TestProfilesMatchSingleRuns pins the shared 5+5 profiling loop: at any
 // pool size, Profiles returns run i of each side at index i, byte for byte
-// the profile of that run taken on its own. b1 runs one process; b8 runs
+// the profile of that run taken on its own, monitoring the side's metadata
+// in run 0 and no variable in runs 1..4. b1 runs one process; b8 runs
 // three, whose profiles are merged.
 func TestProfilesMatchSingleRuns(t *testing.T) {
 	marshal := func(t *testing.T, p *sampler.Profile) []byte {
@@ -203,23 +204,19 @@ func TestProfilesMatchSingleRuns(t *testing.T) {
 		for _, tc := range []struct {
 			name                  string
 			normalMeta, buggyMeta []debuginfo.VarLoc
-			one                   func(run int) (normal, buggy *sampler.Profile)
 		}{
-			{"schema", b.NormalMeta, b.Meta, func(run int) (*sampler.Profile, *sampler.Profile) {
-				np, _ := b.ProfileNormal(run)
-				bp, _ := b.ProfileBuggy(run)
-				return np, bp
-			}},
+			{"schema", b.NormalMeta, b.Meta},
 			// Table 3's hist-disc column monitors no variable.
-			{"no-vars", nil, nil, func(run int) (*sampler.Profile, *sampler.Profile) {
-				np, _ := bugs.ProfileMerged(b.NormalProg, nil, b.W.NormalConfig(run))
-				bp, _ := bugs.ProfileMerged(b.Prog, nil, b.W.BuggyConfig(run))
-				return np, bp
-			}},
+			{"no-vars", nil, nil},
 		} {
 			var want [2][][]byte
 			for i := 0; i < bugs.Runs; i++ {
-				np, bp := tc.one(i)
+				normalMeta, buggyMeta := tc.normalMeta, tc.buggyMeta
+				if i > 0 {
+					normalMeta, buggyMeta = nil, nil
+				}
+				np, _ := bugs.ProfileMerged(b.NormalProg, normalMeta, b.W.NormalConfig(i))
+				bp, _ := bugs.ProfileMerged(b.Prog, buggyMeta, b.W.BuggyConfig(i))
 				want[0] = append(want[0], marshal(t, np))
 				want[1] = append(want[1], marshal(t, bp))
 			}

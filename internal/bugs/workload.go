@@ -11,6 +11,7 @@
 package bugs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,7 +21,6 @@ import (
 	"vprof/internal/compiler"
 	"vprof/internal/debuginfo"
 	"vprof/internal/lang"
-	"vprof/internal/parallel"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
 	"vprof/internal/vm"
@@ -164,24 +164,15 @@ func (w *Workload) MustBuild() *Built {
 }
 
 // NormalConfig returns the VM configuration for the run-th normal execution
-// (deterministic per-run seed and alarm phase).
+// (run 0 at seed 1 and alarm phase 3; sampler.RunConfig derives the rest).
 func (w *Workload) NormalConfig(run int) vm.Config {
-	return vm.Config{
-		Inputs:     w.NormalInputs,
-		MaxTicks:   w.maxTicks(),
-		Seed:       uint64(run*1000003 + 1),
-		AlarmPhase: int64(7*run + 3),
-	}
+	return sampler.RunConfig(vm.Config{Inputs: w.NormalInputs, MaxTicks: w.maxTicks(), Seed: 1, AlarmPhase: 3}, run)
 }
 
-// BuggyConfig returns the VM configuration for the run-th buggy execution.
+// BuggyConfig returns the VM configuration for the run-th buggy execution
+// (run 0 at seed 500009 and alarm phase 5).
 func (w *Workload) BuggyConfig(run int) vm.Config {
-	return vm.Config{
-		Inputs:     w.BuggyInputs,
-		MaxTicks:   w.maxTicks(),
-		Seed:       uint64(run*1000003 + 500009),
-		AlarmPhase: int64(7*run + 5),
-	}
+	return sampler.RunConfig(vm.Config{Inputs: w.BuggyInputs, MaxTicks: w.maxTicks(), Seed: 500009, AlarmPhase: 5}, run)
 }
 
 // ProfileNormal profiles one normal execution (run index selects phase/seed),
@@ -209,21 +200,18 @@ func ProfileMerged(prog *compiler.Program, meta []debuginfo.VarLoc, cfg vm.Confi
 // Runs is the per-side profiling-run count (Table 2: 5 normal and 5 buggy).
 const Runs = 5
 
-// Profiles profiles runs 0..Runs-1 of both sides, the normal runs
-// monitoring normalMeta and the buggy runs buggyMeta (nil monitors no
-// variable), on a pool of workers resolved by parallel.Workers. Runs are
-// independent (deterministic per-run seeds, read-only program and
-// metadata), and run i of each side lands at index i for any pool size.
+// Profiles profiles runs 0..Runs-1 of both sides through
+// sampler.ProfileRuns at DefaultInterval, run 0 of the normal side
+// monitoring normalMeta and of the buggy side buggyMeta (nil monitors no
+// variable; runs 1..Runs-1 monitor none), on a pool of workers resolved by
+// parallel.Workers. Run i of each side lands at index i for any pool size.
 func (b *Built) Profiles(normalMeta, buggyMeta []debuginfo.VarLoc, workers int) (normal, buggy []*sampler.Profile) {
-	profiles := parallel.Map(parallel.Workers(workers), 2*Runs, func(i int) *sampler.Profile {
-		if i < Runs {
-			p, _ := ProfileMerged(b.NormalProg, normalMeta, b.W.NormalConfig(i))
-			return p
-		}
-		p, _ := ProfileMerged(b.Prog, buggyMeta, b.W.BuggyConfig(i-Runs))
-		return p
-	})
-	return profiles[:Runs:Runs], profiles[Runs:]
+	opts := sampler.Options{Interval: DefaultInterval}
+	normal, buggy, _ = sampler.ProfileRuns(context.Background(),
+		sampler.Side{Prog: b.NormalProg, Metadata: normalMeta, Config: b.W.NormalConfig(0), Options: opts},
+		sampler.Side{Prog: b.Prog, Metadata: buggyMeta, Config: b.W.BuggyConfig(0), Options: opts},
+		Runs, workers)
+	return normal, buggy
 }
 
 // Analyze runs the full vProf pipeline: Runs normal and buggy profiling

@@ -340,3 +340,26 @@ func TestMixedProfileRunAllocation(t *testing.T) {
 	}
 	t.Logf("%.2fx the merged sample bytes", ratio)
 }
+
+// TestNoMetadataDrawsNoBuffer: a profiler without metadata can record no
+// value sample, so a nil-metadata b1 run, after a u3 recording has raised
+// the mark, allocates well under the mark's bytes from empty pools.
+func TestNoMetadataDrawsNoBuffer(t *testing.T) {
+	b1, u3 := build(t, "b1"), build(t, "u3")
+	mergeAndRecycle(t, "u3", profileRun(u3, true))
+	markBytes := uint64(sampler.SampleMark()) * uint64(unsafe.Sizeof(sampler.Sample{}))
+	drainPools()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := sampler.ProfileRun(b1.Prog, nil, b1.W.BuggyConfig(1), sampler.Options{Interval: bugs.DefaultInterval})
+	runtime.ReadMemStats(&after)
+	merged, _ := mergeAndRecycle(t, "b1 no metadata", res)
+	if len(merged.Samples) != 0 {
+		t.Fatalf("b1 run without metadata recorded %d value samples", len(merged.Samples))
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got*4 > markBytes {
+		t.Fatalf("b1 run without metadata allocated %d bytes, want under a quarter of the mark's %d", got, markBytes)
+	}
+	t.Logf("%d bytes against the mark's %d", got, markBytes)
+}

@@ -157,11 +157,17 @@ type Profiler struct {
 // New builds a Profiler for prog monitoring the given variable metadata
 // (typically schema.Translate output). Initialization cost is measured and
 // reported via InitDuration, mirroring the paper's Table 5; it excludes
-// drawing the recording buffer, which holds at least the mark.
+// drawing the recording buffer, which holds at least the mark. Without
+// metadata the profiler can record no value sample and draws no buffer.
 func New(prog *compiler.Program, metadata []debuginfo.VarLoc, opts Options) *Profiler {
-	buf := samplePool.Get().(*[]Sample)
-	if mark := int(sampleMark.Load()); cap(*buf) < mark {
-		*buf = make([]Sample, 0, mark)
+	var buf *[]Sample
+	if len(metadata) > 0 {
+		buf = samplePool.Get().(*[]Sample)
+		if mark := int(sampleMark.Load()); cap(*buf) < mark {
+			*buf = make([]Sample, 0, mark)
+		}
+	} else {
+		buf = new([]Sample)
 	}
 	start := time.Now()
 	if opts.Interval <= 0 {

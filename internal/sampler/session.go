@@ -6,6 +6,7 @@ import (
 
 	"vprof/internal/compiler"
 	"vprof/internal/debuginfo"
+	"vprof/internal/parallel"
 	"vprof/internal/vm"
 )
 
@@ -27,19 +28,19 @@ type RunResult struct {
 func (r *RunResult) Root() *Profile { return r.Profiles[0] }
 
 // Recycle returns the run's pooled memory: each per-process profile's
-// recording buffer (its Samples becomes nil; a buffer over the pool's
-// ceiling is left to the GC) and every process VM's arenas (see
-// vm.Recycle). Callers merge the Profiles first (MergeProfiles copies the
-// samples into a profile that is never pooled) and then call it once, done
-// with the per-process profiles and Procs. Every other Profile field and
-// scalar VM state (ticks, outputs) stay readable afterwards; a second call
-// does nothing.
+// recording buffer (its Samples becomes nil; an empty buffer, which a
+// profiler without metadata holds, or one over the pool's ceiling is left
+// to the GC) and every process VM's arenas (see vm.Recycle). Callers merge
+// the Profiles first (MergeProfiles copies the samples into a profile that
+// is never pooled) and then call it once, done with the per-process
+// profiles and Procs. Every other Profile field and scalar VM state (ticks,
+// outputs) stay readable afterwards; a second call does nothing.
 func (r *RunResult) Recycle() {
 	for _, p := range r.Profiles {
 		p.Samples = nil
 	}
 	for _, b := range r.bufs {
-		if cap(*b) <= maxPooledSamples {
+		if c := cap(*b); c > 0 && c <= maxPooledSamples {
 			samplePool.Put(b)
 		}
 	}
@@ -77,6 +78,14 @@ func ProfileRunContext(ctx context.Context, prog *compiler.Program, metadata []d
 		ctx = context.Background()
 	}
 	done := ctx.Done()
+	// stop interrupts m once ctx is canceled; alarms call it first.
+	stop := func(m *vm.VM) {
+		select {
+		case <-done:
+			m.Interrupt(ctx.Err())
+		default:
+		}
+	}
 	start := time.Now()
 	profilers := map[int]*Profiler{}
 	interval := opts.Interval
@@ -91,29 +100,13 @@ func ProfileRunContext(ctx context.Context, prog *compiler.Program, metadata []d
 			cfg.WallAlarmInterval = interval
 			cfg.OnWallAlarm = p.OnWallAlarm
 			if done != nil {
-				inner := cfg.OnWallAlarm
-				cfg.OnWallAlarm = func(m *vm.VM, blocked bool) {
-					select {
-					case <-done:
-						m.Interrupt(ctx.Err())
-					default:
-					}
-					inner(m, blocked)
-				}
+				cfg.OnWallAlarm = func(m *vm.VM, blocked bool) { stop(m); p.OnWallAlarm(m, blocked) }
 			}
 		} else {
 			cfg.AlarmInterval = interval
 			cfg.OnAlarm = p.OnAlarm
 			if done != nil {
-				inner := cfg.OnAlarm
-				cfg.OnAlarm = func(m *vm.VM) {
-					select {
-					case <-done:
-						m.Interrupt(ctx.Err())
-					default:
-					}
-					inner(m)
-				}
+				cfg.OnAlarm = func(m *vm.VM) { stop(m); p.OnAlarm(m) }
 			}
 		}
 		return cfg
@@ -126,6 +119,52 @@ func ProfileRunContext(ctx context.Context, prog *compiler.Program, metadata []d
 	}
 	res.WallTime = time.Since(start)
 	return res, ctx.Err()
+}
+
+// Side is the normal or the buggy side of a one-shot diagnosis: its
+// program, the metadata its run 0 monitors, its run-0 VM configuration and
+// the sampler options of every run.
+type Side struct {
+	Prog     *compiler.Program
+	Metadata []debuginfo.VarLoc
+	Config   vm.Config
+	Options  Options
+}
+
+// RunConfig returns run i's VM configuration of a side whose run 0 uses
+// base: each run advances the seed by 1000003 and the first alarm by 7
+// ticks, so runs draw different random streams and sample other instants.
+func RunConfig(base vm.Config, run int) vm.Config {
+	base.Seed += uint64(run * 1000003)
+	base.AlarmPhase += int64(7 * run)
+	return base
+}
+
+// ProfileRuns profiles runs 0..n-1 of both sides, 2n runs on
+// parallel.Workers(workers) goroutines, and returns each side's merged
+// profiles in run order for any pool size; run i executes
+// RunConfig(side.Config, i). Only run 0 monitors the side's metadata: the
+// analysis reads values from run 0 of each side and PC histograms from
+// every run. Once ctx is canceled, runs in flight stop at their next alarm,
+// no further run starts, and ctx.Err() is returned.
+func ProfileRuns(ctx context.Context, normal, buggy Side, n, workers int) (normalProfiles, buggyProfiles []*Profile, err error) {
+	profiles, err := parallel.MapErrCtx(ctx, parallel.Workers(workers), 2*n, func(i int) (*Profile, error) {
+		side, run := normal, i
+		if i >= n {
+			side, run = buggy, i-n
+		}
+		if run > 0 {
+			side.Metadata = nil
+		}
+		res, err := ProfileRunContext(ctx, side.Prog, side.Metadata, RunConfig(side.Config, run), side.Options)
+		merged := MergeProfiles(res.Profiles)
+		res.Recycle()
+		return merged, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return profiles[:n:n], profiles[n:], nil
 }
 
 // Run executes prog without any profiler attached (the "w/o profiling"
@@ -165,8 +204,8 @@ func MergeProfiles(profiles []*Profile) *Profile {
 	for _, pr := range profiles {
 		out.TotalTicks += pr.TotalTicks
 		out.NumAlarms += pr.NumAlarms
-		out.PCTableBytes = max64(out.PCTableBytes, pr.PCTableBytes)
-		out.VarArrayBytes = max64(out.VarArrayBytes, pr.VarArrayBytes)
+		out.PCTableBytes = max(out.PCTableBytes, pr.PCTableBytes)
+		out.VarArrayBytes = max(out.VarArrayBytes, pr.VarArrayBytes)
 		out.SampleBytes += pr.SampleBytes
 		if out.InitDuration < pr.InitDuration {
 			out.InitDuration = pr.InitDuration
@@ -195,11 +234,4 @@ func MergeProfiles(profiles []*Profile) *Profile {
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

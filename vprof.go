@@ -43,7 +43,6 @@ import (
 	"vprof/internal/debuginfo"
 	"vprof/internal/diag"
 	"vprof/internal/lang"
-	"vprof/internal/parallel"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
 	"vprof/internal/vm"
@@ -233,11 +232,8 @@ func (s RunSpec) vmConfig() vm.Config {
 	}
 }
 
-func (s RunSpec) interval() int64 {
-	if s.Interval > 0 {
-		return s.Interval
-	}
-	return sampler.DefaultInterval
+func (s RunSpec) options() sampler.Options {
+	return sampler.Options{Interval: s.Interval, OffCPU: s.OffCPU}
 }
 
 // Run executes the program (and any spawned child processes) without
@@ -269,8 +265,7 @@ func (p *Program) Profile(spec RunSpec, sch *Schema) *Profile {
 // produces.
 func (p *Program) ProfileContext(ctx context.Context, spec RunSpec, sch *Schema) (*Profile, error) {
 	meta := schema.Translate(sch, p.compiled.Debug)
-	res, err := sampler.ProfileRunContext(ctx, p.compiled, meta, spec.vmConfig(),
-		sampler.Options{Interval: spec.interval(), OffCPU: spec.OffCPU})
+	res, err := sampler.ProfileRunContext(ctx, p.compiled, meta, spec.vmConfig(), spec.options())
 	prof := sampler.MergeProfiles(res.Profiles)
 	res.Recycle()
 	return prof, err
@@ -311,8 +306,10 @@ func (p *Program) Debug() *debuginfo.Info { return p.compiled.Debug }
 
 // AnalyzeRequest bundles the inputs to the post-profiling analysis (the old
 // 5-positional-argument Analyze call is gone). Profiles must have been
-// produced with the same schema. The first profile of each side feeds the
-// variable-discounter; all profiles feed the hist-discounter.
+// produced with the same schema. Value samples are read from the first
+// profile of each side only (it feeds the variable-discounter), PC
+// histograms from every profile (they feed the hist-discounter); the other
+// profiles need not have recorded values.
 type AnalyzeRequest struct {
 	// Program is the profiled program (source of debug information).
 	Program *Program
@@ -347,7 +344,10 @@ func AnalyzeContext(ctx context.Context, req AnalyzeRequest) (*Report, error) {
 
 // Diagnose is the one-call workflow of the paper's Figure 2: profile the
 // program `runs` times under each spec (normal and buggy), analyze, and
-// return the calibrated report. Profiling runs and the analysis fan out over
+// return the calibrated report. Each spec is run 0 of its side, and
+// sampler.RunConfig advances its Seed and AlarmPhase for the later runs;
+// only run 0 of each side records value samples, the only run the analysis
+// reads them from. Profiling runs and the analysis fan out over
 // params.Workers goroutines (see Params.Workers); the report is identical
 // for every worker count.
 func Diagnose(prog *Program, sch *Schema, normalSpec, buggySpec RunSpec, runs int, params Params) (*Report, error) {
@@ -359,37 +359,16 @@ func Diagnose(prog *Program, sch *Schema, normalSpec, buggySpec RunSpec, runs in
 // drains, and ctx.Err() is returned. With a never-canceled context the
 // report is byte-for-byte identical to Diagnose.
 func DiagnoseContext(ctx context.Context, prog *Program, sch *Schema, normalSpec, buggySpec RunSpec, runs int, params Params) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if runs <= 0 {
 		runs = 5
 	}
-	type pair struct{ normal, buggy *Profile }
-	pairs, err := parallel.MapErrCtx(ctx, parallel.Workers(params.Workers), runs, func(i int) (pair, error) {
-		n := normalSpec
-		b := buggySpec
-		n.AlarmPhase += int64(7 * i)
-		b.AlarmPhase += int64(7 * i)
-		n.Seed += uint64(i * 1000003)
-		b.Seed += uint64(i * 1000003)
-		np, err := prog.ProfileContext(ctx, n, sch)
-		if err != nil {
-			return pair{}, err
-		}
-		bp, err := prog.ProfileContext(ctx, b, sch)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{np, bp}, nil
-	})
+	meta := schema.Translate(sch, prog.compiled.Debug)
+	side := func(s RunSpec) sampler.Side {
+		return sampler.Side{Prog: prog.compiled, Metadata: meta, Config: s.vmConfig(), Options: s.options()}
+	}
+	normal, buggy, err := sampler.ProfileRuns(ctx, side(normalSpec), side(buggySpec), runs, params.Workers)
 	if err != nil {
 		return nil, err
-	}
-	var normal, buggy []*Profile
-	for _, pr := range pairs {
-		normal = append(normal, pr.normal)
-		buggy = append(buggy, pr.buggy)
 	}
 	return AnalyzeContext(ctx, AnalyzeRequest{
 		Program: prog,
