@@ -5,22 +5,24 @@ import (
 	"io"
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // ErrBodyTooLarge reports a body over ReadBody's limit, declared or sent.
 var ErrBodyTooLarge = errors.New("body exceeds the size limit")
 
-// Push bodies and store frames are each about one encoded profile, a
-// megabyte or more, and every fresh allocation of one costs the runtime a
+// Push bodies, store frames and encoded profiles are each about one
+// profile's bytes, and every fresh allocation of one costs the runtime a
 // clear of that many bytes. They are recycled through one pool per size
-// class: the powers of two from ReadBody's first buffer to the largest
-// body a handler accepts.
+// class, the powers of two from ReadBody's first buffer to the largest
+// body a handler accepts. A pool holds each array's first byte, not a
+// slice header, so that a get and a put allocate nothing.
 const (
 	minClassShift = 12 // 4 KiB
 	maxClassShift = 26 // 64 MiB
 )
 
-var classes [maxClassShift - minClassShift + 1]sync.Pool // of *[]byte
+var classes [maxClassShift - minClassShift + 1]sync.Pool // of *byte
 
 // GetBuffer returns an empty buffer with room for at least n bytes. Its
 // capacity is n rounded up to a power of two, and at least 4 KiB; a buffer
@@ -33,21 +35,32 @@ func GetBuffer(n int) []byte {
 	if shift > maxClassShift {
 		return make([]byte, 0, n)
 	}
-	if b, ok := classes[shift-minClassShift].Get().(*[]byte); ok {
-		return (*b)[:0]
+	if p, ok := classes[shift-minClassShift].Get().(*byte); ok {
+		return unsafe.Slice(p, 1<<shift)[:0]
 	}
 	return make([]byte, 0, 1<<shift)
 }
 
-// PutBuffer hands back a buffer that GetBuffer or ReadBody returned. The
-// caller must be its last reader: the next GetBuffer may overwrite it.
+// PutBuffer hands back a buffer that GetBuffer, Grow or ReadBody returned,
+// of which the caller must be the last reader; it drops any other capacity.
 func PutBuffer(b []byte) {
 	c := cap(b)
 	if c < 1<<minClassShift || c > 1<<maxClassShift || c&(c-1) != 0 {
 		return
 	}
-	b = b[:0]
-	classes[bits.Len(uint(c))-1-minClassShift].Put(&b)
+	classes[bits.Len(uint(c))-1-minClassShift].Put(unsafe.SliceData(b))
+}
+
+// Grow returns b with room for n more bytes: b itself if it has them, else
+// a copy in GetBuffer(max(len(b)+n, 2*cap(b))), after handing b back with
+// PutBuffer.
+func Grow(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	next := append(GetBuffer(max(len(b)+n, 2*cap(b))), b...)
+	PutBuffer(b)
+	return next
 }
 
 // ReadBody reads an HTTP body of at most limit bytes; declared is its
@@ -72,11 +85,7 @@ func ReadBody(body io.Reader, declared int64, limit int) ([]byte, error) {
 	}
 	buf := GetBuffer(1 << minClassShift)
 	for len(buf) < size {
-		if len(buf) == cap(buf) {
-			next := append(GetBuffer(2*cap(buf)), buf...)
-			PutBuffer(buf)
-			buf = next
-		}
+		buf = Grow(buf, 1)
 		n, err := body.Read(buf[len(buf):min(cap(buf), size)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {

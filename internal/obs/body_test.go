@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 
 	"vprof/internal/obs"
 )
@@ -100,13 +101,48 @@ func TestBufferClasses(t *testing.T) {
 	if !pooling() {
 		return
 	}
-	got := allocated(func() { obs.PutBuffer(obs.GetBuffer(1 << 20)) })
-	if got > 1<<10 {
-		t.Errorf("a pooled 1 MiB buffer cost %d bytes to get and put back", got)
+	obs.PutBuffer(obs.GetBuffer(1 << 20))
+	if n := testing.AllocsPerRun(100, func() { obs.PutBuffer(obs.GetBuffer(1 << 20)) }); n != 0 {
+		t.Errorf("getting a pooled 1 MiB buffer and putting it back: %v allocations, want 0", n)
 	}
 	obs.PutBuffer(make([]byte, 0, 3<<10)) // not a class: dropped
 	if b := obs.GetBuffer(3 << 10); cap(b) != 4<<10 {
 		t.Errorf("GetBuffer(3 KiB) after putting a 3 KiB buffer back: cap %d, want 4096", cap(b))
+	}
+}
+
+// TestGrow: Grow keeps a buffer with room as it is; otherwise it copies the
+// bytes into a class at least twice the capacity and hands a class buffer
+// back to its pool, but not a buffer of any other capacity.
+func TestGrow(t *testing.T) {
+	// One P: sync.Pool hands a Get the buffer the same P last Put.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := append(obs.GetBuffer(4<<10), "vprof"...)
+	if got := obs.Grow(b, 4<<10-5); unsafe.SliceData(got) != unsafe.SliceData(b) {
+		t.Error("Grow moved a buffer that had room")
+	}
+	b = b[:4<<10]
+	copy(b[4<<10-5:], "tail!")
+	old := unsafe.SliceData(b)
+	got := obs.Grow(b, 1)
+	if len(got) != 4<<10 || cap(got) != 8<<10 || string(got[:5]) != "vprof" || string(got[4<<10-5:]) != "tail!" {
+		t.Fatalf("Grow(4 KiB full, 1): len %d cap %d, want the same bytes with cap 8192", len(got), cap(got))
+	}
+	if pooling() {
+		if again := obs.GetBuffer(4 << 10); unsafe.SliceData(again) != old {
+			t.Error("Grow did not hand the outgrown 4 KiB buffer back to its pool")
+		}
+	}
+
+	odd := append(make([]byte, 0, 5000), "vprof"...)
+	got = obs.Grow(odd, 5000)
+	if string(got) != "vprof" || cap(got) != 16<<10 {
+		t.Errorf("Grow(5000-byte buffer, 5000): %q cap %d, want \"vprof\" cap 16384 (twice 5000, rounded up)", got, cap(got))
+	}
+	for range 4 {
+		if unsafe.SliceData(obs.GetBuffer(4<<10)) == unsafe.SliceData(odd) {
+			t.Error("Grow pooled a buffer whose capacity is not a class")
+		}
 	}
 }
 

@@ -191,6 +191,42 @@ func TestCodecAllocs(t *testing.T) {
 	}
 }
 
+// pooling reports whether sync.Pool keeps what it is given: under the race
+// detector it drops a random quarter of its Puts.
+func pooling() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return !ok || !slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestMarshalColdAllocation: a Marshal once a collection has emptied the
+// buffer pool allocates an encode buffer of its bundle's size class, near
+// 8 bytes a sample, and the bundle it copies out, under 3 times the bundle
+// in all: not room for the largest records, 45 bytes a sample.
+func TestMarshalColdAllocation(t *testing.T) {
+	if !pooling() {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	for _, name := range []struct {
+		id    string
+		buggy bool
+	}{{"u3", true}, {"b1", false}, {"b8", true}} {
+		p := runProfile(t, name.id, name.buggy)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the first moves pooled buffers to the victim cache, the second drops them
+		runtime.ReadMemStats(&before)
+		blob, err := profilefmt.Marshal(p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 3*uint64(len(blob)) {
+			t.Errorf("%s: a cold Marshal allocated %d bytes for a %d-byte bundle, want < 3x",
+				profileKey(name.id, name.buggy), got, len(blob))
+		}
+	}
+}
+
 // TestUnmarshalAllocatesOnlyWhatInputBacks: a sample section that claims
 // MaxSamples records but carries one is rejected before the decoder
 // reserves space for the claimed count.

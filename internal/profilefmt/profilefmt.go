@@ -9,11 +9,11 @@
 // and version, so a profile written by one session can be analyzed offline
 // by another (cmd/vprof's profile/analyze split).
 //
-// Encoders append to one []byte: the histogram and layout sections are
-// sized up front by their *Size function, and the variable-length value
-// samples are encoded into a pooled scratch buffer that is then copied out
-// at its exact size. Decoders read the input slice through a sticky-error
-// cursor. Neither side reflects or allocates per record.
+// Encoders append to one []byte of obs's size-class pool, drawn with room
+// for the sections' sizes (the samples' estimated at 8 bytes each) and
+// grown by class as samples are written. Decoders read the input slice
+// through a sticky-error cursor. Neither side reflects or allocates per
+// record.
 package profilefmt
 
 import (
@@ -23,12 +23,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
+	"vprof/internal/obs"
 	"vprof/internal/sampler"
 )
 
@@ -294,32 +293,38 @@ func decodeHist(r *reader) *sampler.Profile {
 // fields. A version-1 record, which decoders still read, is eight int64s:
 // layout, varnode, pc, depth, value, ptr, tick, link.
 
-// samplesBound is the most bytes appendSamples can write for p.
-func samplesBound(p *sampler.Profile) int {
-	return headerSize + 8 + maxRecordV2*len(p.Samples)
-}
+// samplesSize is about the bytes appendSamples writes for p: real
+// profiles' records average 7.3-8.5 bytes.
+func samplesSize(p *sampler.Profile) int { return headerSize + 8 + 8*len(p.Samples) }
 
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// appendSamples writes the sample section into b, a buffer of obs's pool,
+// in batches of as many records as the room left holds at their largest,
+// moving b up a class once it holds less than one.
 func appendSamples(b []byte, p *sampler.Profile) []byte {
 	b = le.AppendUint32(append(b, MagicVar...), SampleVersion)
 	b = appendInt64s(b, int64(len(p.Samples)))
 	n := len(b)
-	b = slices.Grow(b, maxRecordV2*len(p.Samples))
-	b = b[:cap(b)]
 	var pc, tick int64
-	for i := range p.Samples {
-		s := &p.Samples[i]
-		n = putUvarint(b, n, uint64(uint32(s.Layout)))
-		n = putUvarint(b, n, uint64(uint32(s.VarNode)))
-		n = putUvarint(b, n, zigzag(int64(s.PC)-pc))
-		n = putUvarint(b, n, uint64(uint32(s.StackDepth))<<1|uint64(boolWord(s.Ptr)))
-		n = putUvarint(b, n, zigzag(s.Value))
-		n = putUvarint(b, n, zigzag(s.Tick-tick))
-		n = putUvarint(b, n, uint64(uint32(s.Link+1)))
-		pc, tick = int64(s.PC), s.Tick
+	for rest := p.Samples; len(rest) > 0; {
+		b = obs.Grow(b[:n], maxRecordV2)
+		b = b[:cap(b)]
+		batch := rest[:min(len(rest), (len(b)-n)/maxRecordV2)]
+		rest = rest[len(batch):]
+		for i := range batch {
+			s := &batch[i]
+			n = putUvarint(b, n, uint64(uint32(s.Layout)))
+			n = putUvarint(b, n, uint64(uint32(s.VarNode)))
+			n = putUvarint(b, n, zigzag(int64(s.PC)-pc))
+			n = putUvarint(b, n, uint64(uint32(s.StackDepth))<<1|uint64(boolWord(s.Ptr)))
+			n = putUvarint(b, n, zigzag(s.Value))
+			n = putUvarint(b, n, zigzag(s.Tick-tick))
+			n = putUvarint(b, n, uint64(uint32(s.Link+1)))
+			pc, tick = int64(s.PC), s.Tick
+		}
 	}
 	return b[:n]
 }
@@ -336,8 +341,10 @@ func putUvarint(b []byte, n int, v uint64) int {
 
 // decodeSamples reads a sample section of either version, holding at most
 // max samples, into one exact-size array, allocated only once the input
-// left can hold that many records of the version's minimum size.
-func decodeSamples(r *reader, p *sampler.Profile, max int64) {
+// left can hold that many records of the version's minimum size. It returns
+// the layout entries the samples need (see validate): one more than the
+// largest index, or MaxUint64 for a pc or link out of range or version 1.
+func decodeSamples(r *reader, p *sampler.Profile, max int64) uint64 {
 	v := r.header(MagicVar, SampleVersion)
 	n := r.i64()
 	if r.err == nil && (n < 0 || n > max) {
@@ -348,19 +355,20 @@ func decodeSamples(r *reader, p *sampler.Profile, max int64) {
 		minRecord = sampleRecordV1
 	}
 	if !r.records(n, minRecord, "samples") {
-		return
+		return 0
 	}
 	p.Samples = make([]sampler.Sample, n)
 	if v == 1 {
 		decodeSamplesV1(r.next(int(n)*sampleRecordV1), p.Samples)
-		return
+		return math.MaxUint64
 	}
-	used, err := decodeSamplesV2(r.b, p.Samples)
+	used, need, err := decodeSamplesV2(r.b, p.Samples, uint32(len(p.Hist)))
 	if err != nil {
 		r.failf("%v", err)
-		return
+		return 0
 	}
 	r.b = r.b[used:]
+	return need
 }
 
 func decodeSamplesV1(data []byte, out []sampler.Sample) {
@@ -380,9 +388,10 @@ func decodeSamplesV1(data []byte, out []sampler.Sample) {
 }
 
 // decodeSamplesV2 fills out with version-2 records read from the start of
-// b and returns the bytes they took.
-func decodeSamplesV2(b []byte, out []sampler.Sample) (int, error) {
+// b and returns the bytes they took and the layout entries they need.
+func decodeSamplesV2(b []byte, out []sampler.Sample, hist uint32) (int, uint64, error) {
 	i := 0
+	var need uint64
 	var pc, tick int64
 	var f [7]uint64 // layout, varnode, pc, depth, value, tick, link
 	for k := range out {
@@ -403,20 +412,24 @@ func decodeSamplesV2(b []byte, out []sampler.Sample) (int, error) {
 			}
 		}
 		if i > len(b) {
-			return 0, fmt.Errorf("sample %d: truncated or non-minimal varint", k)
+			return 0, 0, fmt.Errorf("sample %d: truncated or non-minimal varint", k)
 		}
 		// pc stays in int64 range: it was an int32 and |f[2]| < 2^63.
 		pc += unzigzag(f[2])
 		if f[0]|f[1]|f[6] > math.MaxUint32 || f[3] >= 1<<33 || pc != int64(int32(pc)) {
-			return 0, fmt.Errorf("sample %d: field out of range", k)
+			return 0, 0, fmt.Errorf("sample %d: field out of range", k)
 		}
 		tick += unzigzag(f[5])
 		s := &out[k]
 		s.Value, s.Tick = unzigzag(f[4]), tick
 		s.Layout, s.VarNode, s.PC, s.StackDepth = int32(f[0]), int32(f[1]), int32(pc), int32(f[3]>>1)
 		s.Link, s.Ptr = int32(uint32(f[6])-1), f[3]&1 != 0
+		if uint32(pc) >= hist || f[6] > uint64(len(out)) {
+			need = math.MaxUint64 // no layout mends a pc or link out of range
+		}
+		need = max(need, f[0]+1)
 	}
-	return i, nil
+	return i, need, nil
 }
 
 // uvarintSlow reads the minimal uvarint of two or more bytes at b[i:] and
@@ -433,28 +446,6 @@ func uvarintSlow(b []byte, i int) (uint64, int) {
 		}
 	}
 	return 0, len(b) + 1
-}
-
-// scratch holds encoding buffers: value samples are encoded into one with
-// room for the largest records and copied out at their exact size.
-var scratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxScratch is the largest buffer scratch keeps.
-const maxScratch = 64 << 20
-
-func getScratch(bound int) *[]byte {
-	sp := scratch.Get().(*[]byte)
-	if cap(*sp) < bound {
-		*sp = make([]byte, 0, bound)
-	}
-	return sp
-}
-
-func putScratch(sp *[]byte) {
-	if cap(*sp) > maxScratch {
-		*sp = nil
-	}
-	scratch.Put(sp)
 }
 
 // Layout section: header, count, then (func, name, uint32 pointer flag)
@@ -515,9 +506,9 @@ func DecodeHist(src io.Reader) (*sampler.Profile, error) {
 
 // EncodeSamples writes the value-sample section.
 func EncodeSamples(w io.Writer, p *sampler.Profile) error {
-	sp := getScratch(samplesBound(p))
-	defer putScratch(sp)
-	return writeSection(w, appendSamples((*sp)[:0], p))
+	b := appendSamples(obs.GetBuffer(samplesSize(p)), p)
+	defer obs.PutBuffer(b)
+	return writeSection(w, b)
 }
 
 // DecodeSamples reads a value-sample section of either version, which must
@@ -540,17 +531,16 @@ func DecodeLayout(src io.Reader, p *sampler.Profile) error {
 // followed by the hist, sample and layout sections. This is the transport
 // encoding used by the profile store and the ingestion API, where a profile
 // travels as a single opaque, content-addressable byte string rather than
-// three files. The bundle is encoded into a pooled scratch buffer and
+// three files. The bundle is encoded into a buffer of obs's pool and
 // copied out: one allocation of exactly its size.
 func Marshal(p *sampler.Profile) ([]byte, error) {
-	sp := getScratch(headerSize + histSize(p) + samplesBound(p) + layoutSize(p))
-	defer putScratch(sp)
-	b := appendHeader((*sp)[:0], MagicBundle)
+	b := appendHeader(obs.GetBuffer(headerSize+histSize(p)+samplesSize(p)+layoutSize(p)), MagicBundle)
 	b = appendHist(b, p)
 	b = appendSamples(b, p)
-	b = appendLayout(b, p)
+	b = appendLayout(obs.Grow(b, layoutSize(p)), p)
 	out := make([]byte, len(b))
 	copy(out, b)
+	obs.PutBuffer(b)
 	return out, nil
 }
 
@@ -561,16 +551,17 @@ func Marshal(p *sampler.Profile) ([]byte, error) {
 // a profile has one blob (and blob ID) per version it was pushed in.
 func Unmarshal(blob []byte) (*sampler.Profile, error) {
 	var p *sampler.Profile
+	var need uint64
 	err := decodeBytes(blob, "bundle", func(r *reader) {
 		r.header(MagicBundle, Version)
 		p = decodeHist(r)
-		decodeSamples(r, p, MaxBundleSamples)
+		need = decodeSamples(r, p, MaxBundleSamples)
 		decodeLayout(r, p)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := Validate(p); err != nil {
+	if err := validate(p, need); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -579,12 +570,19 @@ func Unmarshal(blob []byte) (*sampler.Profile, error) {
 // Validate checks a decoded profile's internal consistency: every value
 // sample must reference an existing layout entry and a PC the histogram
 // covers (the sketch folded from it is keyed by that PC), and the
-// hist/alarm counters must be non-negative. Decoders run it before
-// returning untrusted input.
-func Validate(p *sampler.Profile) error {
+// hist/alarm counters must be non-negative. Decoders check the same
+// before returning untrusted input.
+func Validate(p *sampler.Profile) error { return validate(p, math.MaxUint64) }
+
+// validate is Validate for a profile whose samples need need layout
+// entries: it walks them only if the layout falls short, to name the fault.
+func validate(p *sampler.Profile, need uint64) error {
 	if p.Interval < 0 || p.TotalTicks < 0 || p.NumAlarms < 0 {
 		return fmt.Errorf("profilefmt: negative counters (interval %d, ticks %d, alarms %d)",
 			p.Interval, p.TotalTicks, p.NumAlarms)
+	}
+	if need <= uint64(len(p.Layout)) {
+		return nil
 	}
 	for i, s := range p.Samples {
 		if s.Layout < 0 || int(s.Layout) >= len(p.Layout) {
@@ -663,12 +661,13 @@ func ReadDir(dir string) ([]*sampler.Profile, error) {
 // profile they form, as Unmarshal does for a bundle.
 func ReadPid(dir string, pid int) (*sampler.Profile, error) {
 	var p *sampler.Profile
+	var need uint64
 	for _, f := range []struct {
 		name, what string
 		dec        func(*reader)
 	}{
 		{"gmon.%d.out", "hist", func(r *reader) { p = decodeHist(r) }},
-		{"gmon_var.%d.out", "samples", func(r *reader) { decodeSamples(r, p, MaxSamples) }},
+		{"gmon_var.%d.out", "samples", func(r *reader) { need = decodeSamples(r, p, MaxSamples) }},
 		{"layout.%d.out", "layout", func(r *reader) { decodeLayout(r, p) }},
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(f.name, pid)))
@@ -679,16 +678,8 @@ func ReadPid(dir string, pid int) (*sampler.Profile, error) {
 			return nil, fmt.Errorf("decode %s pid %d: %w", f.what, pid, err)
 		}
 	}
-	if err := Validate(p); err != nil {
+	if err := validate(p, need); err != nil {
 		return nil, fmt.Errorf("pid %d: %w", pid, err)
 	}
 	return p, nil
-}
-
-// EncodedSize returns the total encoded byte size of a profile's three
-// artifacts (used by the overhead tables without touching the filesystem).
-func EncodedSize(p *sampler.Profile) (int64, error) {
-	sp := getScratch(samplesBound(p))
-	defer putScratch(sp)
-	return int64(histSize(p) + len(appendSamples((*sp)[:0], p)) + layoutSize(p)), nil
 }

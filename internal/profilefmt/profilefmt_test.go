@@ -226,22 +226,6 @@ func TestUnmarshalRejectsNegativeHistCount(t *testing.T) {
 	}
 }
 
-func TestEncodedSize(t *testing.T) {
-	p := sampleProfile()
-	n, err := profilefmt.EncodedSize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hb, vb, lb bytes.Buffer
-	profilefmt.EncodeHist(&hb, p)
-	profilefmt.EncodeSamples(&vb, p)
-	profilefmt.EncodeLayout(&lb, p)
-	want := int64(hb.Len() + vb.Len() + lb.Len())
-	if n != want {
-		t.Fatalf("EncodedSize = %d, want %d", n, want)
-	}
-}
-
 func TestReadDirMissingArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	p := sampleProfile()
