@@ -97,7 +97,7 @@ func cmdCausal(args []string) error {
 		}
 		in, err := parseInputs(*inputs)
 		if err != nil {
-			return usageError{err}
+			return err
 		}
 		rep, err = prog.Causal(vprof.RunSpec{Inputs: in, Seed: *seed}, opts)
 		if err != nil {

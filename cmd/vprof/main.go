@@ -154,18 +154,20 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
+// usageText lists every subcommand with every flag it defines.
+const usageText = `usage:
   vprof schema <prog.vp> [-funcs f1,f2] [-no-globals] [-score] [-verify]
                          [-min-score x] [-max-entries n] [-static-priors]
   vprof lint <prog.vp>
   vprof check <prog.vp> [prog2.vp ...] [-costs]
   vprof run <prog.vp> [-inputs a,b,...] [-seed n] [-max-ticks n]
-  vprof profile <prog.vp> [-inputs ...] [-out dir] [-interval n]
+  vprof profile <prog.vp> [-inputs ...] [-seed n] [-max-ticks n] [-out dir]
+                          [-interval n] [-funcs f1,f2]
   vprof disasm <prog.vp>
   vprof analyze <prog.vp> -normal dir[,dir...] -buggy dir[,dir...] [-top n] [-workers n]
+                          [-funcs f1,f2]
   vprof diagnose <prog.vp> -normal a,b -buggy a,b [-runs n] [-top n] [-funcs f1,f2]
-                 [-workers n]
+                 [-max-ticks n] [-root func] [-workers n]
   vprof causal <prog.vp|bug-id> [-speedups 10,50,95] [-granularity func|block]
                [-funcs f1,f2] [-workers n] [-top n] [-curve f] [-server url]
                [-inputs a,b] [-seed n]
@@ -173,16 +175,19 @@ func usage() {
               [-analysis-workers n] [-request-timeout d] [-max-queue n]
               [-drain-timeout d] [-log-level l] [-log-format text|json]
               [-cluster id=url,...] [-replicas n] [-write-quorum n] [-shards n]
-              [prog.vp ...]
+              [-top n] [-baseline-cap n] [prog.vp ...]
   vprof node -id name [-addr host:port] [-store dir] [-bugs]
              [-drain-timeout d] [-log-level l] [-log-format text|json]
              [prog.vp ...]
   vprof push <prog.vp> -server url -label normal|candidate [-workload w]
-             [-inputs a,b] [-runs n] | push -server url -label l -dir artifacts
+             [-inputs a,b] [-runs n] [-run id] [-seed n] [-max-ticks n]
+             [-interval n] [-funcs f1,f2]
+             | push -server url -label l -workload w -run id -dir artifacts
   vprof query workloads|diagnose|report|stats -server url [args]
   vprof fsck [-store dir] [-repair] [-cluster]
-`)
-}
+`
+
+func usage() { fmt.Fprint(os.Stderr, usageText) }
 
 // splitFileArg allows the program file to precede the flags (vprof profile
 // prog.vp -inputs ...): it pops a leading non-flag argument.
@@ -221,7 +226,7 @@ func parseInputs(s string) ([]int64, error) {
 	for _, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad input %q: %w", p, err)
+			return nil, usageError{fmt.Errorf("bad input %q: %w", p, err)}
 		}
 		out = append(out, v)
 	}
@@ -469,7 +474,7 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	if *normal == "" || *buggy == "" {
-		return fmt.Errorf("analyze: -normal and -buggy directories are required")
+		return usageError{fmt.Errorf("analyze: -normal and -buggy directories are required")}
 	}
 	prog, err := compileFile(file)
 	if err != nil {

@@ -244,22 +244,6 @@ func TestCheckCommand(t *testing.T) {
 	}
 }
 
-// captureStderr silences run()'s usage spam during exit-code tests.
-func captureStderr(t *testing.T, fn func() int) int {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stderr
-	os.Stderr = w
-	defer func() { os.Stderr = old }()
-	code := fn()
-	w.Close()
-	io.Copy(io.Discard, r)
-	return code
-}
-
 // TestExitCodes pins the satellite fix: unknown subcommands and flags exit
 // non-zero with a usage message instead of falling through.
 func TestExitCodes(t *testing.T) {
@@ -282,14 +266,66 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"run", "no-such-file.vp"}, 1},             // execution failure
 		{[]string{"serve", "-log-level", "loud"}, 2},        // bad log level
 		{[]string{"serve", "-log-format", "xml"}, 2},        // bad log encoding
+		{[]string{"run", recoveryVP, "-inputs", "x"}, 2},    // malformed inputs
+		{[]string{"profile", recoveryVP, "-inputs", "1,x"}, 2},
+		{[]string{"push", recoveryVP, "-label", "normal", "-inputs", "x"}, 2},
+		{[]string{"diagnose", recoveryVP, "-normal", "x", "-buggy", "1"}, 2},
+		{[]string{"diagnose", recoveryVP, "-normal", "1", "-buggy", "x"}, 2},
+		{[]string{"analyze", recoveryVP}, 2}, // no -normal/-buggy directories
 		{[]string{"help"}, 0},
 		{[]string{"--help"}, 0},
 		{[]string{"run", "-h"}, 0}, // flag-level help is not an error
 	}
 	for _, tc := range cases {
-		got := captureStderr(t, func() int { return run(tc.args) })
+		_, got := captureStderrText(t, func() int { return run(tc.args) })
 		if got != tc.want {
 			t.Errorf("run(%q) = %d, want %d", tc.args, got, tc.want)
+		}
+	}
+}
+
+// recoveryVP is a checked-in program that compiles.
+const recoveryVP = "../../testdata/recovery.vp"
+
+// TestUsageListsEveryFlag requires each command's block in the usage text
+// to name every flag the command defines, as its -h output prints them.
+// query, whose block says [args], is exempt.
+func TestUsageListsEveryFlag(t *testing.T) {
+	blocks := map[string]map[string]bool{}
+	var words map[string]bool
+	for _, line := range strings.Split(usageText, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  vprof "); ok {
+			words = map[string]bool{}
+			blocks[strings.Fields(rest)[0]] = words
+		}
+		if words == nil {
+			continue
+		}
+		for _, w := range strings.Fields(line) {
+			words[strings.Trim(w, "[]|")] = true
+		}
+	}
+	for _, name := range commandNames() {
+		if name == "query" {
+			continue
+		}
+		words := blocks[name]
+		if words == nil {
+			t.Errorf("usage has no block for %s", name)
+			continue
+		}
+		help, code := captureStderrText(t, func() int { return run([]string{name, "-h"}) })
+		if code != 0 {
+			t.Fatalf("%s -h: exit %d, want 0", name, code)
+		}
+		for _, line := range strings.Split(help, "\n") {
+			f := strings.Fields(line)
+			if len(f) == 0 || !strings.HasPrefix(line, "  -") {
+				continue
+			}
+			if !words[f[0]] {
+				t.Errorf("usage for %s omits %s", name, f[0])
+			}
 		}
 	}
 }

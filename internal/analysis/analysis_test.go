@@ -93,7 +93,7 @@ func buildBench(t *testing.T, src string) *testBench {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := schema.Generate(f, schema.Options{})
+	sch := schema.GenerateIR(f, prog, schema.Options{})
 	return &testBench{prog: prog, sch: sch, meta: schema.Translate(sch, prog.Debug)}
 }
 
@@ -308,8 +308,8 @@ func main() { lookup(input(0)); }
 }
 
 func TestHistDiscounterDemotesStableCost(t *testing.T) {
-	// Variables restricted away from every function (SkipGlobals +
-	// filter): only the hist-discounter remains. A function whose cost
+	// An empty schema monitors no variable: only the hist-discounter
+	// remains. A function whose cost
 	// rank is the same in both runs gets discounted; one that only
 	// appears in the buggy run does not.
 	src := `
@@ -328,7 +328,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := schema.Generate(f, schema.Options{SkipGlobals: true, FuncFilter: func(string) bool { return false }})
+	sch := &schema.Schema{}
 	meta := schema.Translate(sch, prog.Debug)
 	runs := func(inputs ...int64) []*sampler.Profile {
 		var out []*sampler.Profile

@@ -95,7 +95,11 @@ func (w *Workload) maxTicks() int64 {
 
 // Built is a compiled, schema-analyzed workload ready to run.
 type Built struct {
-	W          *Workload
+	W *Workload
+	// File/NormalFile are the parsed sources Prog/NormalProg were
+	// compiled from.
+	File       *lang.File
+	NormalFile *lang.File // == File when single-version
 	Prog       *compiler.Program
 	NormalProg *compiler.Program // == Prog when single-version
 	Schema     *schema.Schema
@@ -132,7 +136,7 @@ func (w *Workload) Build() (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Built{W: w, Prog: prog, NormalProg: prog, BuggySource: buggySrc, NormalSource: buggySrc}
+	b := &Built{W: w, File: f, NormalFile: f, Prog: prog, NormalProg: prog, BuggySource: buggySrc, NormalSource: buggySrc}
 	b.Schema = schema.GenerateIR(f, prog, schema.Options{})
 	b.Meta = schema.Translate(b.Schema, prog.Debug)
 	b.NormalSch, b.NormalMeta = b.Schema, b.Meta
@@ -145,7 +149,7 @@ func (w *Workload) Build() (*Built, error) {
 		if err != nil {
 			return nil, fmt.Errorf("normal version: %w", err)
 		}
-		b.NormalProg = nprog
+		b.NormalFile, b.NormalProg = nf, nprog
 		b.NormalSource = normalSrc
 		b.NormalSch = schema.GenerateIR(nf, nprog, schema.Options{})
 		b.NormalMeta = schema.Translate(b.NormalSch, nprog.Debug)

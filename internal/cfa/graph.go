@@ -6,7 +6,7 @@
 // The paper's schema generator is an LLVM IR pass (§3.1); this package is
 // the analysis layer that lets our reproduction work at the same level.
 // Package schema uses it to detect loop induction variables from dominators
-// instead of an AST heuristic, to score schema entries by performance
+// and natural loops, to score schema entries by performance
 // relevance (loop-nesting-depth weighting, constant and dead variable
 // pruning), and to verify schema/DWARF location coverage.
 //

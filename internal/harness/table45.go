@@ -7,8 +7,6 @@ import (
 
 	"vprof/internal/analysis"
 	"vprof/internal/bugs"
-	"vprof/internal/debuginfo"
-	"vprof/internal/lang"
 	"vprof/internal/parallel"
 	"vprof/internal/schema"
 )
@@ -109,27 +107,15 @@ func Table4(workers int) ([]Table4Case, error) {
 }
 
 // analyzeComponent runs vProf with monitoring restricted to a set of
-// functions (nil = whole file).
+// functions (nil = whole file), regenerating both versions' schemas from
+// the workload's already-compiled programs.
 func analyzeComponent(b *bugs.Built, funcs []string, workers int) (*analysis.Report, error) {
-	filter := func(string) bool { return true }
-	if funcs != nil {
-		set := map[string]bool{}
-		for _, f := range funcs {
-			set[f] = true
-		}
-		filter = func(name string) bool { return set[name] }
-	}
-	// Regenerate schemas with the component filter for both versions.
-	buggySch, buggyMeta, err := componentSchema(b.BuggySource, b.W.SourceFile, filter, b.Prog.Debug)
-	if err != nil {
-		return nil, err
-	}
+	opts := schema.Options{Functions: funcs}
+	buggySch := schema.GenerateIR(b.File, b.Prog, opts)
+	buggyMeta := schema.Translate(buggySch, b.Prog.Debug)
 	normalMeta := buggyMeta
-	if b.W.NormalSource != "" {
-		_, normalMeta, err = componentSchema(b.NormalSource, b.W.SourceFile, filter, b.NormalProg.Debug)
-		if err != nil {
-			return nil, err
-		}
+	if b.NormalProg != b.Prog {
+		normalMeta = schema.Translate(schema.GenerateIR(b.NormalFile, b.NormalProg, opts), b.NormalProg.Debug)
 	}
 
 	normal, buggy := b.Profiles(normalMeta, buggyMeta, workers)
@@ -137,18 +123,6 @@ func analyzeComponent(b *bugs.Built, funcs []string, workers int) (*analysis.Rep
 	p := analysis.DefaultParams()
 	p.Workers = workers
 	return analysis.Analyze(in, p)
-}
-
-// componentSchema regenerates the monitoring schema for one program version
-// with locals restricted to the selected component's functions, and
-// translates it against that version's debug info.
-func componentSchema(src, file string, filter func(string) bool, debug *debuginfo.Info) (*schema.Schema, []debuginfo.VarLoc, error) {
-	f, err := lang.Parse(file, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	sch := schema.Generate(f, schema.Options{FuncFilter: filter})
-	return sch, schema.Translate(sch, debug), nil
 }
 
 // RenderTable4 formats the unresolved-issue case studies.

@@ -69,7 +69,7 @@ func TestOffCPUProfileSeparatesBlockedTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := schema.Generate(f, schema.Options{})
+	sch := schema.GenerateIR(f, prog, schema.Options{})
 	meta := schema.Translate(sch, prog.Debug)
 
 	buggyCfg := vm.Config{Inputs: []int64{1, 900, 6, 40}}
@@ -115,7 +115,7 @@ func TestOffCPUValueAssistedDiagnosis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := schema.Generate(f, schema.Options{})
+	sch := schema.GenerateIR(f, prog, schema.Options{})
 	meta := schema.Translate(sch, prog.Debug)
 
 	profile := func(inputs []int64, run int) *sampler.Profile {

@@ -47,7 +47,7 @@ func buildProfiled(t *testing.T, src string, inputs ...int64) (*compiler.Program
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := schema.Generate(f, schema.Options{})
+	sch := schema.GenerateIR(f, prog, schema.Options{})
 	meta := schema.Translate(sch, prog.Debug)
 	res := sampler.ProfileRun(prog, meta, vm.Config{Inputs: inputs}, sampler.Options{Interval: 37})
 	return prog, res
@@ -108,7 +108,7 @@ func TestUnwindDepthZeroDisablesUnwinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := schema.Translate(schema.Generate(f, schema.Options{}), prog.Debug)
+	meta := schema.Translate(schema.GenerateIR(f, prog, schema.Options{}), prog.Debug)
 	res := sampler.ProfileRun(prog, meta, vm.Config{Inputs: []int64{5}}, sampler.Options{Interval: 37, UnwindDepth: -1})
 	for _, s := range res.Root().Samples {
 		if s.StackDepth != 0 {
@@ -200,7 +200,7 @@ func TestDeterministicProfiles(t *testing.T) {
 func TestAlarmPhaseChangesSamples(t *testing.T) {
 	f, _ := lang.Parse("prog.vp", callerCalleeSrc)
 	prog, _ := compiler.Compile(f)
-	meta := schema.Translate(schema.Generate(f, schema.Options{}), prog.Debug)
+	meta := schema.Translate(schema.GenerateIR(f, prog, schema.Options{}), prog.Debug)
 	r1 := sampler.ProfileRun(prog, meta, vm.Config{Inputs: []int64{5}}, sampler.Options{Interval: 37})
 	r2 := sampler.ProfileRun(prog, meta, vm.Config{Inputs: []int64{5}, AlarmPhase: 17}, sampler.Options{Interval: 37})
 	if len(r1.Root().Samples) == 0 {

@@ -4,65 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"vprof/internal/bugs"
 	"vprof/internal/compiler"
 	"vprof/internal/debuginfo"
 	"vprof/internal/diag"
 	"vprof/internal/lang"
 	"vprof/internal/schema"
 )
-
-// --- IR-vs-AST cross-check on every evaluation workload ---
-
-// TestIRMatchesASTOnWorkloads verifies that moving induction detection from
-// the AST heuristic to the IR dominator analysis changes nothing on the 18
-// evaluation workloads (b1–b15, u1–u3, including the alternate normal
-// versions): same entries, same tags, same lines. The IR analysis is a
-// strict superset only for for(;;)+break shapes, which no workload uses.
-func TestIRMatchesASTOnWorkloads(t *testing.T) {
-	all := append(bugs.All(), bugs.UnresolvedIssues()...)
-	if len(all) != 18 {
-		t.Fatalf("expected 18 workloads, got %d", len(all))
-	}
-	checked := 0
-	for _, w := range all {
-		b, err := w.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", w.ID, err)
-		}
-		sources := map[string]string{w.ID + "/buggy": b.BuggySource}
-		if b.NormalSource != b.BuggySource {
-			sources[w.ID+"/normal"] = b.NormalSource
-		}
-		for label, src := range sources {
-			f, err := lang.Parse(w.SourceFile, src)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			p, err := compiler.Compile(f)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			ir := schema.GenerateIR(f, p, schema.Options{})
-			ast := schema.Generate(f, schema.Options{DisableIR: true})
-			if len(ir.Entries) != len(ast.Entries) {
-				t.Errorf("%s: IR %d entries, AST %d", label, len(ir.Entries), len(ast.Entries))
-				continue
-			}
-			for i := range ir.Entries {
-				a, b := ir.Entries[i], ast.Entries[i]
-				a.Score, b.Score = 0, 0 // scores differ by design (depth weighting)
-				if a != b {
-					t.Errorf("%s: entry %d differs:\n  IR:  %+v\n  AST: %+v", label, i, a, b)
-				}
-			}
-			checked++
-		}
-	}
-	if checked < 18 {
-		t.Fatalf("cross-checked only %d sources", checked)
-	}
-}
 
 // --- satellite edge cases ---
 
@@ -86,7 +33,7 @@ func main() {
 	}
 }
 
-func TestFuncFilterGlobalTaggedElsewhere(t *testing.T) {
+func TestFunctionsGlobalTaggedElsewhere(t *testing.T) {
 	// Both globals are induction variables, each in its own function. With
 	// only fb selected, ga keeps its entry (globals always monitored) but
 	// must not receive tags from the excluded function's loops.
@@ -96,9 +43,7 @@ var gb;
 func fa() { while (ga < 10) { ga = ga + 1; } }
 func fb() { while (gb < 10) { gb = gb + 1; } }
 func main() { fa(); fb(); }`
-	s, _ := gen(t, src, schema.Options{
-		FuncFilter: func(name string) bool { return name == "fb" || name == "main" },
-	})
+	s, _ := gen(t, src, schema.Options{Functions: []string{"fb", "main"}})
 	ea := s.Lookup(debuginfo.GlobalScope, "ga")
 	if ea == nil || ea.Tags != schema.TagNone {
 		t.Errorf("ga = %+v, want entry with no tags (its loops are filtered out)", ea)
@@ -111,8 +56,7 @@ func main() { fa(); fb(); }`
 
 func TestEmptyCondForLoop(t *testing.T) {
 	// for(;;) with an if-break: the IR analysis sees the break condition
-	// as the loop's conditional exit and tags x as induction; the AST
-	// heuristic sees no loop condition and cannot.
+	// as the loop's conditional exit and tags x as induction.
 	src := `
 func main() {
 	var x = input(0);
@@ -124,11 +68,7 @@ func main() {
 	s, _ := gen(t, src, schema.Options{})
 	e := s.Lookup("main", "x")
 	if e == nil || !e.Tags.Has(schema.TagLoop) {
-		t.Errorf("IR path: x = %+v, want loop tag via break condition", e)
-	}
-	ast, _ := gen(t, src, schema.Options{DisableIR: true})
-	if e := ast.Lookup("main", "x"); e == nil || e.Tags.Has(schema.TagLoop) {
-		t.Errorf("AST path: x = %+v, want cond without loop", e)
+		t.Errorf("x = %+v, want loop tag via break condition", e)
 	}
 }
 

@@ -33,18 +33,12 @@ func (g *generator) buildIR() {
 
 // applyIRInduction tags loop induction variables detected on the IR: for
 // each natural loop, the variables written inside the loop and read by its
-// exit condition (cfa.FuncAnalysis.InductionVars). This subsumes the AST
-// heuristic — it additionally sees induction through if-break exits of
-// for(;;) loops — and respects the same FuncFilter/SkipGlobals rules.
-func (g *generator) applyIRInduction(opts Options) {
-	if g.ir == nil {
-		g.buildIR()
-	}
+// exit condition (cfa.FuncAnalysis.InductionVars), including induction
+// through the if-break exits of for(;;) loops. Options.Functions and
+// SkipGlobals apply as they do to the other tags.
+func (g *generator) applyIRInduction() {
 	for _, fn := range g.prog.Funcs {
-		if fn.Synthetic {
-			continue
-		}
-		if opts.FuncFilter != nil && !opts.FuncFilter(fn.Name) {
+		if fn.Synthetic || !g.selected(fn.Name) {
 			continue
 		}
 		a := g.ir.analyses[fn.Name]
@@ -79,7 +73,7 @@ func (g *generator) applyIRInduction(opts Options) {
 // where tagWeight = 1 + 2·loop + 1·cond + 1·args. Variables whose value
 // never varies (constant propagation: every store writes the same literal)
 // or that are never read (dead) score 0 — monitoring them cannot correlate
-// with cost. Without IR the score degrades to the plain tag weight.
+// with cost.
 func (g *generator) scoreEntries(s *Schema) {
 	for i := range s.Entries {
 		e := &s.Entries[i]
@@ -92,10 +86,6 @@ func (g *generator) scoreEntries(s *Schema) {
 		}
 		if e.Tags.Has(TagArgs) {
 			w += 1
-		}
-		if g.ir == nil {
-			e.Score = w
-			continue
 		}
 		if g.ir.constant[e.Key()] || g.ir.dead[e.Key()] {
 			e.Score = 0
@@ -137,7 +127,8 @@ func (g *generator) applyStaticPriors(s *Schema) {
 
 // accessDepth returns the deepest loop nesting in which the entry's
 // variable is loaded or stored. Globals are checked across every function
-// in the program: their runtime behavior does not depend on FuncFilter.
+// in the program: their runtime behavior does not depend on
+// Options.Functions.
 func (g *generator) accessDepth(e *Entry) int {
 	if e.Function == debuginfo.GlobalScope {
 		gi, ok := g.prog.GlobalIndex(e.Variable)

@@ -1,9 +1,9 @@
 // Package schema implements vProf's schema generator (paper §3.1): the
 // static analysis — an LLVM pass in the paper, an IR-level control/data-flow
-// pass here (package cfa), with an AST fallback — that decides which program
-// variables to monitor during profiling, and the binary static analysis
-// (paper §3.2) that translates the schema into runtime variable metadata
-// using debug information.
+// pass here (package cfa) — that decides which program variables to monitor
+// during profiling, and the binary static analysis (paper §3.2) that
+// translates the schema into runtime variable metadata using debug
+// information.
 //
 // The selection rules are the paper's:
 //
@@ -79,8 +79,7 @@ type Entry struct {
 	Tags     Tag
 	// Score is the performance-relevance score: the tag weight scaled by
 	// 1 + the variable's deepest loop-nesting access depth, or 0 for
-	// variables that never vary or are never read. Zero when generated
-	// without IR analysis beyond the plain tag weight.
+	// variables that never vary or are never read.
 	Score float64
 }
 
@@ -135,12 +134,12 @@ func (s *Schema) Lookup(fn, name string) *Entry {
 
 // Options controls schema generation.
 type Options struct {
-	// FuncFilter, when non-nil, restricts monitored locals to functions
-	// for which it returns true — the paper's per-component restriction
-	// ("limit the variables to monitor to specific components"). Globals
-	// are always included.
-	FuncFilter func(name string) bool
-	// IncludeGlobals defaults to true; set SkipGlobals to drop them.
+	// Functions, when non-empty, restricts monitored locals to these
+	// functions — the paper's per-component restriction ("limit the
+	// variables to monitor to specific components"). Globals stay
+	// monitored, tagged only by their uses inside these functions.
+	Functions []string
+	// SkipGlobals drops global variables from the schema.
 	SkipGlobals bool
 	// MinScore drops entries whose relevance score is below the bound
 	// (0 disables the filter).
@@ -149,9 +148,6 @@ type Options struct {
 	// (0 = unlimited). Ties break on function then variable name, so the
 	// result is deterministic.
 	MaxEntries int
-	// DisableIR forces the AST-only heuristic even when the program
-	// compiles; mainly for cross-checking the two analyses.
-	DisableIR bool
 	// StaticPriors folds the abstract interpreter's value evidence into
 	// the relevance scores: variables naming a symbolic loop trip bound or
 	// feeding work()/block() double their score, provably-constant
@@ -160,37 +156,24 @@ type Options struct {
 	StaticPriors bool
 }
 
-// Generate runs the static analysis over a parsed file and returns the
-// schema of variables to monitor. When the file compiles, induction
-// detection and relevance scoring run on the IR (package cfa); otherwise
-// the AST heuristic is used and scores degrade to plain tag weights.
-func Generate(f *lang.File, opts Options) *Schema {
-	if !opts.DisableIR {
-		if p, err := compiler.Compile(f); err == nil {
-			return GenerateIR(f, p, opts)
-		}
-	}
-	return generate(f, nil, opts)
-}
-
-// GenerateIR is Generate for callers that already compiled the file; it
-// avoids a second compilation.
+// GenerateIR runs the static analysis over a parsed file and its compiled
+// program p (compiler.Compile(f)) and returns the schema of variables to
+// monitor. Induction detection and relevance scoring run on the IR
+// (package cfa).
 func GenerateIR(f *lang.File, p *compiler.Program, opts Options) *Schema {
-	if opts.DisableIR {
-		p = nil
-	}
-	return generate(f, p, opts)
-}
-
-func generate(f *lang.File, prog *compiler.Program, opts Options) *Schema {
-	ptrs := compiler.InferPointers(f)
 	g := &generator{
 		file:    f,
-		prog:    prog,
-		ptrs:    ptrs,
+		prog:    p,
+		ptrs:    compiler.InferPointers(f),
 		globals: map[string]*lang.VarDecl{},
 		found:   map[string]*Entry{},
 		res:     map[*lang.Ident]resolution{},
+	}
+	if len(opts.Functions) > 0 {
+		g.funcs = map[string]bool{}
+		for _, name := range opts.Functions {
+			g.funcs[name] = true
+		}
 	}
 	for _, gd := range f.Globals() {
 		g.globals[gd.Name] = gd
@@ -202,26 +185,20 @@ func generate(f *lang.File, prog *compiler.Program, opts Options) *Schema {
 		}
 	}
 	for _, fn := range f.Funcs() {
-		if opts.FuncFilter != nil && !opts.FuncFilter(fn.Name) {
-			// Still collect tag information for globals referenced
-			// inside filtered-out functions? The paper extracts
-			// variables only from the chosen component's files; we
-			// mirror that by skipping the function entirely.
-			continue
+		if g.selected(fn.Name) {
+			g.buildResolver(fn)
+			g.analyzeFunc(fn)
 		}
-		g.buildResolver(fn)
-		g.analyzeFunc(fn)
 	}
-	if prog != nil {
-		g.applyIRInduction(opts)
-	}
+	g.buildIR()
+	g.applyIRInduction()
 
 	s := &Schema{Entries: make([]Entry, 0, len(g.found))}
 	for _, e := range g.found {
 		s.Entries = append(s.Entries, *e)
 	}
 	g.scoreEntries(s)
-	if opts.StaticPriors && prog != nil {
+	if opts.StaticPriors {
 		g.applyStaticPriors(s)
 	}
 	prune(s, opts)
@@ -271,17 +248,22 @@ func prune(s *Schema, opts Options) {
 
 type generator struct {
 	file    *lang.File
-	prog    *compiler.Program // nil when compiling failed or IR disabled
+	prog    *compiler.Program
+	funcs   map[string]bool // Options.Functions as a set; nil selects all
 	ptrs    map[string]bool
 	globals map[string]*lang.VarDecl
 	found   map[string]*Entry
 	// res maps every resolvable identifier occurrence to its declaration;
 	// identifiers are unique AST nodes, so one map spans all functions.
 	res map[*lang.Ident]resolution
-	// ir holds the per-function flow analyses and const/dead facts when a
-	// compiled program is available (irscore.go).
+	// ir holds the per-function flow analyses and const/dead facts
+	// (irscore.go).
 	ir *irInfo
 }
+
+// selected reports whether fn's locals are monitored under
+// Options.Functions.
+func (g *generator) selected(fn string) bool { return g.funcs == nil || g.funcs[fn] }
 
 // ensure records a monitored variable, returning its entry.
 func (g *generator) ensure(fn, name string, line int) *Entry {
@@ -351,17 +333,11 @@ func (g *generator) analyzeFunc(fn *lang.FuncDecl) {
 			for _, id := range identsIn(x.Cond) {
 				g.tagIdent(id, TagCond)
 			}
-			if g.prog == nil {
-				g.tagInduction(x.Cond, x.Body, nil)
-			}
 		case *lang.ForStmt:
 			if x.Cond != nil {
 				for _, id := range identsIn(x.Cond) {
 					g.tagIdent(id, TagCond)
 				}
-			}
-			if g.prog == nil {
-				g.tagInduction(x.Cond, x.Body, x.Post)
 			}
 		case *lang.CallExpr:
 			for _, a := range x.Args {
@@ -372,32 +348,6 @@ func (g *generator) analyzeFunc(fn *lang.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// tagInduction is the AST fallback for loop induction variables (assigned in
-// the loop body or post clause and referenced in the loop condition), used
-// when no compiled IR is available. The IR path (irscore.go) replaces it
-// with dominator-based detection over natural loops.
-func (g *generator) tagInduction(cond lang.Expr, body *lang.BlockStmt, post lang.Stmt) {
-	assigned := map[string]bool{}
-	collectAssigned := func(n lang.Node) bool {
-		if a, ok := n.(*lang.AssignStmt); ok {
-			assigned[a.Name] = true
-		}
-		return true
-	}
-	lang.Walk(body, collectAssigned)
-	if post != nil {
-		lang.Walk(post, collectAssigned)
-	}
-	if cond == nil {
-		return
-	}
-	for _, id := range identsIn(cond) {
-		if assigned[id.Name] {
-			g.tagIdent(id, TagLoop)
-		}
-	}
 }
 
 // Translate performs the paper's binary static analysis step: it searches

@@ -48,13 +48,17 @@ func main() {
 }
 `
 
-func gen(t *testing.T, src string, opts schema.Options) (*schema.Schema, *lang.File) {
+func gen(t *testing.T, src string, opts schema.Options) (*schema.Schema, *compiler.Program) {
 	t.Helper()
 	f, err := lang.Parse("log0recv.vp", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return schema.Generate(f, opts), f
+	p, err := compiler.Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return schema.GenerateIR(f, p, opts), p
 }
 
 func TestGenerateGlobals(t *testing.T) {
@@ -152,10 +156,8 @@ func main() {
 	}
 }
 
-func TestFuncFilter(t *testing.T) {
-	s, _ := gen(t, recoverySrc, schema.Options{
-		FuncFilter: func(name string) bool { return name == "recv_group_scan_log_recs" },
-	})
+func TestFunctionsOption(t *testing.T) {
+	s, _ := gen(t, recoverySrc, schema.Options{Functions: []string{"recv_group_scan_log_recs"}})
 	if e := s.Lookup("recv_scan_log_recs", "available_mem"); e != nil {
 		t.Errorf("filtered function's local monitored: %+v", e)
 	}
@@ -187,11 +189,7 @@ func TestSchemaFormat(t *testing.T) {
 }
 
 func TestTranslate(t *testing.T) {
-	s, f := gen(t, recoverySrc, schema.Options{})
-	p, err := compiler.Compile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, p := gen(t, recoverySrc, schema.Options{})
 	metas := schema.Translate(s, p.Debug)
 	if len(metas) == 0 {
 		t.Fatal("no metadata produced")

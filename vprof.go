@@ -122,26 +122,11 @@ func (p *Program) Functions() []string {
 // TextSize returns the number of instructions in the compiled text section.
 func (p *Program) TextSize() int { return len(p.compiled.Instrs) }
 
-// SchemaOptions controls schema generation (paper §3.1).
-type SchemaOptions struct {
-	// Functions, when non-empty, restricts monitored locals to these
-	// functions (the paper's per-component restriction). Globals are
-	// always monitored.
-	Functions []string
-	// SkipGlobals drops global variables from the schema.
-	SkipGlobals bool
-	// MinScore drops entries whose performance-relevance score is below
-	// the bound (0 disables the filter).
-	MinScore float64
-	// MaxEntries caps the schema at the N highest-scoring entries
-	// (0 = unlimited).
-	MaxEntries int
-	// StaticPriors folds the abstract interpreter's value evidence into
-	// the relevance scores: trip-bound and work-feeding variables double,
-	// provably-constant ones halve. Off by default; the default schema is
-	// byte-for-byte unchanged.
-	StaticPriors bool
-}
+// SchemaOptions controls schema generation (paper §3.1): Functions
+// restricts monitored locals to a component, SkipGlobals drops globals,
+// MinScore and MaxEntries prune on the relevance score, and StaticPriors
+// folds abstract-interpretation evidence into it.
+type SchemaOptions = schema.Options
 
 // GenerateSchema runs the static analysis that selects variables to monitor:
 // all globals, loop induction variables (detected on the compiled IR via
@@ -149,21 +134,7 @@ type SchemaOptions struct {
 // call arguments. Entries carry performance-relevance scores; MinScore and
 // MaxEntries prune on them.
 func (p *Program) GenerateSchema(opts SchemaOptions) *Schema {
-	var filter func(string) bool
-	if len(opts.Functions) > 0 {
-		set := map[string]bool{}
-		for _, f := range opts.Functions {
-			set[f] = true
-		}
-		filter = func(name string) bool { return set[name] }
-	}
-	return schema.GenerateIR(p.ast, p.compiled, schema.Options{
-		FuncFilter:   filter,
-		SkipGlobals:  opts.SkipGlobals,
-		MinScore:     opts.MinScore,
-		MaxEntries:   opts.MaxEntries,
-		StaticPriors: opts.StaticPriors,
-	})
+	return schema.GenerateIR(p.ast, p.compiled, opts)
 }
 
 // VerifySchema cross-checks a schema against the program's debug
