@@ -488,11 +488,12 @@ func BenchmarkSketch(b *testing.B) {
 
 // BenchmarkPush times one push of merged b8 normal run 0, a 142 KiB
 // bundle, through the service's ingest handler: body read, decode, content
-// hash, sketch fold and frame, segment frame, manifest record and sketch
-// frame. nosync opens the store without fsync, so it times the push's CPU
-// work; fsync opens it as shipped, so it times what a push's ack waits
-// for. In both every push carries new bytes, so each stores a fresh blob;
-// B/op is what one push allocates. repush (store as shipped) sends the
+// hash, segment frame and manifest record, with the sketch fold and frame
+// beside them, finishing after the ack. nosync opens the store without
+// fsync, so it times the push's CPU work; fsync opens it as shipped, so it
+// times what a push's ack waits for. In both every push carries new bytes,
+// so each stores a fresh blob; the store's Close, which waits for the last
+// folds, is inside the timing, and B/op is what one push allocates. repush (store as shipped) sends the
 // same bytes under the same run every time, as a client retrying after a
 // lost ack does: each push is a dedup that writes nothing. The stage
 // cases time PutBlob's CPU stages one at a time on the same bundle: hash,

@@ -302,12 +302,22 @@ func cmdQuery(args []string) error {
 		return usageError{fmt.Errorf("query: need a subcommand (workloads, diagnose, report, stats)")}
 	}
 	sub, args := args[0], args[1:]
+	// Each subcommand has its own flag set: -server, and diagnose's own.
 	fs := flag.NewFlagSet("query "+sub, flag.ContinueOnError)
 	server := fs.String("server", "http://127.0.0.1:7070", "service base URL")
-	workload := fs.String("workload", "", "workload to diagnose")
-	candidates := fs.String("candidates", "", "comma-separated candidate run ids (default: all)")
-	top := fs.Int("top", 10, "report rows")
-	sketches := fs.Bool("sketches", false, "diagnose via the server's persisted sketches (incremental path)")
+	var workload, candidates *string
+	var top *int
+	var sketches *bool
+	switch sub {
+	case "workloads", "report", "stats":
+	case "diagnose":
+		workload = fs.String("workload", "", "workload to diagnose")
+		candidates = fs.String("candidates", "", "comma-separated candidate run ids (default: all)")
+		top = fs.Int("top", 10, "report rows")
+		sketches = fs.Bool("sketches", false, "diagnose via the server's persisted sketches (incremental path)")
+	default:
+		return usageError{fmt.Errorf("query: unknown subcommand %q", sub)}
+	}
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -360,7 +370,6 @@ func cmdQuery(args []string) error {
 		fmt.Printf("decode cache: %d hits, %d misses, %d resident\n",
 			st.DecodeCache.Hits, st.DecodeCache.Misses, st.DecodeCache.Entries)
 		fmt.Printf("worker pool: %d slots\n", st.Workers)
-		return nil
 	}
-	return usageError{fmt.Errorf("query: unknown subcommand %q", sub)}
+	return nil
 }

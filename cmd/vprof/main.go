@@ -183,7 +183,11 @@ const usageText = `usage:
              [-inputs a,b] [-runs n] [-run id] [-seed n] [-max-ticks n]
              [-interval n] [-funcs f1,f2]
              | push -server url -label l -workload w -run id -dir artifacts
-  vprof query workloads|diagnose|report|stats -server url [args]
+  vprof query workloads [-server url]
+  vprof query diagnose -workload w [-server url] [-candidates a,b] [-top n]
+                       [-sketches]
+  vprof query report <id> [-server url]
+  vprof query stats [-server url]
   vprof fsck [-store dir] [-repair] [-cluster]
 `
 

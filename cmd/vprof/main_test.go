@@ -289,14 +289,19 @@ const recoveryVP = "../../testdata/recovery.vp"
 
 // TestUsageListsEveryFlag requires each command's block in the usage text
 // to name every flag the command defines, as its -h output prints them.
-// query, whose block says [args], is exempt.
+// Each query subcommand has a block and a flag set of its own, so no
+// block may name a flag its subcommand ignores either.
 func TestUsageListsEveryFlag(t *testing.T) {
 	blocks := map[string]map[string]bool{}
 	var words map[string]bool
 	for _, line := range strings.Split(usageText, "\n") {
 		if rest, ok := strings.CutPrefix(line, "  vprof "); ok {
 			words = map[string]bool{}
-			blocks[strings.Fields(rest)[0]] = words
+			name := strings.Fields(rest)
+			if name[0] == "query" {
+				name[0] += " " + name[1]
+			}
+			blocks[name[0]] = words
 		}
 		if words == nil {
 			continue
@@ -305,16 +310,22 @@ func TestUsageListsEveryFlag(t *testing.T) {
 			words[strings.Trim(w, "[]|")] = true
 		}
 	}
+	var names []string
 	for _, name := range commandNames() {
 		if name == "query" {
-			continue
+			names = append(names, "query workloads", "query diagnose", "query report", "query stats")
+		} else {
+			names = append(names, name)
 		}
+	}
+	for _, name := range names {
 		words := blocks[name]
 		if words == nil {
 			t.Errorf("usage has no block for %s", name)
 			continue
 		}
-		help, code := captureStderrText(t, func() int { return run([]string{name, "-h"}) })
+		args := append(strings.Fields(name), "-h")
+		help, code := captureStderrText(t, func() int { return run(args) })
 		if code != 0 {
 			t.Fatalf("%s -h: exit %d, want 0", name, code)
 		}
@@ -325,6 +336,11 @@ func TestUsageListsEveryFlag(t *testing.T) {
 			}
 			if !words[f[0]] {
 				t.Errorf("usage for %s omits %s", name, f[0])
+			}
+		}
+		if name == "query workloads" || name == "query stats" {
+			if strings.Count(help, "\n  -") != 1 {
+				t.Errorf("%s -h lists flags besides -server:\n%s", name, help)
 			}
 		}
 	}

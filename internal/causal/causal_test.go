@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vprof/internal/causal"
@@ -173,18 +174,27 @@ func TestRunCancellation(t *testing.T) {
 func TestRunCancellationMidExperiment(t *testing.T) {
 	// A long workload whose experiments are individually slow enough that
 	// cancellation lands mid-run; the VM polls the context at a tick-free
-	// alarm, so Run must return promptly with context.Canceled.
+	// alarm, so Run must return promptly with context.Canceled. The cancel
+	// comes from inside the run: the baseline run takes as many branches
+	// as one plain run of the program, so the branch after those is the
+	// first experiment's, however the goroutines are scheduled.
 	p := compile(t, `
 func grind() { var i = 0; while (i < 2000) { work(1000); i = i + 1; } return 0; }
 func main() { grind(); }`)
+	var branches atomic.Int64
+	count := vm.Config{OnBranch: func(int, bool) { branches.Add(1) }}
+	if _, err := causal.MeasureTree(context.Background(), p, count); err != nil {
+		t.Fatal(err)
+	}
+	baseline := branches.Swap(0)
 	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := causal.Run(ctx, p, vm.Config{}, causal.Options{Workers: 4})
-		errc <- err
-	}()
-	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
+	defer cancel()
+	cfg := vm.Config{OnBranch: func(int, bool) {
+		if branches.Add(1) == baseline+1 {
+			cancel()
+		}
+	}}
+	if _, err := causal.Run(ctx, p, cfg, causal.Options{Workers: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
 	}
 }

@@ -265,6 +265,10 @@ func nodeStep(kw string) func(*runner, []string) error {
 			return err
 		case "restart":
 			if n == r.victim {
+				// The window closes once the victim's store has closed:
+				// the folds of its acked pushes log their sketch frames
+				// and the sketch log syncs inside it.
+				n.Kill()
 				switch {
 				case r.crashAt == 0:
 					r.points = r.inj.Mutations()

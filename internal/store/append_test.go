@@ -35,19 +35,36 @@ func fileSizes(t *testing.T, dir string) map[string]int64 {
 }
 
 // appendFault is one fault planted on the second push of a fresh store.
-// Opening writes and syncs the segment header (#1) and the sketch log
-// header (#2); the first push writes and syncs its blob frame (#3), its
-// manifest record (#4) and its sketch frame (#5); so the second push's
-// segment, manifest and sketch appends are writes and syncs #6, #7 and #8.
+// Opening writes and syncs the segment header (write and sync #1) and the
+// sketch log header (#2). The first push writes and syncs its blob frame
+// (#3) and its manifest record (#4), and writes its sketch frame without a
+// sync (write #5) once its fold logs, which the tests wait for. So the
+// second push's segment and manifest appends are writes #6 and #7 and
+// syncs #5 and #6, and its sketch frame is write #8; the sketch log's
+// next sync is Flush's third, sync #9.
 type appendFault struct {
 	name  string
-	plant func(inj *faultfs.Injector, nth int, err error)
+	plant func(inj *faultfs.Injector, write, sync int, err error)
 }
 
 var appendFaults = []appendFault{
-	{"write-error", func(inj *faultfs.Injector, nth int, err error) { inj.FailNth(faultfs.OpWrite, nth, err) }},
-	{"short-write", func(inj *faultfs.Injector, nth int, _ error) { inj.ShortWriteNth(nth, 5) }},
-	{"sync-error", func(inj *faultfs.Injector, nth int, err error) { inj.FailNth(faultfs.OpSync, nth, err) }},
+	{"write-error", func(inj *faultfs.Injector, write, _ int, err error) { inj.FailNth(faultfs.OpWrite, write, err) }},
+	{"short-write", func(inj *faultfs.Injector, write, _ int, _ error) { inj.ShortWriteNth(write, 5) }},
+	{"sync-error", func(inj *faultfs.Injector, _, sync int, err error) { inj.FailNth(faultfs.OpSync, sync, err) }},
+}
+
+// pushLogged pushes blob and waits for its sketch fold to log its frame,
+// so the next push's writes are numbered after the frame's.
+func pushLogged(t *testing.T, s *store.Store, run string, blob []byte) *store.Entry {
+	t.Helper()
+	e, _, err := s.PutBlob("w", store.LabelNormal, run, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetSketch(e.ID); err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // TestAppendFailureRollsBack: a segment frame or manifest record whose
@@ -56,22 +73,20 @@ var appendFaults = []appendFault{
 // nothing to repair.
 func TestAppendFailureRollsBack(t *testing.T) {
 	for _, file := range []struct {
-		name string
-		nth  int
-	}{{"segment", 6}, {"manifest", 7}} {
+		name        string
+		write, sync int
+	}{{"segment", 6, 5}, {"manifest", 7, 6}} {
 		for _, fault := range appendFaults {
 			t.Run(file.name+"/"+fault.name, func(t *testing.T) {
 				dir := t.TempDir()
 				inj := faultfs.NewInjector(nil)
 				boom := errors.New("injected fault")
-				fault.plant(inj, file.nth, boom)
+				fault.plant(inj, file.write, file.sync, boom)
 				s, err := store.Open(dir, store.Options{FS: inj})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := s.PutBlob("w", store.LabelNormal, "0", mustBlob(t, 1)); err != nil {
-					t.Fatal(err)
-				}
+				pushLogged(t, s, "0", mustBlob(t, 1))
 				before := fileSizes(t, dir)
 				blob := mustBlob(t, 2)
 				if _, _, err := s.PutBlob("w", store.LabelNormal, "1", blob); err == nil {
@@ -109,30 +124,35 @@ func TestAppendFailureRollsBack(t *testing.T) {
 	}
 }
 
-// TestSketchAppendFailureAcks: a sketch frame whose write fails, tears short
-// or does not sync never fails the push. The log goes back to its length
-// before the append, GetSketch rebuilds the sketch once from its blob, and
-// a reopen is clean.
+// TestSketchAppendFailureAcks: a sketch frame whose write fails or tears
+// short never fails the push: the log goes back to its length before the
+// append, and GetSketch rebuilds the sketch once from its blob. The frame
+// has no sync of its own, so a sync fault on the sketch log fails the
+// Flush that syncs it, not the push, and the frame stays indexed. Either
+// way a reopen is clean.
 func TestSketchAppendFailureAcks(t *testing.T) {
 	for _, fault := range appendFaults {
 		t.Run(fault.name, func(t *testing.T) {
 			dir := t.TempDir()
 			inj := faultfs.NewInjector(nil)
-			fault.plant(inj, 8, errors.New("injected fault"))
+			boom := errors.New("injected fault")
+			fault.plant(inj, 8, 9, boom)
 			s, err := store.Open(dir, store.Options{FS: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := s.PutBlob("w", store.LabelNormal, "0", mustBlob(t, 1)); err != nil {
-				t.Fatal(err)
-			}
+			pushLogged(t, s, "0", mustBlob(t, 1))
 			logBefore := fileSizes(t, dir)["sketches.log"]
 			e, _, err := s.PutBlob("w", store.LabelNormal, "1", mustBlob(t, 2))
 			if err != nil {
 				t.Fatalf("a failed sketch append failed the push: %v", err)
 			}
-			if got := fileSizes(t, dir)["sketches.log"]; got != logBefore {
-				t.Fatalf("sketches.log: %d bytes after the failed append, %d before", got, logBefore)
+			syncFault := fault.name == "sync-error"
+			if err := s.Flush(); syncFault != errors.Is(err, boom) {
+				t.Fatalf("Flush() = %v, want the injected fault %v", err, syncFault)
+			}
+			if got := fileSizes(t, dir)["sketches.log"]; (got != logBefore) != syncFault {
+				t.Fatalf("sketches.log: %d bytes after the push's frame, %d before", got, logBefore)
 			}
 			sk, err := s.GetSketch(e.ID)
 			if err != nil {
@@ -144,8 +164,12 @@ func TestSketchAppendFailureAcks(t *testing.T) {
 			if _, err := s.GetSketch(e.ID); err != nil {
 				t.Fatal(err)
 			}
-			if st := s.SketchStats(); st.Rebuilds != 1 || st.Indexed != 2 {
-				t.Fatalf("sketch stats %+v, want one rebuild and both sketches indexed", st)
+			wantRebuilds := int64(1)
+			if syncFault {
+				wantRebuilds = 0
+			}
+			if st := s.SketchStats(); st.Rebuilds != wantRebuilds || st.Indexed != 2 {
+				t.Fatalf("sketch stats %+v, want %d rebuild(s) and both sketches indexed", st, wantRebuilds)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -187,6 +211,7 @@ func TestFailedRollback(t *testing.T) {
 				e, _, err := s.PutBlob("w", store.LabelNormal, run, mustBlob(t, int64(i)))
 				if err == nil {
 					acked = append(acked, e.ID)
+					s.GetSketch(e.ID) // the frame is written before the next push
 				}
 				if wantErr := c.wedge && i >= 1; (err != nil) != wantErr {
 					t.Fatalf("push %d = %v, want failure %v", i, err, wantErr)

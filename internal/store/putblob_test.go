@@ -43,6 +43,9 @@ func TestPutBlobReleasesBlob(t *testing.T) {
 	push("0", mustBlob(t, 1), "") // dedup
 	bad := mustBlob(t, 2)
 	push("1", bad[:len(bad)/2], "reject invalid profile")
+	if err := s.Flush(); err != nil { // the accepted push's fold logs
+		t.Fatal(err)
+	}
 
 	// Open wrote two headers and the accepted push three frames, so the
 	// next segment append is write #6. It tears and its rollback fails:
@@ -56,9 +59,10 @@ func TestPutBlobReleasesBlob(t *testing.T) {
 }
 
 // TestPushFileMutations pins what one push does to the filesystem: an
-// invalid push mutates nothing, a fresh push makes exactly six mutations
-// (segment write and fsync, manifest write and fsync, sketch-log write and
-// fsync, in that order), and a re-push of a stored entry makes none.
+// invalid push mutates nothing, a fresh push makes exactly five mutations
+// (segment write and fsync, manifest write and fsync, in that order, then
+// once its fold finishes the sketch-log write, which has no fsync of its
+// own), and a re-push of a stored entry makes none.
 func TestPushFileMutations(t *testing.T) {
 	t.Run("counts", func(t *testing.T) {
 		dir := t.TempDir()
@@ -81,11 +85,15 @@ func TestPushFileMutations(t *testing.T) {
 				t.Errorf("%s: %d bytes after the invalid push, %d before", name, size, sizes[name])
 			}
 		}
-		if _, _, err := s.PutBlob("w", store.LabelNormal, "0", mustBlob(t, 1)); err != nil {
+		e, _, err := s.PutBlob("w", store.LabelNormal, "0", mustBlob(t, 1))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := inj.Mutations() - muts; got != 6 {
-			t.Fatalf("fresh push made %d mutations, want 6", got)
+		if _, err := s.GetSketch(e.ID); err != nil { // waits for the fold
+			t.Fatal(err)
+		}
+		if got := inj.Mutations() - muts; got != 5 {
+			t.Fatalf("fresh push made %d mutations, want 5", got)
 		}
 		for name, size := range fileSizes(t, dir) {
 			if size <= sizes[name] {
@@ -124,6 +132,9 @@ func TestPushFileMutations(t *testing.T) {
 				if err != nil {
 					t.Fatalf("push = %v, want ack", err)
 				}
+				if err := s.Flush(); err != nil { // waits for the fold
+					t.Fatal(err)
+				}
 				if n := s.SketchStats().Indexed; n != 0 {
 					t.Fatalf("%d sketch(es) indexed after the sketch-log write failed", n)
 				}
@@ -154,12 +165,12 @@ func bigBlob(t *testing.T, seed int64, n int) []byte {
 }
 
 // TestConcurrentPushOrder has four goroutines push the same 16 runs at
-// once, each in its own order, with two runs per distinct content. A push
-// whose fold outlasts its appends waits for it without the store lock
-// while other pushes append. Whatever the interleaving, each run is
-// written once and deduped three times, each content's blob and sketch are
-// written once, no sketch is rebuilt, and the live index equals a reopen
-// of the same files, Seq included.
+// once, each in its own order, with two runs per distinct content. A
+// push's fold outlasts its appends and its ack while other pushes append.
+// Whatever the interleaving, each run is written once and deduped three
+// times, each content's blob and sketch are written once, no sketch is
+// rebuilt, and the live index equals a reopen of the same files, Seq
+// included.
 func TestConcurrentPushOrder(t *testing.T) {
 	const runs, contents, pushers = 16, 8, 4
 	dir := t.TempDir()
@@ -201,17 +212,17 @@ func TestConcurrentPushOrder(t *testing.T) {
 	if got, want := dups.Load(), int64((pushers-1)*runs); got != want {
 		t.Errorf("%d pushes deduped, want %d", got, want)
 	}
+	live := s.Entries("w")
+	for _, e := range live { // waits for the pending folds
+		if _, err := s.GetSketch(e.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Without fsync a fresh content writes a segment frame, a manifest
 	// record and a sketch frame; a new run of stored content writes only
 	// its manifest record.
 	if got, want := inj.Mutations()-muts, 3*contents+(runs-contents); got != want {
 		t.Errorf("pushes made %d mutations, want %d", got, want)
-	}
-	live := s.Entries("w")
-	for _, e := range live {
-		if _, err := s.GetSketch(e.ID); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if st := s.SketchStats(); st.Rebuilds != 0 || st.Indexed != contents {
 		t.Errorf("sketch stats %+v, want %d indexed and no rebuild", st, contents)

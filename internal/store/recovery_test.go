@@ -343,9 +343,9 @@ func TestRolloverErrorLeavesStoreUsable(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	boom := errors.New("segment header write failed")
 	// Write #1 is the first segment's header, #2 the sketch log's; push #1
-	// writes its blob frame (#3), manifest line (#4) and sketch frame
-	// (#5); push #2 rolls over first, so the next segment's header write
-	// is #6.
+	// writes its blob frame (#3), manifest line (#4) and, once its fold
+	// logs, sketch frame (#5); push #2 rolls over first, so the next
+	// segment's header write is #6.
 	inj.FailNth(faultfs.OpWrite, 6, boom)
 
 	s, err := store.Open(dir, store.Options{FS: inj, SegmentSize: 64})
@@ -353,9 +353,7 @@ func TestRolloverErrorLeavesStoreUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.PutBlob("w", store.LabelNormal, "0", mustBlob(t, 1)); err != nil {
-		t.Fatal(err)
-	}
+	pushLogged(t, s, "0", mustBlob(t, 1))
 	if _, _, err := s.PutBlob("w", store.LabelNormal, "1", mustBlob(t, 2)); !errors.Is(err, boom) {
 		t.Fatalf("push during failed rollover = %v, want %v", err, boom)
 	}

@@ -10,17 +10,22 @@ package store
 // The log is an append-only file like the segments (applog.go): an 8-byte
 // header ("VSKL" magic + version), then one CRC32C frame per sketch, the
 // payload being the canonical profilefmt sketch encoding. Sketches are
-// derived data: a failed sketch append never fails the push, recovery
-// truncates a torn tail (or quarantines the whole file on a bad header)
-// without dropping any manifest record, and a missing or incomplete log is
-// rebuilt lazily — GetSketch re-folds from the raw blob and re-appends, so
-// a store created before sketches existed upgrades in place. Recovery
-// reads and decodes the log once, and Open indexes the frames it kept.
+// derived data, so a push does not wait for its sketch: the fold runs on
+// after the ack, and its frame is appended in manifest order and without
+// fsync (Flush, Close and Health sync the log). A crash may therefore lose
+// the sketch frames of acked pushes, a failed sketch append never fails
+// the push, recovery truncates a torn tail (or quarantines the whole file
+// on a bad header) without dropping any manifest record, and a missing or
+// incomplete log is rebuilt lazily — GetSketch re-folds from the raw blob
+// and re-appends, so a store created before sketches existed upgrades in
+// place. Recovery reads and decodes the log once, and Open indexes the
+// frames it kept.
 
 import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"vprof/internal/faultfs"
 	"vprof/internal/profilefmt"
@@ -32,6 +37,11 @@ const (
 	sketchLogName   = "sketches.log"
 	maxSketchFrame  = 64 << 20 // sanity bound on one framed sketch
 	sketchCacheSize = 64
+	// maxPendingFolds bounds the folds that run on after their push acked.
+	// A push that finds this many queued waits for its own fold to log
+	// before it acks, so a burst of pushes cannot pile up fold goroutines
+	// and the decoded profiles they hold.
+	maxPendingFolds = 8
 )
 
 // sketchRef locates one sketch frame's payload in the log.
@@ -50,6 +60,90 @@ func foldSketch(id string, p *sampler.Profile) (*sketch.Profile, []byte) {
 		return sk, nil
 	}
 	return sk, payload
+}
+
+// fold is the sketch fold of one pushed blob, from the push's decode until
+// its frame is on the sketch log.
+type fold struct {
+	id     string
+	sk     *sketch.Profile
+	frame  []byte        // nil when the sketch did not encode
+	folded chan struct{} // closed once sk and frame are set
+	logged chan struct{} // closed once the frame is appended or dropped
+}
+
+// testHookFold, when set, runs at the start of every fold goroutine; tests
+// use it to hold folds pending.
+var testHookFold func()
+
+// runFold folds p into f and logs every finished fold at the head of the
+// queue. A fold whose push did not ack is never queued and logs nothing.
+func (s *Store) runFold(f *fold, p *sampler.Profile) {
+	if testHookFold != nil {
+		testHookFold()
+	}
+	f.sk, f.frame = foldSketch(f.id, p)
+	close(f.folded)
+	s.mu.Lock()
+	s.logFoldsLocked()
+	s.mu.Unlock()
+}
+
+// foldOf returns the queued fold of blob id, if any (mu held, read or
+// write).
+func (s *Store) foldOf(id string) *fold {
+	for _, f := range s.folds {
+		if f.id == id {
+			return f
+		}
+	}
+	return nil
+}
+
+// queueFoldLocked queues the fold of a push whose manifest record was just
+// appended, so its frame appends in manifest order, unless the log holds
+// the blob's sketch or another fold of it is queued by now. It reports
+// whether it queued the fold.
+func (s *Store) queueFoldLocked(f *fold) bool {
+	if _, ok := s.sketchIdx[f.id]; ok || s.foldOf(f.id) != nil {
+		return false
+	}
+	s.folds = append(s.folds, f)
+	s.logFoldsLocked()
+	return true
+}
+
+// logFoldsLocked appends the frames of the finished folds at the head of
+// the queue and releases their waiters. Sketches are derived data: an
+// append failure is absorbed (GetSketch rebuilds on demand), never
+// failing an acknowledged push.
+func (s *Store) logFoldsLocked() {
+	for len(s.folds) > 0 && isClosed(s.folds[0].folded) {
+		f := s.folds[0]
+		_ = s.appendSketchLocked(f.id, f.sk, f.frame)
+		close(f.logged)
+		s.folds = slices.Delete(s.folds, 0, 1)
+	}
+}
+
+func isClosed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
+// waitFoldsLocked waits until every fold queued at the call has logged its
+// frame. It releases mu while it waits and holds it again on return.
+func (s *Store) waitFoldsLocked() {
+	if n := len(s.folds); n > 0 {
+		last := s.folds[n-1] // folds log in queue order
+		s.mu.Unlock()
+		<-last.logged
+		s.mu.Lock()
+	}
 }
 
 // appendSketchLocked appends the frame of a folded sketch, unless the log
@@ -81,10 +175,12 @@ func (s *Store) appendSketchLocked(id string, sk *sketch.Profile, payload []byte
 }
 
 // GetSketch returns the sketch for a stored blob: from the in-memory cache,
-// else the sketch log, else — the upgrade path for stores that predate
-// sketches — by decoding the raw blob, folding it, and persisting the result
-// so the rebuild happens once. Sketches served from the cache or the log
-// never touch the raw blob or the decoded-profile cache.
+// else from the pending fold of an acked push, once it finishes, else the
+// sketch log, else — the upgrade path for stores that predate sketches, or
+// whose log lost the frame — by decoding the raw blob, folding it, and
+// persisting the result so the rebuild happens once. Sketches served from
+// the cache, a fold or the log never touch the raw blob or the
+// decoded-profile cache.
 func (s *Store) GetSketch(id string) (*sketch.Profile, error) {
 	if sk, ok := s.sketches.Get(id); ok {
 		s.m.sketchHits.Inc()
@@ -92,6 +188,11 @@ func (s *Store) GetSketch(id string) (*sketch.Profile, error) {
 	}
 	s.m.sketchMisses.Inc()
 	s.mu.Lock()
+	if f := s.foldOf(id); f != nil {
+		s.mu.Unlock()
+		<-f.logged
+		return f.sk, nil
+	}
 	ref, ok := s.sketchIdx[id]
 	if !ok {
 		s.mu.Unlock()

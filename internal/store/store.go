@@ -21,17 +21,18 @@
 // Crash safety. The three kinds of file share one append-only discipline
 // (applog.go): a file is born via temp-file + rename, so a half-created
 // file can never be mistaken for a real one; every append is one Write,
-// fsynced before it returns; and a failed append is truncated away. A push
+// fsynced before it returns (the sketch log's are synced by Flush, Close
+// and Health instead); and a failed append is truncated away. A push
 // appends its blob frame to the active segment, then its manifest record,
-// then its sketch frame, and only then is acknowledged; failing to log the
-// sketch never fails the push. The hash runs on a goroutine beside the
-// decode and the sketch fold on one beside the appends, but the file
-// writes keep that order. A crash at any point therefore loses at
-// most unacknowledged work: recovery (run inside Open, or explicitly via
-// Fsck/Repair) replays the manifest, stops at the first record that fails
-// its CRC, truncates the torn tails of the manifest, the segments and the
-// sketch log, and quarantines — never loads — any segment whose framed
-// blobs fail their checksums. All file operations go through a faultfs.FS,
+// and is then acknowledged. The hash runs on a goroutine beside the decode
+// and the sketch fold on one beside the appends; the fold's frame goes to
+// the sketch log after the ack, in manifest order, and failing to log it
+// never fails the push. A crash at any point therefore loses at most
+// unacknowledged work and sketch frames, which rebuild: recovery (run
+// inside Open, or explicitly via Fsck/Repair) replays the manifest, stops
+// at the first record that fails its CRC, truncates the torn tails of the
+// manifest, the segments and the sketch log, and quarantines — never
+// loads — any segment whose framed blobs fail their checksums. All file operations go through a faultfs.FS,
 // so the crash-replay test matrix can cut the power at every single write.
 //
 // The store also keeps
@@ -170,12 +171,6 @@ type Store struct {
 	byWl     map[string][]*Entry // workload → entries in Seq order
 	seq      int
 	manifest *appendLog
-	// A push between its manifest record and its index (PutBlob) has a
-	// turn: entries index in turn order, which is manifest order.
-	turn     *sync.Cond      // on mu; broadcast when a push indexes
-	appended int             // turns handed out
-	indexed  int             // turns indexed
-	pending  map[string]bool // entry keys whose push holds a turn
 	segID    int
 	seg      *appendLog              // current segment
 	readers  map[string]faultfs.File // shared read handles by file name
@@ -188,6 +183,7 @@ type Store struct {
 	// incremental diagnosis path reads instead of the raw blobs.
 	sketchLog     *appendLog
 	sketchIdx     map[string]sketchRef
+	folds         []*fold // acked pushes' pending folds, in manifest order
 	sketches      *Cache[*sketch.Profile]
 	sketchRebuilt int64
 
@@ -268,14 +264,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		entries:   map[string]*Entry{},
 		byWl:      map[string][]*Entry{},
 		readers:   map[string]faultfs.File{},
-		pending:   map[string]bool{},
 		decoded:   NewCache[*sampler.Profile](opts.CacheCap),
 		sketchIdx: map[string]sketchRef{},
 		sketches:  NewCache[*sketch.Profile](sketchCacheSize),
 		recovery:  rep,
 		m:         newStoreMetrics(opts.Metrics),
 	}
-	s.turn = sync.NewCond(&s.mu)
 	s.m.quarantined.Add(float64(len(rep.Quarantined)))
 	s.m.recoveredDrops.Add(float64(rep.DroppedRecords))
 	s.m.recoveredBytes.Add(float64(rep.TruncatedBytes))
@@ -307,6 +301,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
+	s.sketchLog.noSync = true // Flush, Close and Health sync it
 	return s, nil
 }
 
@@ -416,10 +411,15 @@ func (s *Store) indexLocked(e *Entry, ref blobRef) {
 
 // PutBlob validates, stores and indexes one encoded profile bundle. It
 // returns only after the blob and its manifest record are fsynced — an
-// acknowledged push survives a crash. The returned bool is true when an
-// identical entry (same key, same content) already existed and nothing was
-// written. Every goroutine PutBlob starts is joined before it returns, so
-// the caller may reuse blob as soon as it does.
+// acknowledged push survives a crash. The blob's sketch is folded on a
+// goroutine started after the decode; the fold of an acked push may
+// finish after the ack and then appends its frame to the sketch log,
+// without fsync, in manifest order (GetSketch, Flush and Close wait for
+// it). Every other goroutine PutBlob starts is joined before it returns,
+// and the fold reads only the decoded profile, so the caller may reuse
+// blob as soon as PutBlob returns. The returned bool is true when an
+// identical entry (same key, same content) already existed and nothing
+// was written.
 func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (*Entry, bool, error) {
 	if workload == "" || run == "" {
 		return nil, false, fmt.Errorf("store: workload and run are required")
@@ -438,39 +438,43 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	if err != nil {
 		return nil, false, fmt.Errorf("store: reject invalid profile: %w (%w)", err, ErrInvalidProfile)
 	}
-	// Fold and encode the blob's sketch on a goroutine of its own while
-	// this one appends the segment frame and the manifest record. A blob
-	// whose sketch is already logged (a re-push) skips it. The deferred
-	// join runs after the unlock, so an early return never waits for the
-	// fold under the lock.
+	// Fold the sketch beside the appends, unless the sketch log holds it or
+	// an acked push's fold of it is pending. The fold reads only p.
 	s.mu.RLock()
 	_, logged := s.sketchIdx[id]
+	skip := logged || s.foldOf(id) != nil
 	s.mu.RUnlock()
-	var sk *sketch.Profile
-	var frame []byte
-	folded := make(chan struct{})
-	if logged {
-		close(folded)
-	} else {
-		go func() {
-			sk, frame = foldSketch(id, p)
-			close(folded)
-		}()
+	var f *fold
+	if !skip {
+		f = &fold{id: id, folded: make(chan struct{}), logged: make(chan struct{})}
+		go s.runFold(f, p)
 	}
-	defer func() { <-folded }()
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := entryKey(workload, label, run)
-	for s.pending[key] { // the same run is mid-push: dedup against its result
-		s.turn.Wait()
+	e, dup, err := s.putLocked(workload, label, run, id, p, blob)
+	queued := f != nil && err == nil && !dup && s.queueFoldLocked(f)
+	overBound := queued && len(s.folds) > maxPendingFolds
+	s.mu.Unlock()
+	switch {
+	case overBound: // keeps the goroutines and profiles of a burst bounded
+		<-f.logged
+	case f != nil && !queued: // nothing will log it: a failed push or a dedup
+		<-f.folded
 	}
+	return e, dup, err
+}
+
+// putLocked appends the blob, unless stored, and the manifest record of a
+// decoded push, and indexes its entry: once the record is durable, in the
+// same lock hold, so entries index in manifest order.
+func (s *Store) putLocked(workload string, label Label, run, id string, p *sampler.Profile, blob []byte) (*Entry, bool, error) {
 	if s.seg == nil {
 		return nil, false, errClosed
 	}
 	if err := s.wedgedLocked(); err != nil {
 		return nil, false, fmt.Errorf("store: refusing writes after unrecoverable rollback failure: %w", err)
 	}
+	key := entryKey(workload, label, run)
 	if old, ok := s.entries[key]; ok && old.ID == id {
 		s.m.dedupHits.Inc()
 		cp := *old
@@ -479,8 +483,8 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	ref, ok := s.blobs[id]
 	fresh := false
 	if !ok {
-		ref, err = s.appendBlobLocked(blob)
-		if err != nil {
+		var err error
+		if ref, err = s.appendBlobLocked(blob); err != nil {
 			return nil, false, err
 		}
 		fresh = true
@@ -492,36 +496,8 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	if err := s.appendManifestLocked(e, ref, fresh); err != nil {
 		return nil, false, err
 	}
-	// The push is durable. If the fold is still running, wait for it
-	// without the lock: other pushes may append meanwhile, and entries
-	// still index in the order of their manifest records, as on replay.
-	// Until then the blob is known, so a push of the same content appends
-	// no second copy, and the key is pending, so a push of the same run
-	// waits to dedup.
-	s.blobs[id] = ref
-	turn := s.appended
-	s.appended++
-	s.pending[key] = true
-	select {
-	case <-folded:
-	default:
-		s.mu.Unlock()
-		<-folded
-		s.mu.Lock()
-	}
-	for s.indexed != turn {
-		s.turn.Wait()
-	}
-	// Persist the blob's sketch before the entry becomes visible, so no
-	// reader rebuilds it. Sketches are derived data: an append failure is
-	// absorbed (GetSketch rebuilds on demand), never failing an
-	// acknowledged push.
-	_ = s.appendSketchLocked(id, sk, frame)
 	s.indexLocked(e, ref)
 	s.cacheDecoded(id, p)
-	s.indexed++
-	delete(s.pending, key)
-	s.turn.Broadcast()
 	cp := *s.entries[key]
 	return &cp, false, nil
 }
@@ -790,11 +766,14 @@ func (s *Store) Workloads() []WorkloadInfo {
 func (s *Store) CacheStats() CacheStats { return s.decoded.Stats() }
 
 // Flush forces the append handles to stable storage — the final step of a
-// graceful shutdown. With the default options every acknowledged push is
-// already durable; Flush covers NoSync stores and belt-and-braces drains.
+// graceful shutdown. It first waits for the folds of the pushes acked
+// before it, so their sketch frames are synced too. With the default
+// options every acknowledged push's blob and manifest record are already
+// durable; Flush makes its sketch frame durable, and covers NoSync stores.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitFoldsLocked()
 	if s.manifest == nil || s.seg == nil {
 		return errClosed
 	}
@@ -811,8 +790,9 @@ func (s *Store) Flush() error {
 }
 
 // Health verifies the store is writable: both append handles are open, the
-// manifest syncs, and the directory is still present. It is the substance
-// behind the service's /healthz check.
+// manifest and the sketch log sync, and the directory is still present.
+// It is the substance behind the service's /healthz check, and its sync
+// makes the sketch frames appended since the last one durable.
 func (s *Store) Health() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -824,6 +804,9 @@ func (s *Store) Health() error {
 	}
 	if err := s.manifest.f.Sync(); err != nil {
 		return fmt.Errorf("store: manifest not writable: %w", err)
+	}
+	if err := s.sketchLog.f.Sync(); err != nil {
+		return fmt.Errorf("store: sketch log not writable: %w", err)
 	}
 	if _, err := s.fsys.Stat(s.dir); err != nil {
 		return fmt.Errorf("store: directory missing: %w", err)
@@ -849,18 +832,22 @@ func (s *Store) HealthDetail() (string, map[string]string) {
 	return status, checks
 }
 
-// Close releases file handles. The store must not be used afterwards.
+// Close waits for every pending fold, syncs the sketch log and releases
+// file handles. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for last := s.appended; s.indexed < last; { // durable pushes index first
-		s.turn.Wait()
+	for len(s.folds) > 0 { // acked pushes log their sketches first
+		s.waitFoldsLocked()
 	}
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {
 			first = err
 		}
+	}
+	if s.sketchLog != nil {
+		keep(s.sketchLog.f.Sync())
 	}
 	for _, l := range []*appendLog{s.manifest, s.seg, s.sketchLog} {
 		if l != nil {
