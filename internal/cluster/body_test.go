@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -147,5 +148,49 @@ func isClosed(c chan struct{}) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// TestSketchRepliesStable: the node encodes each sketch reply into a
+// pooled buffer and hands it back once written, so two replies in a row
+// for one sketch, with another sketch's reply between them, carry the
+// same bytes: the sketch's canonical encoding.
+func TestSketchRepliesStable(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	node, err := cluster.NewNode(cluster.NodeConfig{ID: "node-0", Store: st, Resolver: service.NewBugsResolver()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for seed := int64(1); seed <= 2; seed++ {
+		e, _, err := st.PutBlob("b3", store.LabelNormal, strconv.FormatInt(seed, 10), sim.SyntheticBlob(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, e.ID)
+	}
+	get := func(id string) []byte {
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/internal/v1/sketch/"+id, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET sketch %s: HTTP %d: %s", id, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	first := get(ids[0])
+	get(ids[1])
+	if second := get(ids[0]); !bytes.Equal(first, second) {
+		t.Fatalf("two sketch replies for %s differ:\n%x\n%x", ids[0], first, second)
+	}
+	sk, err := st.GetSketch(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := profilefmt.MarshalSketch(sk); !bytes.Equal(first, want) {
+		t.Fatalf("sketch reply for %s is not its encoding:\n%x\n%x", ids[0], first, want)
 	}
 }

@@ -201,12 +201,9 @@ func (n *Node) handleSketch(w http.ResponseWriter, r *http.Request) {
 		writeNodeError(w, http.StatusNotFound, "not_found", err)
 		return
 	}
-	blob, err := profilefmt.MarshalSketch(sk)
-	if err != nil {
-		writeNodeError(w, http.StatusInternalServerError, "internal", err)
-		return
-	}
+	blob := profilefmt.EncodeSketch(sk)
 	writeNodeBlob(w, blob)
+	obs.PutBuffer(blob) // the response writer keeps no reference
 }
 
 // writeNodeBlob answers with raw bytes, declaring their length so the

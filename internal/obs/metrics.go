@@ -112,15 +112,18 @@ type Histogram struct {
 }
 
 // Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value v at once.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	// First bucket whose upper bound contains v; len(upper) = +Inf.
 	i := sort.SearchFloat64s(h.upper, v)
-	h.counts[i].Add(1)
-	h.sum.add(v)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.sum.add(v * float64(n))
+	h.count.Add(n)
 }
 
 // Count returns the total number of observations.

@@ -13,6 +13,7 @@ import (
 	"math"
 	"slices"
 
+	"vprof/internal/obs"
 	"vprof/internal/sketch"
 )
 
@@ -83,9 +84,15 @@ func decodeSketch(r *reader) *sketch.Profile {
 	return s
 }
 
-// MarshalSketch renders a sketch as one blob.
+// MarshalSketch renders a sketch as one blob. It never fails.
 func MarshalSketch(s *sketch.Profile) ([]byte, error) {
 	return appendSketch(make([]byte, 0, sketchSize(s)), s), nil
+}
+
+// EncodeSketch renders a sketch into a buffer of obs's pool, which the
+// caller hands back with obs.PutBuffer once nothing reads it.
+func EncodeSketch(s *sketch.Profile) []byte {
+	return appendSketch(obs.GetBuffer(sketchSize(s)), s)
 }
 
 // UnmarshalSketch parses a sketch blob, rejecting trailing garbage.

@@ -8,8 +8,9 @@ import (
 
 // selfMetrics is the profiler's self-profiling instrumentation (Coz-style:
 // a profiler must measure itself to be trusted). All fields are nil-safe obs
-// metrics; the uninstrumented default costs one atomic pointer load per
-// alarm.
+// metrics. A Profiler tallies its run in its own fields and Finish adds the
+// tallies here once, so the measurement costs the profiled run no atomic
+// operation per alarm.
 type selfMetrics struct {
 	alarms       *obs.Counter   // profiling alarms fired
 	valueSamples *obs.Counter   // value samples recorded

@@ -151,7 +151,10 @@ type Profiler struct {
 	samples   []Sample
 	buf       *[]Sample
 	numAlarms int64
-	initTime  time.Duration
+	// unwound[d] counts the alarms that unwound d frames; Finish
+	// publishes it with numAlarms and the samples recorded.
+	unwound  []uint64
+	initTime time.Duration
 }
 
 // New builds a Profiler for prog monitoring the given variable metadata
@@ -185,6 +188,7 @@ func New(prog *compiler.Program, metadata []debuginfo.VarLoc, opts Options) *Pro
 		layoutIdx: map[string]int32{},
 		buckets:   make([]int32, tableSize),
 		hist:      make([]int64, len(prog.Instrs)),
+		unwound:   make([]uint64, max(opts.UnwindDepth, 0)+1),
 		samples:   (*buf)[:0],
 		buf:       buf,
 	}
@@ -268,35 +272,31 @@ func (p *Profiler) OnWallAlarm(m *vm.VM, blocked bool) {
 
 func (p *Profiler) record(m *vm.VM, tick int64) {
 	p.numAlarms++
-	sm := samplerMetrics.Load()
-	sm.alarms.Inc()
 	pc := m.PC()
 	if pc >= 0 && pc < len(p.hist) {
 		p.hist[pc]++
 	}
-	before := len(p.samples)
-	unwound := 0
-	defer func() {
-		sm.valueSamples.Add(float64(len(p.samples) - before))
-		sm.unwindDepth.Observe(float64(unwound))
-	}()
 	p.sampleAt(m, pc, 0, 0, tick)
-	if p.opts.UnwindDepth < 0 {
-		return
-	}
+	p.unwound[p.unwind(m, tick)]++
+}
+
+// unwind virtually unwinds up to UnwindDepth frames below the alarm,
+// recording value samples at each caller's call PC, and returns the number
+// of frames it unwound.
+func (p *Profiler) unwind(m *vm.VM, tick int64) int {
 	for d := 1; d <= p.opts.UnwindDepth; d++ {
 		below, ok := m.Frame(d - 1)
 		if !ok || below.RetPC < 0 {
-			return
+			return d - 1
 		}
 		if _, ok := m.Frame(d); !ok {
-			return
+			return d - 1
 		}
 		// The caller PC is the call-instruction PC recorded in the
 		// callee frame; registers are restored from the caller frame.
 		p.sampleAt(m, below.RetPC, d, d, tick)
-		unwound = d
 	}
+	return max(p.opts.UnwindDepth, 0)
 }
 
 // sampleAt records value samples for all variables accessible at pc, reading
@@ -379,6 +379,7 @@ func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 		samples = p.samples[:n:n]
 	}
 	raiseMark(len(samples))
+	p.publish()
 	*p.buf = p.samples[:0]
 	p.samples = nil
 	return &Profile{
@@ -394,6 +395,17 @@ func (p *Profiler) Finish(pid int, totalTicks int64) *Profile {
 		VarArrayBytes: int64(len(p.vars) * varNodeSize),
 		SampleBytes:   int64(len(samples) * sampleSize),
 		InitDuration:  p.initTime,
+	}
+}
+
+// publish adds the run's alarms, value samples and unwind depths to the
+// self-metrics, once per run rather than once per alarm.
+func (p *Profiler) publish() {
+	sm := samplerMetrics.Load()
+	sm.alarms.Add(float64(p.numAlarms))
+	sm.valueSamples.Add(float64(len(p.samples)))
+	for d, n := range p.unwound {
+		sm.unwindDepth.ObserveN(float64(d), n)
 	}
 }
 

@@ -9,7 +9,9 @@
 //
 // Every histogram and per-PC count is an ascending array of (key, count)
 // pairs with no zero counts, so folding, merging and encoding are linear
-// passes and one sketch has one in-memory form.
+// passes and one sketch has one in-memory form. A fold builds its
+// histograms by sorting keys, not pairs, and takes its working memory from
+// a pool, so it allocates only the sketch it returns.
 //
 // Exactness: histograms count exact observations, and the Anderson-Darling
 // and Hellinger kernels in internal/stats are functions of per-distinct-value
@@ -22,6 +24,7 @@ package sketch
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"vprof/internal/sampler"
 )
@@ -81,39 +84,64 @@ func mergePairs[K cmp.Ordered](a, b []Pair[K]) []Pair[K] {
 	return append(out, b[j:]...)
 }
 
-// HistOf counts a raw series into a histogram (nil for an empty series).
+// HistOf counts a raw series into a histogram (nil for an empty series). It
+// sorts a copy of the series.
 func HistOf(series []float64) Hist {
-	var runs Hist
-	for i := 0; i < len(series); {
-		j := i + 1
-		for j < len(series) && series[j] == series[i] {
-			j++
-		}
-		runs = append(runs, Pair[float64]{series[i], int64(j - i)})
-		i = j
-	}
-	return histOfPairs(runs)
+	return histOfKeys(slices.Clone(series))
 }
 
-// histOfPairs sorts unordered (value, count) pairs in place and sums equal
-// values into an exact-size histogram (nil for no pairs).
-func histOfPairs(pairs []Pair[float64]) Hist {
-	if len(pairs) == 0 {
+// histOfKeys sorts keys in place and counts them into an exact-size
+// histogram (nil for no keys).
+func histOfKeys(keys []float64) Hist {
+	if len(keys) == 0 {
 		return nil
 	}
-	slices.SortFunc(pairs, func(a, b Pair[float64]) int { return cmp.Compare(a.Key, b.Key) })
+	slices.Sort(keys)
 	n := 1
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].Key != pairs[i-1].Key {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
 			n++
 		}
 	}
 	out := make(Hist, 0, n)
-	for _, e := range pairs {
-		if k := len(out) - 1; k >= 0 && out[k].Key == e.Key {
-			out[k].Count += e.Count
+	for _, k := range keys {
+		if j := len(out) - 1; j >= 0 && out[j].Key == k {
+			out[j].Count++
 		} else {
-			out = append(out, e)
+			out = append(out, Pair[float64]{k, 1})
+		}
+	}
+	return out
+}
+
+// histOfRuns sorts (value, length) runs in place by value and sums equal
+// values into an exact-size histogram (nil for no runs). Run values are
+// never NaN, so a plain < orders them.
+func histOfRuns(runs []Pair[float64]) Hist {
+	if len(runs) == 0 {
+		return nil
+	}
+	slices.SortFunc(runs, func(a, b Pair[float64]) int {
+		switch {
+		case a.Key < b.Key:
+			return -1
+		case a.Key > b.Key:
+			return 1
+		}
+		return 0
+	})
+	n := 1
+	for i := 1; i < len(runs); i++ {
+		if runs[i].Key != runs[i-1].Key {
+			n++
+		}
+	}
+	out := make(Hist, 0, n)
+	for _, r := range runs {
+		if j := len(out) - 1; j >= 0 && out[j].Key == r.Key {
+			out[j].Count += r.Count
+		} else {
+			out = append(out, r)
 		}
 	}
 	return out
@@ -275,7 +303,12 @@ func FromHist(p *sampler.Profile) *Profile {
 // samples by PC with a stable counting sort. Walking the buckets in PC
 // order then yields each variable's ascending PC set and each PC's
 // distinct ticks, and each variable's histograms sort only its runs.
+//
+// Everything but the sketch lives in a foldScratch drawn from a pool, so a
+// fold allocates only the sketch it returns.
 func FromProfile(p *sampler.Profile) *Profile {
+	sc := scratchPool.Get().(*foldScratch)
+	defer sc.release()
 	s := FromHist(p)
 	histLen := len(p.Hist)
 	folds, varOf := newFolds(p.Layout)
@@ -287,7 +320,9 @@ func FromProfile(p *sampler.Profile) *Profile {
 	}
 
 	// Pass 1: bucket sizes, nonempty buckets and runs per variable.
-	end := make([]int32, histLen+1) // counts, then bucket starts, then bucket ends
+	sc.end = resize(sc.end, histLen+1)
+	end := sc.end // counts, then bucket starts, then bucket ends
+	clear(end)
 	used := 0
 	for i := range p.Samples {
 		smp := &p.Samples[i]
@@ -307,7 +342,8 @@ func FromProfile(p *sampler.Profile) *Profile {
 	for pc := 1; pc <= histLen; pc++ {
 		end[pc] += end[pc-1]
 	}
-	runs := make([]Pair[float64], sumOf(folds, func(f *varFold) int { return f.nruns }))
+	sc.runs = resize(sc.runs, sumOf(folds, func(f *varFold) int { return f.nruns }))
+	runs := sc.runs
 	for i := range folds {
 		f := &folds[i]
 		f.runs, runs = runs[:0:f.nruns], runs[f.nruns:]
@@ -316,8 +352,9 @@ func FromProfile(p *sampler.Profile) *Profile {
 
 	// Pass 2: fill the PC buckets (tick and variable of each sample) and
 	// the runs and moments of each variable.
-	ticks := make([]int64, end[histLen])
-	vars := make([]int32, end[histLen])
+	sc.ticks = resize(sc.ticks, int(end[histLen]))
+	sc.vars = resize(sc.vars, int(end[histLen]))
+	ticks, vars := sc.ticks, sc.vars
 	for i := range p.Samples {
 		smp := &p.Samples[i]
 		if !pcInRange(smp.PC, histLen) {
@@ -385,12 +422,48 @@ func FromProfile(p *sampler.Profile) *Profile {
 	})
 
 	s.Vars = make([]VarSummary, len(folds))
-	var scratch []Pair[float64]
 	for i := range folds {
-		scratch = folds[i].finish(scratch)
+		sc.keys = folds[i].finish(sc.keys)
 		s.Vars[i] = folds[i].VarSummary
 	}
 	return s
+}
+
+// foldScratch is FromProfile's working memory, none of which the sketch
+// keeps: the PC bucket bounds, the bucketed ticks and variables, every
+// variable's runs and one histogram's keys.
+type foldScratch struct {
+	end   []int32
+	ticks []int64
+	vars  []int32
+	runs  []Pair[float64]
+	keys  []float64
+}
+
+// scratchPool recycles foldScratch between folds, so the scratch of a fold
+// is sized by the largest profile folded before it.
+var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
+
+// maxPooledScratch bounds the scratch the pool keeps, in bytes: the limit
+// obs puts on its body pool. A larger scratch is dropped, so one huge
+// profile does not pin its size in a long-lived store.
+const maxPooledScratch = 64 << 20
+
+// release hands sc back to the pool unless it outgrew maxPooledScratch.
+func (sc *foldScratch) release() {
+	size := 4*cap(sc.end) + 8*cap(sc.ticks) + 4*cap(sc.vars) + 16*cap(sc.runs) + 8*cap(sc.keys)
+	if size <= maxPooledScratch {
+		scratchPool.Put(sc)
+	}
+}
+
+// resize returns s at length n, reusing its array when it has room. The
+// elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func pcInRange(pc int32, histLen int) bool { return pc >= 0 && int(pc) < histLen }
@@ -481,25 +554,25 @@ func (f *varFold) add(tick int64, v float64) {
 	f.Sum += v
 }
 
-// finish counts the histograms from the runs, reusing scratch (returned
-// for the next variable); the runs are sorted in place.
-func (f *varFold) finish(scratch []Pair[float64]) []Pair[float64] {
+// finish counts the histograms from the runs, with keys as scratch
+// (returned for the next variable); the runs are sorted in place.
+func (f *varFold) finish(keys []float64) []float64 {
 	f.NumRuns = int64(len(f.runs))
-	scratch = scratch[:0]
+	keys = keys[:0]
 	for _, r := range f.runs {
 		f.MaxRun = max(f.MaxRun, float64(r.Count))
-		scratch = append(scratch, Pair[float64]{float64(r.Count), 1})
+		keys = append(keys, float64(r.Count))
 	}
-	f.Runs = histOfPairs(scratch)
+	f.Runs = histOfKeys(keys)
 	if !f.IsPointer {
-		scratch = scratch[:0]
+		keys = keys[:0]
 		for k := 1; k < len(f.runs); k++ {
-			scratch = append(scratch, Pair[float64]{f.runs[k].Key - f.runs[k-1].Key, 1})
+			keys = append(keys, f.runs[k].Key-f.runs[k-1].Key)
 		}
-		f.Deltas = histOfPairs(scratch)
-		f.Values = histOfPairs(f.runs)
+		f.Deltas = histOfKeys(keys)
+		f.Values = histOfRuns(f.runs)
 	}
-	return scratch
+	return keys
 }
 
 // Var returns the summary for a variable key ("func\x00name"), or nil.

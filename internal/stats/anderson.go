@@ -38,7 +38,7 @@ type ADResult struct {
 }
 
 // ADKSample runs the k-sample Anderson-Darling test on raw samples: each is
-// counted into a histogram (sketch.HistOf sorts a copy of its runs) and the
+// counted into a histogram (sketch.HistOf sorts a copy of it) and the
 // histograms go to ADKSampleHist. It is safe for concurrent use.
 func ADKSample(samples ...[]float64) (ADResult, error) {
 	hists := make([]sketch.Hist, len(samples))

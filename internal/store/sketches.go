@@ -28,6 +28,7 @@ import (
 	"slices"
 
 	"vprof/internal/faultfs"
+	"vprof/internal/obs"
 	"vprof/internal/profilefmt"
 	"vprof/internal/sampler"
 	"vprof/internal/sketch"
@@ -50,16 +51,13 @@ type sketchRef struct {
 	size   int64
 }
 
-// foldSketch folds a profile into the sketch of blob id and encodes it.
-// It needs no lock; a nil payload means the sketch did not encode.
+// foldSketch folds a profile into the sketch of blob id and encodes it
+// into a buffer of obs's pool, which the caller hands back with
+// obs.PutBuffer once the frame is appended. It needs no lock.
 func foldSketch(id string, p *sampler.Profile) (*sketch.Profile, []byte) {
 	sk := sketch.FromProfile(p)
 	sk.BlobID = id
-	payload, err := profilefmt.MarshalSketch(sk)
-	if err != nil {
-		return sk, nil
-	}
-	return sk, payload
+	return sk, profilefmt.EncodeSketch(sk)
 }
 
 // fold is the sketch fold of one pushed blob, from the push's decode until
@@ -67,7 +65,7 @@ func foldSketch(id string, p *sampler.Profile) (*sketch.Profile, []byte) {
 type fold struct {
 	id     string
 	sk     *sketch.Profile
-	frame  []byte        // nil when the sketch did not encode
+	frame  []byte        // sk's encoding, pooled until it is logged
 	folded chan struct{} // closed once sk and frame are set
 	logged chan struct{} // closed once the frame is appended or dropped
 }
@@ -121,6 +119,8 @@ func (s *Store) logFoldsLocked() {
 	for len(s.folds) > 0 && isClosed(s.folds[0].folded) {
 		f := s.folds[0]
 		_ = s.appendSketchLocked(f.id, f.sk, f.frame)
+		obs.PutBuffer(f.frame)
+		f.frame = nil
 		close(f.logged)
 		s.folds = slices.Delete(s.folds, 0, 1)
 	}
@@ -157,9 +157,6 @@ func (s *Store) appendSketchLocked(id string, sk *sketch.Profile, payload []byte
 	}
 	if _, ok := s.sketchIdx[id]; ok {
 		return nil
-	}
-	if payload == nil {
-		return errors.New("store: sketch did not encode")
 	}
 	if len(payload) > maxSketchFrame {
 		return fmt.Errorf("store: sketch frame %d bytes exceeds bound", len(payload))
@@ -203,11 +200,13 @@ func (s *Store) GetSketch(id string) (*sketch.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, ref.size)
+	payload := obs.GetBuffer(int(ref.size))[:ref.size]
 	if _, err := r.ReadAt(payload, ref.offset); err != nil {
+		obs.PutBuffer(payload)
 		return nil, fmt.Errorf("store: read sketch %s: %w", id, err)
 	}
-	sk, err := profilefmt.UnmarshalSketch(payload)
+	sk, err := profilefmt.UnmarshalSketch(payload) // copies what it keeps
+	obs.PutBuffer(payload)
 	if err != nil || sk.BlobID != id {
 		// The frame passed its CRC at open but no longer decodes to this
 		// blob's sketch (e.g. external truncation since): fall back to a
@@ -226,6 +225,7 @@ func (s *Store) rebuildSketch(id string) (*sketch.Profile, error) {
 		return nil, err
 	}
 	sk, payload := foldSketch(id, p)
+	defer obs.PutBuffer(payload) // appendFrame copies it
 	if !s.sketches.Put(id, sk) { // raced with another fill
 		return sk, nil
 	}

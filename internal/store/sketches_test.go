@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"testing"
 
 	"vprof/internal/faultfs"
+	"vprof/internal/obs"
+	"vprof/internal/profilefmt"
 	"vprof/internal/sketch"
 	"vprof/internal/store"
 )
@@ -506,5 +509,61 @@ func TestSketchLogReadHandleShared(t *testing.T) {
 	}
 	if o, c := fsys.opened.Load(), fsys.closed.Load(); o != c {
 		t.Errorf("sketch log read handles: %d opened, %d closed", o, c)
+	}
+}
+
+// TestSketchLogReadKeepsNoBuffer: GetSketch reads a frame of the sketch log
+// into a pooled buffer and hands it back once decoded. After 65 pushes the
+// first sketch has left the 64-entry sketch cache, so it is read back from
+// sketches.log; overwriting pooled buffers of the frame's size class then
+// must not change it: it still encodes to the logged frame's bytes.
+func TestSketchLogReadKeepsNoBuffer(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var first string
+	for seed := int64(0); seed < 65; seed++ {
+		e, _, err := s.Put("w", store.LabelNormal, strconv.FormatInt(seed, 10), testProfile(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seed == 0 {
+			first = e.ID
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Frames are logged in push order: the first follows the 8-byte header.
+	log, err := os.ReadFile(filepath.Join(dir, "sketches.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := binary.LittleEndian.Uint32(log[8:12])
+	logged := log[16 : 16+size]
+
+	before := s.SketchStats()
+	sk, err := s.GetSketch(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.SketchStats(); st.Misses != before.Misses+1 || st.Rebuilds != before.Rebuilds {
+		t.Fatalf("GetSketch did not read the sketch from the log: %+v -> %+v", before, st)
+	}
+	for i := 0; i < 8; i++ {
+		b := obs.GetBuffer(len(logged))[:len(logged)]
+		for j := range b {
+			b[j] = 0xff
+		}
+		obs.PutBuffer(b)
+	}
+	if sk.BlobID != first {
+		t.Fatalf("sketch read back as %q, want %q", sk.BlobID, first)
+	}
+	if got, _ := profilefmt.MarshalSketch(sk); !bytes.Equal(got, logged) {
+		t.Fatalf("sketch read from the log no longer encodes to its frame:\n%x\n%x", got, logged)
 	}
 }

@@ -460,6 +460,7 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 		<-f.logged
 	case f != nil && !queued: // nothing will log it: a failed push or a dedup
 		<-f.folded
+		obs.PutBuffer(f.frame)
 	}
 	return e, dup, err
 }
